@@ -53,6 +53,10 @@ class SingularSchur(DaeSvrError):
     """The bias Schur complement is singular; biases are not identifiable."""
 
 
+class SingularSystem(DaeSvrError):
+    """A square system has a zero pivot after row equilibration."""
+
+
 class MissingExact(DaeSvrError):
     """An error report was requested for a problem with no exact solution."""
 

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from mpmath import mp, mpf, workdps
 from numpy.testing import assert_allclose
 
-from daesvr.errors import ValidationError
-from daesvr.highprec import solve_interpolant
+import daesvr.highprec as highprec
+from daesvr.errors import DaeSvrError, SingularSystem, ValidationError
+from daesvr.highprec import solve_interpolant, solve_square
 from daesvr.schema import load_problem
 from daesvr.solver import SolverConfig
 
@@ -94,6 +96,62 @@ class TestRectangle:
             for pt in ((0.02, 0.02), (0.1, 0.1), (-0.3, 0.5)):
                 worst = max(worst, model.errors_at(u, pt)[0])
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_square_system_residual_is_tiny(self, m):
+        model = solve_interpolant(load_problem("example5"), SolverConfig(m=m), digits=40)
+        assert model.residual_inf <= 1e-35
+
+
+def lu_reference(A, b, digits):
+    """The square solve as mp.lu_solve computes it, in the same mpf entries.
+
+    mp.lu_solve rounds at working precision, so on a system with condition
+    near 1e16 (the 12x12 Hilbert matrix) its own error is about 1e-30 at 40
+    digits.  It runs here with 20 more digits so that the reference is exact
+    to well below the tolerance the solver under test is held to.
+    """
+    with workdps(digits + 20):
+        w = mp.lu_solve(mp.matrix([list(row) for row in A]), mp.matrix(list(b)))
+        return [w[i] for i in range(len(b))]
+
+
+def rel_max_diff(got, ref):
+    return max(abs(g - r) for g, r in zip(got, ref)) / max(abs(r) for r in ref)
+
+
+class TestSquareSolve:
+    def test_hilbert_matches_lu_solve(self):
+        digits = 40
+        with workdps(digits):
+            A = [[mpf(1) / (i + j + 1) for j in range(12)] for i in range(12)]
+            b = [mpf(1)] * 12
+            got = solve_square(A, b)
+        assert rel_max_diff(got, lu_reference(A, b, digits)) <= mpf(10) ** (5 - digits)
+
+    def test_assembled_rectangle_matches_lu_solve(self, monkeypatch):
+        digits = 40
+        seen = {}
+
+        def recording(A, b):
+            seen["system"] = A, b
+            seen["weights"] = solve_square(A, b)
+            return seen["weights"]
+
+        monkeypatch.setattr(highprec, "solve_square", recording)
+        solve_interpolant(load_problem("example5"), SolverConfig(m=4), digits=digits)
+        A, b = seen["system"]
+        assert len(b) == 72
+        ref = lu_reference(A, b, digits)
+        assert rel_max_diff(seen["weights"], ref) <= mpf(10) ** (5 - digits)
+
+    def test_equal_rows_raise_singular_system(self):
+        with workdps(40):
+            A = [[mpf(1) / (i + j + 1) for j in range(5)] for i in range(5)]
+            A[3] = list(A[1])
+            with pytest.raises(SingularSystem, match="zero pivot") as info:
+                solve_square(A, [mpf(1)] * 5)
+        assert isinstance(info.value, DaeSvrError)
 
 
 class TestRejections:
