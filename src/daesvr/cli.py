@@ -62,12 +62,6 @@ def _parse_float_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _add_seedless_flag(p: argparse.ArgumentParser) -> None:
-    # Accepted no-op: nothing in the pipeline is randomized, so identical
-    # invocations are already byte-identical with or without this flag.
-    p.add_argument("--seedless", action="store_true", help=argparse.SUPPRESS)
-
-
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=None, help="basis resolution (collocation points per axis)")
     p.add_argument("--gamma", type=float, default=None, help="regularization weight (> 0)")
@@ -97,12 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("name", nargs="?", default=None, help="built-in problem name")
     p_solve.add_argument("--file", default=None, metavar="PATH", help="problem description file (JSON)")
     _add_solver_flags(p_solve)
-    _add_seedless_flag(p_solve)
 
     p_bench = sub.add_parser("bench", help="run reference cases")
     p_bench.add_argument("names", nargs="*", default=[], help="cases to run (default: all)")
     _add_solver_flags(p_bench)
-    _add_seedless_flag(p_bench)
 
     p_sweep = sub.add_parser("sweep", help="run a case over a grid of m and gamma values")
     p_sweep.add_argument("name", help="case name")
@@ -111,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma", type=_parse_float_list, default=None, metavar="G1,G2,...",
                          help="regularization weights to sweep (omit for the exact interpolation limit where supported)")
     p_sweep.add_argument("--out", default=None, metavar="PATH", help="write all cells as CSV")
-    _add_seedless_flag(p_sweep)
 
     sub.add_parser("list", help="show built-in problem names")
     return parser

@@ -5,17 +5,21 @@ exact solutions as plain text over a fixed function vocabulary.  The text is
 parsed with `ast`, checked against a whitelist, and compiled to an ordinary
 Python function of the declared variables.  Nothing outside the whitelist
 (attribute access, subscripts, names other than the declared variables) is
-accepted.
+accepted.  The vocabulary (functions, constants and the number type of
+the result) is a parameter, so the same text compiles for double precision
+and for mpmath's extended precision.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ParseError
 
-__all__ = ["compile_expression", "FUNCTIONS"]
+__all__ = ["compile_expression", "FUNCTIONS", "Vocabulary", "FLOAT"]
 
 
 def _sec(x: float) -> float:
@@ -33,33 +37,43 @@ FUNCTIONS = {
     "gamma": math.gamma,
 }
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """What an expression may call and name, and the type its value is returned as."""
+
+    functions: dict
+    constants: dict
+    result: Callable
+
+
+FLOAT = Vocabulary(FUNCTIONS, {"pi": math.pi, "e": math.e}, float)
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
 
 
-def _check(node: ast.AST, variables: tuple, text: str) -> None:
+def _check(node: ast.AST, variables: tuple, text: str, vocabulary: Vocabulary) -> None:
     if isinstance(node, ast.Expression):
-        _check(node.body, variables, text)
+        _check(node.body, variables, text, vocabulary)
     elif isinstance(node, ast.BinOp):
         if not isinstance(node.op, _ALLOWED_BINOPS):
             raise ParseError(f"operator not allowed in {text!r}")
-        _check(node.left, variables, text)
-        _check(node.right, variables, text)
+        _check(node.left, variables, text, vocabulary)
+        _check(node.right, variables, text, vocabulary)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, _ALLOWED_UNARY):
             raise ParseError(f"operator not allowed in {text!r}")
-        _check(node.operand, variables, text)
+        _check(node.operand, variables, text, vocabulary)
     elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in FUNCTIONS:
+        if not isinstance(node.func, ast.Name) or node.func.id not in vocabulary.functions:
             raise ParseError(f"unknown function in {text!r}")
         if node.keywords:
             raise ParseError(f"keyword arguments not allowed in {text!r}")
         for arg in node.args:
-            _check(arg, variables, text)
+            _check(arg, variables, text, vocabulary)
     elif isinstance(node, ast.Name):
-        if node.id not in variables and node.id not in _CONSTANTS:
+        if node.id not in variables and node.id not in vocabulary.constants:
             raise ParseError(
                 f"unknown name {node.id!r} in {text!r} (variables: {', '.join(variables)})"
             )
@@ -70,8 +84,11 @@ def _check(node: ast.AST, variables: tuple, text: str) -> None:
         raise ParseError(f"unsupported syntax ({type(node).__name__}) in {text!r}")
 
 
-def compile_expression(text: str, variables: tuple):
+def compile_expression(text: str, variables: tuple, vocabulary: Vocabulary = FLOAT):
     """Compile `text` to a function of the named `variables`.
+
+    The function evaluates with `vocabulary`'s functions and constants and
+    returns `vocabulary.result` of the value (a float by default).
 
     Raises ParseError for syntax errors, unknown names, or any construct
     outside the arithmetic/function whitelist.
@@ -82,13 +99,14 @@ def compile_expression(text: str, variables: tuple):
         tree = ast.parse(text, mode="eval")
     except SyntaxError as err:
         raise ParseError(f"syntax error in {text!r} at column {err.offset}") from err
-    _check(tree, variables, text)
+    _check(tree, variables, text, vocabulary)
     code = compile(tree, "<expression>", "eval")
-    namespace = {"__builtins__": {}} | FUNCTIONS | _CONSTANTS
+    namespace = {"__builtins__": {}} | vocabulary.functions | vocabulary.constants
+    result = vocabulary.result
 
     def fn(*args):
         local = dict(zip(variables, args))
-        return float(eval(code, namespace, local))
+        return result(eval(code, namespace, local))
 
     fn.__name__ = f"expr[{text}]"
     return fn

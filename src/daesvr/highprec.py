@@ -7,14 +7,20 @@ barely see, the discrete system inherits near-null directions whose singular
 values sink exponentially as the basis grows, and past m ~ 8 no double
 precision algorithm can recover the accuracy the basis offers.
 
-This module sidesteps the ceiling for linear problems by assembling the
-square collocation system (basis counts chosen so coefficients and
-constraints balance, the same rule the regular solver uses) in software
-floats and solving it directly.  That is the limit of the regularized
-estimator as gamma grows without bound, so the result is the interpolant
-the dual solve approaches but cannot reach in double precision.  Only
-identity and derivative operators are supported; fractional and integral
-terms stay on the double precision path.
+This module sidesteps the ceiling for linear problems by solving the square
+collocation system (basis counts chosen so coefficients and constraints
+balance, the same rule the regular solver uses) in software floats.  That is
+the limit of the regularized estimator as gamma grows without bound, so the
+result is the interpolant the dual solve approaches but cannot reach in
+double precision.  Only identity and derivative operators are supported;
+fractional and integral terms stay on the double precision path, and there
+are no bias terms.
+
+The system is the regular solver's own: the problem is restated in mpmath
+`mpf` numbers (domain, side values, and fields recompiled from their source
+text), the Gauss nodes are refined to working precision, and the solver's
+grid, Legendre tables and constraint builder run unchanged on numpy object
+arrays of `mpf`.  The square matrix is then Z^T.
 
 The direct solve (`solve_square`) is Gaussian elimination with partial
 pivoting on Python integers: each row is scaled by a power of two and held
@@ -27,8 +33,7 @@ for mpmath's LU solve at m = 6.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,132 +41,82 @@ from mpmath import mp, mpf, workdps
 import mpmath
 
 from .errors import SingularSystem, ValidationError
-from .expressions import _check
-from .model import Caputo, DaeProblem, Derivative, Field, Identity, VolterraIntegral, is_linear
-from .solver import SolverConfig, basis_counts
+from .expressions import Vocabulary, compile_expression
+from .legendre import legendre_roots, legendre_table
+from .model import Caputo, DaeProblem, Field, VolterraIntegral, is_linear
+from .solver import SolverConfig, _Context, _grid_from_roots
 
 __all__ = ["InterpolantModel", "solve_interpolant", "solve_square"]
 
-
-def _mp_sec(x):
-    return 1 / mpmath.cos(x)
-
-
-_MP_FUNCTIONS = {
-    "sin": mpmath.sin,
-    "cos": mpmath.cos,
-    "tan": mpmath.tan,
-    "sec": _mp_sec,
-    "exp": mpmath.exp,
-    "sqrt": mpmath.sqrt,
-    "pow": mpmath.power,
-    "gamma": mpmath.gamma,
-}
-
-_MP_CONSTANTS = {"pi": mpmath.pi, "e": mpmath.e}
+_MPF = Vocabulary(
+    functions={
+        "sin": mpmath.sin,
+        "cos": mpmath.cos,
+        "tan": mpmath.tan,
+        "sec": mpmath.sec,
+        "exp": mpmath.exp,
+        "sqrt": mpmath.sqrt,
+        "pow": mpmath.power,
+        "gamma": mpmath.gamma,
+    },
+    constants={"pi": mpmath.pi, "e": mpmath.e},
+    result=mpf,
+)
 
 
-def _mp_field(value, variables: tuple):
-    """Rebuild a coefficient field as an mpmath callable.
-
-    Accepts plain numbers, Field objects carrying their source text, and
-    raw expression strings.
-    """
-    if isinstance(value, (int, float)):
-        c = mpf(value)
-        return lambda *args: c
-    if isinstance(value, Field):
-        text = value.tag
-        if text is None:
-            raise ValidationError(
-                "extended-precision solve needs fields with source text; "
-                "build the problem through the structured schema"
-            )
-        value = text
-    try:
-        c = mpf(float(value))
-        return lambda *args: c
-    except ValueError:
-        pass
-    tree = ast.parse(value, mode="eval")
-    _check(tree, variables, value)
-    code = compile(tree, "<mp-expression>", "eval")
-    namespace = {"__builtins__": {}} | _MP_FUNCTIONS | _MP_CONSTANTS
-
-    def fn(*args):
-        return eval(code, namespace, dict(zip(variables, args)))
-
-    return fn
+def _recompiled(value, variables: tuple):
+    """A number as mpf, or a Field recompiled from its source text to mpf."""
+    if not isinstance(value, Field):
+        return mpf(value)
+    if value.tag is None:
+        raise ValidationError(
+            "extended-precision solve needs fields with source text; "
+            "build the problem through the structured schema"
+        )
+    return Field(compile_expression(value.tag, variables, _MPF), tag=value.tag)
 
 
-def _legendre_rows(count: int, s, max_order: int):
-    """Values and derivatives of P_0..P_{count-1} at canonical scalar s."""
-    P = [mpf(1)] + [mpf(0)] * (count - 1)
-    if count > 1:
-        P[1] = s
-    for n in range(1, count - 1):
-        P[n + 1] = ((2 * n + 1) * s * P[n] - n * P[n - 1]) / (n + 1)
-    rows = [P]
-    for order in range(1, max_order + 1):
-        prev = rows[order - 1]
-        D = [mpf(0)] * count
-        for n in range(count - 1):
-            lower = D[n - 1] if n else mpf(0)
-            D[n + 1] = ((2 * n + 1) * (s * D[n] + order * prev[n]) - n * lower) / (n + 1)
-        rows.append(D)
-    return rows
+def _mpf_point(point):
+    """A coordinate, or a sequence of them (None kept), as mpf."""
+    if np.ndim(point):
+        return tuple(None if v is None else mpf(v) for v in point)
+    return mpf(point)
 
 
-def _gauss_nodes(m: int):
-    """Gauss-Legendre nodes on [-1, 1] refined to working precision."""
-    seeds = np.polynomial.legendre.leggauss(m)[0]
-    nodes = []
-    for seed in seeds:
-        s = mpf(float(seed))
-        for _ in range(8):
-            rows = _legendre_rows(m + 1, s, 1)
-            step = rows[0][m] / rows[1][m]
-            s = s - step
-            if abs(step) < mpf(10) ** (-mp.dps):
-                break
-        nodes.append(s)
-    return nodes
+def _in_mpf(problem: DaeProblem) -> DaeProblem:
+    """The same problem with mpf domain, side points and values, and fields."""
+    if problem.is_2d:
+        variables, side_variables = ("x", "t"), ("x",)
+        domain = tuple(_mpf_point(axis) for axis in problem.domain)
+    else:
+        variables = side_variables = ("t",)
+        domain = _mpf_point(problem.domain)
+    equations = tuple(
+        replace(
+            eq,
+            terms=tuple(replace(t, coeff=_recompiled(t.coeff, variables)) for t in eq.terms),
+            rhs=_recompiled(eq.rhs, variables),
+        )
+        for eq in problem.equations
+    )
+    sides = tuple(
+        replace(sc, point=_mpf_point(sc.point), value=_recompiled(sc.value, side_variables))
+        for sc in problem.side_conditions
+    )
+    return replace(problem, domain=domain, equations=equations, side_conditions=sides)
 
 
-class _Axis:
-    """One coordinate axis: interval, basis count, and cached tables."""
-
-    def __init__(self, lo, hi, count: int, max_order: int):
-        self.lo = mpf(lo)
-        self.hi = mpf(hi)
-        self.count = count
-        self.max_order = max_order
-        self.chain = 2 / (self.hi - self.lo)
-        self._cache = {}
-
-    def tables(self, v):
-        key = str(v)
-        hit = self._cache.get(key)
-        if hit is None:
-            s = 2 * (v - self.lo) / (self.hi - self.lo) - 1
-            hit = _legendre_rows(self.count, s, self.max_order)
-            self._cache[key] = hit
-        return hit
-
-    def value(self, v, j: int, order: int = 0):
-        return self.tables(v)[order][j] * self.chain ** order
-
-
-def _max_order(problem: DaeProblem, var: str) -> int:
-    top = 1 if var == "t" else 0
-    for eq in problem.equations:
-        for term in eq.terms:
-            if isinstance(term.op, Derivative) and term.op.var == var:
-                top = max(top, term.op.order)
-    if var == "t":
-        for side in problem.side_conditions:
-            top = max(top, side.order)
-    return top
+def _gauss_nodes(m: int) -> np.ndarray:
+    """Roots of P_m refined from double precision to working precision."""
+    s = np.array([mpf(r) for r in legendre_roots(m)], dtype=object)
+    tol = mpf(10) ** (-mp.dps)
+    for _ in range(8):
+        tab = legendre_table(m + 1, s, 1)
+        step = tab[0][m] / tab[1][m]
+        s = s - step
+        if max(abs(step)) < tol:
+            break
+    return s
 
 
 @dataclass
@@ -173,29 +128,19 @@ class InterpolantModel:
     d_x: Optional[int]
     d_t: int
     residual_inf: float
-    _axes: tuple
-    _weights: list
+    _ctx: _Context
+    _weights: np.ndarray
 
     @property
     def block(self) -> int:
         return (self.d_x or 1) * self.d_t
 
-    def _basis(self, point):
-        if self.d_x is None:
-            ax_t, = self._axes
-            return ax_t.tables(mpf(point))[0]
-        x, t = point
-        ax_x, ax_t = self._axes
-        bx = ax_x.tables(mpf(x))[0]
-        bt = ax_t.tables(mpf(t))[0]
-        return [bx[p] * bt[q] for p in range(self.d_x) for q in range(self.d_t)]
-
     def evaluate_mp(self, unknown: int, point):
         """Value of one unknown at a point, in working precision."""
         with workdps(self.digits):
-            row = self._basis(point)
+            row = self._ctx.basis_row(_mpf_point(point))
             base = unknown * self.block
-            return mpmath.fsum(self._weights[base + j] * row[j] for j in range(self.block))
+            return mpmath.fdot(self._weights[base : base + self.block], row)
 
     def evaluate(self, unknown: int, point) -> float:
         return float(self.evaluate_mp(unknown, point))
@@ -209,16 +154,18 @@ class InterpolantModel:
         if not isinstance(exact, Field) and hasattr(exact, "value"):
             exact = exact.value
         with workdps(self.digits):
-            exact_fn = _mp_field(exact, nvars)
-            args = point if self.d_x is not None else (point,)
-            exact = exact_fn(*args)
+            exact_fn = _recompiled(exact, nvars)
+            args = _mpf_point(point)
+            exact = exact_fn(*args) if self.d_x is not None else exact_fn(args)
             approx = self.evaluate_mp(unknown, point)
             abs_err = abs(approx - exact)
             rel = abs_err / abs(exact) if abs(exact) > 0 else abs_err
             return float(abs_err), float(rel)
 
 
-def _reject_unsupported(problem: DaeProblem) -> None:
+def _reject_unsupported(problem: DaeProblem, config: SolverConfig) -> None:
+    if config.include_bias:
+        raise ValidationError("extended-precision solve has no bias terms")
     if not is_linear(problem):
         raise ValidationError("extended-precision solve handles linear problems only")
     for eq in problem.equations:
@@ -297,115 +244,20 @@ def solve_interpolant(
         raise ValidationError(f"digits must be at least 15, got {digits}")
     config = config or SolverConfig()
     problem.validate()
-    _reject_unsupported(problem)
-    k = problem.unknowns
-    d_x, d_t = basis_counts(problem, config)
-    m = config.m
+    _reject_unsupported(problem, config)
 
     with workdps(digits):
-        canonical = _gauss_nodes(m)
-        if problem.is_2d:
-            (xlo, xhi), (tlo, thi) = problem.domain
-            ax_x = _Axis(xlo, xhi, d_x, _max_order(problem, "x"))
-            ax_t = _Axis(tlo, thi, d_t, _max_order(problem, "t"))
-            axes = (ax_x, ax_t)
-            xs = [ax_x.lo + (s + 1) * (ax_x.hi - ax_x.lo) / 2 for s in canonical]
-            ts = [ax_t.lo + (s + 1) * (ax_t.hi - ax_t.lo) / 2 for s in canonical]
-            points = [(x, t) for x in xs for t in ts]
-            block = d_x * d_t
-            nvars = ("x", "t")
-        else:
-            lo, hi = problem.domain
-            ax_t = _Axis(lo, hi, d_t, _max_order(problem, "t"))
-            axes = (ax_t,)
-            ts = [ax_t.lo + (s + 1) * (ax_t.hi - ax_t.lo) / 2 for s in canonical]
-            points = list(ts)
-            block = d_t
-            nvars = ("t",)
-
-        def op_entries(op, point):
-            """Basis values of one operator applied at one point."""
-            if problem.is_2d:
-                x, t = point
-                tab_x = ax_x.tables(x)
-                tab_t = ax_t.tables(t)
-                if isinstance(op, Identity):
-                    ox, ot = 0, 0
-                elif op.var == "t":
-                    ox, ot = 0, op.order
-                else:
-                    ox, ot = op.order, 0
-                cx = ax_x.chain ** ox
-                ct = ax_t.chain ** ot
-                return [
-                    tab_x[ox][p] * cx * tab_t[ot][q] * ct
-                    for p in range(d_x)
-                    for q in range(d_t)
-                ]
-            tab = ax_t.tables(point)
-            order = 0 if isinstance(op, Identity) else op.order
-            return [tab[order][j] * ax_t.chain ** order for j in range(d_t)]
-
-        n_colloc = len(points) * len(problem.equations)
-        sides = list(problem.side_conditions)
-        if problem.is_2d:
-            n_side = sum(len(xs) if sc.point[0] is None else 1 for sc in sides)
-        else:
-            n_side = len(sides)
-        n = n_colloc + n_side
-        if n != k * block:
+        mp_problem = _in_mpf(problem)
+        ctx = _Context(mp_problem, _grid_from_roots(mp_problem, _gauss_nodes(config.m)), config)
+        n = ctx.n_constraints
+        if n != ctx.k * ctx.D:
             raise ValidationError(
-                f"collocation system is not square ({n} constraints, {k * block} "
+                f"collocation system is not square ({n} constraints, {ctx.k * ctx.D} "
                 "coefficients); adjust degree so counts balance"
             )
-
-        A = np.full((n, n), mpf(0), dtype=object)
-        y = np.empty(n, dtype=object)
-        row = 0
-        for eq in problem.equations:
-            rhs_fn = _mp_field(eq.rhs, nvars)
-            term_fns = [(_mp_field(t.coeff, nvars), t.op, t.target) for t in eq.terms]
-            for point in points:
-                args = point if problem.is_2d else (point,)
-                for coeff_fn, op, target in term_fns:
-                    coeff = coeff_fn(*args)
-                    entries = op_entries(op, point)
-                    base = target * block
-                    for j in range(block):
-                        A[row, base + j] += coeff * entries[j]
-                y[row] = rhs_fn(*args)
-                row += 1
-        for side in sides:
-            if problem.is_2d:
-                value_fn = _mp_field(side.value, ("x",))
-                x0, t0 = side.point
-                t0 = mpf(t0)
-                tab_t = ax_t.tables(t0)
-                ct = ax_t.chain ** side.order
-                slice_xs = xs if x0 is None else [mpf(x0)]
-                for x in slice_xs:
-                    tab_x = ax_x.tables(x)
-                    base = side.target * block
-                    j = 0
-                    for p in range(d_x):
-                        vx = tab_x[0][p]
-                        for q in range(d_t):
-                            A[row, base + j] = vx * tab_t[side.order][q] * ct
-                            j += 1
-                    y[row] = value_fn(x)
-                    row += 1
-            else:
-                point = mpf(side.point)
-                tab = ax_t.tables(point)
-                ct = ax_t.chain ** side.order
-                base = side.target * block
-                for j in range(d_t):
-                    A[row, base + j] = tab[side.order][j] * ct
-                value = side.value
-                y[row] = _mp_field(value, ("t",))(point) if isinstance(value, Field) else mpf(value)
-                row += 1
-
-        w = solve_square(A, y)
+        Z, y = ctx.constraints()
+        A = Z.T
+        w = np.array(solve_square(A, y), dtype=object)
         resid = mpf(0)
         for i in range(n):
             acc = mpmath.fsum(A[i, j] * w[j] for j in range(n)) - y[i]
@@ -413,9 +265,9 @@ def solve_interpolant(
         return InterpolantModel(
             problem=problem,
             digits=digits,
-            d_x=d_x if problem.is_2d else None,
-            d_t=d_t,
+            d_x=ctx.d_x,
+            d_t=ctx.d_t,
             residual_inf=float(resid),
-            _axes=axes,
+            _ctx=ctx,
             _weights=w,
         )

@@ -113,17 +113,19 @@ def legendre_table(count: int, x, order: int = 0) -> list[np.ndarray]:
 
     Returns a list indexed by derivative order; each entry is an ndarray of
     shape (count,) + shape(x).  This is the workhorse used by the collocation
-    assembly, which needs whole columns of basis values at once.
+    assembly, which needs whole columns of basis values at once.  An object
+    array of mpmath `mpf` values is evaluated in their arithmetic and yields
+    object arrays of `mpf`; any other input is evaluated in double precision.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    shape = (count,) + x.shape
-    table = [np.zeros(shape) for _ in range(order + 1)]
-    table[0][0] = 1.0
+    x = np.atleast_1d(_as_numbers(x))
+    zero = x - x  # zeros of the input's number type, broadcast to each degree
+    table = [np.repeat(zero[None], count, axis=0) for _ in range(order + 1)]
+    table[0][0] = zero + 1
     if count == 1:
         return table
     table[0][1] = x
     if order >= 1:
-        table[1][1] = 1.0
+        table[1][1] = zero + 1
     for k in range(1, count - 1):
         for r in range(order + 1):
             lower = r * table[r - 1][k] if r else 0.0
@@ -131,6 +133,12 @@ def legendre_table(count: int, x, order: int = 0) -> list[np.ndarray]:
                 (2 * k + 1) * (x * table[r][k] + lower) - k * table[r][k - 1]
             ) / (k + 1)
     return table
+
+
+def _as_numbers(x) -> np.ndarray:
+    """x as an array: object arrays (of mpf) pass through, anything else is float."""
+    x = np.asarray(x)
+    return x if x.dtype == object else x.astype(float)
 
 
 def legendre_roots(m: int) -> np.ndarray:
@@ -208,17 +216,17 @@ def shift_to_canonical(x, spec: BasisSpec):
 
     Points outside the interval by more than 1e-12 raise DomainError.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _as_numbers(x)
     if np.any(arr < spec.lo - _SHIFT_SLACK) or np.any(arr > spec.hi + _SHIFT_SLACK):
         raise DomainError(f"point {x} outside [{spec.lo}, {spec.hi}]")
     out = (2.0 * arr - spec.lo - spec.hi) / spec.width
-    return out if out.ndim else float(out)
+    return out if out.ndim else out.item()
 
 
 def shift_from_canonical(s, spec: BasisSpec):
     """Inverse of `shift_to_canonical`: [-1, 1] back to [spec.lo, spec.hi]."""
-    arr = np.asarray(s, dtype=float)
+    arr = _as_numbers(s)
     if np.any(arr < -1.0 - _SHIFT_SLACK) or np.any(arr > 1.0 + _SHIFT_SLACK):
         raise DomainError(f"canonical point {s} outside [-1, 1]")
     out = 0.5 * (spec.width * arr + spec.lo + spec.hi)
-    return out if out.ndim else float(out)
+    return out if out.ndim else out.item()

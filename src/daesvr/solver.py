@@ -167,7 +167,15 @@ class DualSystem:
 
 def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
     """Mapped roots of P_m; the tensor product of per-axis roots in 2D."""
-    roots = legendre_roots(config.m)
+    return _grid_from_roots(problem, legendre_roots(config.m))
+
+
+def _grid_from_roots(problem: DaeProblem, roots) -> CollocationGrid:
+    """Canonical `roots` mapped onto the domain, tensorized in 2D.
+
+    The points keep the number type of the roots and the domain, so mpf
+    roots on an mpf domain give an object-array grid of mpf.
+    """
     if problem.is_2d:
         (xlo, xhi), (tlo, thi) = problem.domain
         xs = shift_from_canonical(roots, BasisSpec(1, xlo, xhi))
@@ -255,6 +263,7 @@ class _Context:
             self.D = d_t
         self.sides = self._expand_side_conditions()
         self.n_grid = len(grid)
+        self._grid_matrices = {}
         self.n_constraints = self.k * self.n_grid + len(self.sides)
 
     # -- side conditions ------------------------------------------------
@@ -267,21 +276,25 @@ class _Context:
                 x, t = sc.point
                 xs = self.grid.x_nodes if x is None else [x]
                 for xi in xs:
-                    value = sc.value(xi) if callable(sc.value) else float(sc.value)
-                    out.append(_Side(sc.target, (float(xi), t), sc.order, value, scale))
+                    value = sc.value(xi) if callable(sc.value) else sc.value
+                    out.append(_Side(sc.target, (xi, t), sc.order, value, scale))
             else:
-                out.append(_Side(sc.target, sc.point, sc.order, float(sc.value), scale))
+                out.append(_Side(sc.target, sc.point, sc.order, sc.value, scale))
         return out
 
     # -- basis rows -----------------------------------------------------
 
     def _axis_values(self, spec: BasisSpec, pts, order: int) -> np.ndarray:
-        """(count, n) table of P_j^(order) at mapped points, physically scaled."""
-        s = shift_to_canonical(np.asarray(pts, dtype=float), spec)
-        tab = legendre_table(spec.degree_count, s, order)[order]
+        """(count, n) table of P_j^(order) at mapped points, physically scaled.
+
+        The table is evaluated once per distinct point: on a tensor grid each
+        axis node recurs once per node of the other axis.
+        """
+        nodes, where = np.unique(pts, return_inverse=True)
+        tab = legendre_table(spec.degree_count, shift_to_canonical(nodes, spec), order)[order]
         if order:
             tab = tab * (2.0 / spec.width) ** order
-        return tab
+        return np.take(tab, where, axis=1)  # C-ordered, unlike tab[:, where]
 
     def basis_row(self, point) -> np.ndarray:
         """Identity basis values at one point, shape (D,)."""
@@ -294,8 +307,8 @@ class _Context:
 
     def operator_matrix(self, op, points) -> np.ndarray:
         """(n_points, D) matrix of (L phi_j)(point)."""
+        pts = np.asarray(points)
         if self.problem.is_2d:
-            pts = np.asarray(points, dtype=float)
             x, t = pts[:, 0], pts[:, 1]
             if isinstance(op, Identity):
                 bx = self._axis_values(self.spec_x, x, 0)
@@ -311,13 +324,12 @@ class _Context:
                 raise ValidationError(f"operator {op!r} is interval-only")
             # row g, column p*d_t + q  <->  phi_p(x_g) phi_q(t_g)
             return (bx[:, None, :] * bt[None, :, :]).reshape(self.D, -1).T
-        pts = np.asarray(points, dtype=float)
         if isinstance(op, Identity):
             return self._axis_values(self.spec_t, pts, 0).T
         if isinstance(op, Derivative):
             return self._axis_values(self.spec_t, pts, op.order).T
         out = np.empty((pts.size, self.d_t))
-        for g, p in enumerate(pts):
+        for g, p in enumerate(pts.astype(float)):
             for j in range(self.d_t):
                 out[g, j] = apply_operator_to_basis(op, j, self.spec_t, p, self.config)
         return out
@@ -338,31 +350,59 @@ class _Context:
 
     # -- constraint columns ----------------------------------------------
 
+    def grid_values(self, fn) -> np.ndarray:
+        """fn evaluated at every collocation point."""
+        if self.problem.is_2d:
+            return np.array([fn(x, t) for x, t in self.grid.points])
+        return np.array([fn(t) for t in self.grid.points])
+
+    def grid_matrix(self, op) -> np.ndarray:
+        """operator_matrix over the grid, built once per distinct operator."""
+        if op not in self._grid_matrices:
+            self._grid_matrices[op] = self.operator_matrix(op, self.grid.points)
+        return self._grid_matrices[op]
+
     def equation_blocks(self, eq_index: int):
         """Per-term (target, coeff values, operator matrix) over the grid."""
         eq = self.problem.equations[eq_index]
-        pts = self.grid.points
-        blocks = []
-        for term in eq.terms:
-            if self.problem.is_2d:
-                coeffs = np.array([term.coeff(x, t) for x, t in pts])
-            else:
-                coeffs = np.array([term.coeff(t) for t in pts])
-            blocks.append((term.target, coeffs, self.operator_matrix(term.op, pts)))
-        return blocks
+        return [
+            (term.target, self.grid_values(term.coeff), self.grid_matrix(term.op))
+            for term in eq.terms
+        ]
 
-    def side_column(self, side: _Side) -> np.ndarray:
-        col = np.zeros(self.k * self.D)
-        op = Identity() if side.order == 0 else Derivative(side.order, "t")
-        row = self.operator_matrix(op, [side.point])[0]
-        lo = side.target * self.D
-        col[lo : lo + self.D] = side.scale * row
-        return col
+    def side_rows(self) -> np.ndarray:
+        """(n_sides, D): each side condition's scaled operator row, which
+        fills its target unknown's block of the constraint column."""
+        rows = np.zeros((len(self.sides), self.D), dtype=self.grid.points.dtype)
+        for order in sorted({s.order for s in self.sides}):
+            op = Identity() if order == 0 else Derivative(order, "t")
+            idx = [i for i, s in enumerate(self.sides) if s.order == order]
+            scale = np.array([self.sides[i].scale for i in idx])
+            rows[idx] = scale[:, None] * self.operator_matrix(op, [self.sides[i].point for i in idx])
+        return rows
 
-    def constraint_points(self):
-        """The physical point behind every constraint column, in order."""
-        pts = list(self.grid.points) * self.k
-        return pts + [s.point for s in self.sides]
+    def constraints(self):
+        """The linear part of every constraint: feature matrix Z, targets y.
+
+        Column c of Z, shape (k*D, n_constraints), holds constraint c's
+        linear operator applied to every basis function; columns run
+        equation-major over the grid, then side conditions.  Entries keep
+        the number type of the grid (float, or mpf in object arrays).
+        """
+        n_grid, D = self.n_grid, self.D
+        dtype = self.grid.points.dtype
+        Z = np.zeros((self.k * D, self.n_constraints), dtype=dtype)
+        y = np.zeros(self.n_constraints, dtype=dtype)
+        for i, eq in enumerate(self.problem.equations):
+            cols = slice(i * n_grid, (i + 1) * n_grid)
+            for target, coeffs, B in self.equation_blocks(i):
+                Z[target * D : (target + 1) * D, cols] += (coeffs[:, None] * B).T
+            y[cols] = self.grid_values(eq.rhs)
+        for s_idx, (side, row) in enumerate(zip(self.sides, self.side_rows())):
+            c = self.k * n_grid + s_idx
+            Z[side.target * D : (side.target + 1) * D, c] = row
+            y[c] = side.scale * side.value
+        return Z, y
 
 
 def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
@@ -377,41 +417,25 @@ def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
     if len(problem.equations) == 0:
         raise ShapeError("no equations to assemble")
     ctx = _Context(problem, grid, config)
-    n_grid, k, D = ctx.n_grid, ctx.k, ctx.D
-    n_c = ctx.n_constraints
-    Z = np.zeros((k * D, n_c))
-    y = np.zeros(n_c)
-    V = np.zeros((k, n_c))
-
-    for i, eq in enumerate(problem.equations):
-        cols = slice(i * n_grid, (i + 1) * n_grid)
-        for target, coeffs, B in ctx.equation_blocks(i):
-            rows = slice(target * D, (target + 1) * D)
-            Z[rows, cols] += (coeffs[:, None] * B).T
-        for term in eq.terms:
-            lone = np.array([ctx.op_applied_to_one(term.op, p) for p in grid.points])
-            if problem.is_2d:
-                coeffs = np.array([term.coeff(x, t) for x, t in grid.points])
-            else:
-                coeffs = np.array([term.coeff(t) for t in grid.points])
-            V[term.target, cols] += coeffs * lone
-        if problem.is_2d:
-            y[cols] = [eq.rhs(x, t) for x, t in grid.points]
-        else:
-            y[cols] = [eq.rhs(t) for t in grid.points]
-
-    for s_idx, side in enumerate(ctx.sides):
-        c = k * n_grid + s_idx
-        Z[:, c] = ctx.side_column(side)
-        y[c] = side.scale * side.value
-        if side.order == 0:
-            V[side.target, c] = side.scale
+    Z, y = ctx.constraints()
+    V = None
+    if config.include_bias:
+        n_grid = ctx.n_grid
+        V = np.zeros((ctx.k, ctx.n_constraints))
+        for i, eq in enumerate(problem.equations):
+            cols = slice(i * n_grid, (i + 1) * n_grid)
+            for term in eq.terms:
+                lone = np.array([ctx.op_applied_to_one(term.op, p) for p in grid.points])
+                V[term.target, cols] += ctx.grid_values(term.coeff) * lone
+        for s_idx, side in enumerate(ctx.sides):
+            if side.order == 0:
+                V[side.target, ctx.k * n_grid + s_idx] = side.scale
 
     omega = Z.T @ Z
     omega = 0.5 * (omega + omega.T)
     dual = DualSystem(
         omega=omega,
-        v=V if config.include_bias else None,
+        v=V,
         y=y,
         gamma=config.gamma,
     )
@@ -516,21 +540,10 @@ def gauss_newton(
     ctx = _Context(problem, grid, config)
     k, D, n_grid = ctx.k, ctx.D, ctx.n_grid
     n_w = k * D
-    n_c = ctx.n_constraints
     gamma = config.gamma
 
-    # constant linear part: r_lin = A w - y
-    A = np.zeros((n_c, n_w))
-    y = np.zeros(n_c)
-    for i, eq in enumerate(problem.equations):
-        rows = slice(i * n_grid, (i + 1) * n_grid)
-        for target, coeffs, B in ctx.equation_blocks(i):
-            A[rows, target * D : (target + 1) * D] += coeffs[:, None] * B
-        y[rows] = [eq.rhs(t) for t in grid.points]
-    for s_idx, side in enumerate(ctx.sides):
-        c = k * n_grid + s_idx
-        A[c] = ctx.side_column(side)
-        y[c] = side.scale * side.value
+    Z, y = ctx.constraints()
+    A = np.ascontiguousarray(Z.T)  # constant linear part: r_lin = A w - y
 
     value_B = ctx.operator_matrix(Identity(), grid.points)  # (n_grid, D)
     closures = [eq.nonlinear for eq in problem.equations]
@@ -692,8 +705,7 @@ class TrainedModel:
         if not is_linear(problem):
             raise ValidationError("kernel-form evaluation requires a linear problem")
         phi = ctx.basis_row(point)
-        n_grid, D = ctx.n_grid, ctx.D
-        lo = unknown * D
+        n_grid = ctx.n_grid
         total = 0.0
         for i in range(problem.unknowns):
             cols = slice(i * n_grid, (i + 1) * n_grid)
@@ -703,10 +715,9 @@ class TrainedModel:
                     continue
                 # K(point, p_c) = phi(point) . coeff(p_c) (L phi)(p_c)
                 total += alpha_block @ ((coeffs[:, None] * B) @ phi)
-        for s_idx, side in enumerate(ctx.sides):
-            c = problem.unknowns * n_grid + s_idx
-            col = ctx.side_column(side)
-            total += self.alpha[c] * (col[lo : lo + D] @ phi)
+        for s_idx, (side, row) in enumerate(zip(ctx.sides, ctx.side_rows())):
+            if side.target == unknown:
+                total += self.alpha[problem.unknowns * n_grid + s_idx] * (row @ phi)
         if self.biases is not None:
             total += float(self.biases[unknown])
         return float(total)

@@ -150,14 +150,6 @@ class TestBench:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_seedless_flag_accepted_and_neutral(self, capsys):
-        # the flag is a no-op: nothing in the pipeline is randomized
-        assert main(["bench", "example3", "--seedless"]) == 0
-        flagged = capsys.readouterr().out
-        main(["bench", "example3"])
-        plain = capsys.readouterr().out
-        assert flagged == plain
-
     def test_csv_artifact(self, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"
         assert main(["bench", "example3", "example4", "--out", str(out_csv)]) == 0

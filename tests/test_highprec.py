@@ -40,6 +40,40 @@ OSCILLATOR = json.dumps(
 
 PROBES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
+# Polynomial solutions inside the basis span, on domains whose widths are not
+# powers of two: the chain factor 2/(hi - lo) and the canonical map are then
+# inexact in binary, so any value rounded to double on the extended-precision
+# path shows as an error near 1e-17 instead of near 1e-40.
+CUBIC = json.dumps(
+    {
+        "unknowns": 1,
+        "domain": {"lo": 0.0, "hi": 0.7},
+        "equations": [
+            {"terms": [{"coeff": 1, "op": "deriv", "order": 1, "target": 0}], "rhs": "3*t**2"}
+        ],
+        "side_conditions": [{"target": 0, "point": 0.0, "value": 0.0}],
+        "exact": ["t**3"],
+    }
+)
+
+HEAT = json.dumps(
+    {
+        "unknowns": 1,
+        "domain2": {"x_lo": -0.3, "x_hi": 0.9, "t_lo": 0.0, "t_hi": 0.7},
+        "equations": [
+            {
+                "terms": [
+                    {"coeff": 1, "op": "deriv", "order": 1, "var": "t", "target": 0},
+                    {"coeff": -1, "op": "deriv", "order": 2, "var": "x", "target": 0},
+                ],
+                "rhs": "x**2 + 1 - 2*t",
+            }
+        ],
+        "side_conditions": [{"target": 0, "x": "*", "t": 0.0, "value": 0}],
+        "exact": ["x**2*t + t"],
+    }
+)
+
 
 @pytest.fixture(scope="module")
 def coarse():
@@ -96,6 +130,18 @@ class TestRectangle:
             for pt in ((0.02, 0.02), (0.1, 0.1), (-0.3, 0.5)):
                 worst = max(worst, model.errors_at(u, pt)[0])
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize(
+        "text, probes",
+        [
+            (CUBIC, (0.05, 0.3, 0.55, 0.7)),
+            (HEAT, ((-0.3, 0.1), (0.2, 0.35), (0.75, 0.6), (0.9, 0.7))),
+        ],
+        ids=["interval", "rectangle"],
+    )
+    def test_polynomial_reproduced_to_working_precision(self, text, probes):
+        model = solve_interpolant(load_problem(text), SolverConfig(m=6), digits=40)
+        assert max(model.errors_at(0, p)[0] for p in probes) <= 1e-30
 
     @pytest.mark.parametrize("m", [6, 8])
     def test_square_system_residual_is_tiny(self, m):
@@ -167,6 +213,10 @@ class TestRejections:
     def test_digits_floor(self):
         with pytest.raises(ValidationError, match="at least 15"):
             solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6), digits=10)
+
+    def test_bias_rejected(self):
+        with pytest.raises(ValidationError, match="bias"):
+            solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6, include_bias=True))
 
     def test_unbalanced_degree_rejected(self):
         # forcing extra basis functions breaks the square count

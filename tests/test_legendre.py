@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
 from daesvr.errors import DegreeTooLarge, DomainError
+from daesvr.highprec import _gauss_nodes
 from daesvr.legendre import (
     BasisSpec,
     gauss_quadrature,
@@ -84,6 +86,26 @@ class TestDeriv:
         assert t[0].shape == (4, 2)
         assert_allclose(t[0][2], legendre_eval(2, np.array([0.1, -0.5])))
         assert_allclose(t[1][3], legendre_deriv(3, np.array([0.1, -0.5])))
+
+
+class TestExtendedPrecision:
+    def test_table_stays_mpf(self):
+        with workdps(40):
+            x = np.array([mpf(1) / 3, mpf(-5) / 7], dtype=object)
+            table = legendre_table(6, x, order=2)
+            for rows in table:
+                assert rows.dtype == object
+                assert all(isinstance(v, mpf) for v in rows.flat)
+            # P_2 = (3x^2 - 1)/2 and P_2'' = 3, exact at working precision
+            assert abs(table[0][2][0] - (3 * x[0] ** 2 - 1) / 2) <= mpf(10) ** -39
+            assert table[2][2][1] == 3
+
+    @pytest.mark.parametrize("m", [6, 10])
+    def test_refined_gauss_nodes(self, m):
+        with workdps(40):
+            nodes = _gauss_nodes(m)
+            assert max(abs(v) for v in legendre_table(m + 1, nodes)[0][m]) <= mpf(10) ** -38
+        assert_allclose(nodes.astype(float), legendre_roots(m), rtol=0, atol=1e-14)
 
 
 class TestRoots:
