@@ -349,8 +349,7 @@ def _interpolant_report(model: InterpolantModel, problem: DaeProblem, probes) ->
         for p in probes:
             args = tuple(p) if problem.is_2d else (p,)
             exact = float(problem.exact[u](*args))
-            approx = model.evaluate(u, p)
-            abs_err, rel = model.errors_at(u, p)
+            approx, abs_err, rel = model.evaluate_with_errors(u, p)
             near_zero = abs(exact) < TINY_EXACT
             urows.append(ReportRow(p, exact, approx, rel, abs_err, near_zero))
         l2[u] = math.sqrt(math.fsum(r.abs_err**2 for r in urows))

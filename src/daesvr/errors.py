@@ -9,10 +9,6 @@ class DomainError(DaeSvrError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class DegreeTooLarge(DaeSvrError):
-    """A polynomial degree exceeds the supported range."""
-
-
 class NonConvergence(DaeSvrError):
     """An iteration failed to converge within its iteration budget.
 

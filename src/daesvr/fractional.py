@@ -1,37 +1,45 @@
-"""Caputo fractional derivatives: analytic rules for polynomials, the L1
-finite-difference scheme for sampled functions, and the Gamma function.
+"""Caputo fractional derivatives of the shifted Legendre basis: a
+Gauss-Jacobi rule, the L1 finite-difference scheme, and the Gamma function.
 
-The analytic path rests on the monomial rule
+For 0 < a < 1 and base point lo, substituting s = lo + tau (1 + z) / 2,
+tau = x - lo, in the Caputo integral gives
 
-    D^a t^k = Gamma(k+1) / Gamma(k+1-a) * t^(k-a)      (k >= ceil(a))
-    D^a t^k = 0                                        (k <  ceil(a))
+    D^a u(x) = (tau/2)^(1-a) / Gamma(1-a) * int_{-1}^{1} (1 - z)^(-a) u'(s(z)) dz,
 
-with the derivative taken from base point 0.  Polynomials over an arbitrary
-interval [lo, hi] are handled by re-expanding them in powers of (t - lo),
-which keeps the base-point convention of the operator intact.
+a Jacobi-weighted integral of u'.  An n-node Gauss-Jacobi rule for the
+weight (1 - z)^(-a) is exact when u' is a polynomial of degree below 2n, so
+with n = d//2 + 2 nodes it is exact on every basis function P_j, j < d, at
+any degree.  `caputo_table` evaluates the whole basis at every point with one
+Legendre table over all quadrature nodes.
 
 The L1 scheme is a piecewise-linear quadrature of the Caputo integral on a
-uniform grid; its truncation order is 2 - a.
+uniform grid; its truncation order is 2 - a.  `caputo_monomial` is the
+closed form for t^k, kept as a reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .errors import DomainError, GridError
+from .legendre import BasisSpec, legendre_table, shift_to_canonical
 
 __all__ = [
     "L1Grid",
     "gamma_fn",
     "caputo_monomial",
-    "caputo_poly",
+    "caputo_rule",
+    "caputo_table",
     "caputo_l1",
+    "caputo_l1_table",
 ]
+
+_BASE_SLACK = 1e-12
 
 
 def gamma_fn(z: float) -> float:
@@ -61,50 +69,44 @@ def caputo_monomial(k: int, alpha: float, x: float) -> float:
     return gamma_fn(k + 1) / gamma_fn(k + 1 - alpha) * x ** (k - alpha)
 
 
-@lru_cache(maxsize=2048)
-def _tau_coefficients(coeffs: tuple, width: float) -> tuple:
-    """Re-expand p(s), s = 2(t-lo)/width - 1, in powers of tau = t - lo.
+@lru_cache(maxsize=64)
+def caputo_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule (fractions, weights) for the Caputo integral, 0 < alpha < 1:
 
-    Done in exact rational arithmetic: the alternating binomial sums suffer
-    heavy cancellation in floating point, and the inputs (dyadic-rational
-    coefficients, binomials, powers of 2/width) are all exactly
-    representable as Fractions.
+        D^a u(x) ~ tau^(1-a) * sum_k weights[k] u'(lo + tau * fractions[k]),
+
+    tau = x - lo, exact when u' is a polynomial of degree below 2 * nodes.
+    The arrays are shared between callers and read-only.
     """
-    two_over_w = Fraction(2) / Fraction(width)
-    out = [Fraction(0) for _ in coeffs]
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        fc = Fraction(c)
-        for r in range(k + 1):
-            sign = -1 if (k - r) % 2 else 1
-            out[r] += fc * math.comb(k, r) * two_over_w**r * sign
-    return tuple(float(v) for v in out)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"Gauss-Jacobi Caputo rule requires 0 < alpha < 1, got {alpha}")
+    z, w = roots_jacobi(nodes, -alpha, 0.0)
+    fractions = 0.5 * (z + 1.0)
+    weights = w * 2.0 ** (alpha - 1.0) / gamma_fn(1.0 - alpha)
+    fractions.setflags(write=False)
+    weights.setflags(write=False)
+    return fractions, weights
 
 
-def caputo_poly(coeffs, alpha: float, spec, x: float) -> float:
-    """Caputo derivative (base point spec.lo) of the shifted polynomial.
+def _offsets(spec: BasisSpec, points) -> np.ndarray:
+    """tau = point - spec.lo, clipped at 0; points below the base point raise."""
+    tau = np.asarray(points, dtype=float) - spec.lo
+    if np.any(tau < -_BASE_SLACK):
+        raise DomainError(f"point below base point {spec.lo}: {points}")
+    return np.maximum(tau, 0.0)
 
-    `coeffs` are power-basis coefficients (ascending) of a polynomial p in
-    the canonical variable s; the function differentiated is p composed with
-    the affine map from [spec.lo, spec.hi] onto [-1, 1].  Passing the output
-    of `monomial_coefficients(n)` therefore differentiates the n-th shifted
-    Legendre basis function.
+
+def caputo_table(spec: BasisSpec, alpha: float, points) -> np.ndarray:
+    """(n_points, degree_count) matrix of D^alpha phi_j(point), base point spec.lo.
+
+    Exact up to rounding on the shifted Legendre basis: the rule has
+    degree_count//2 + 2 nodes, and phi_j' has degree below degree_count.
     """
-    _check_analytic_order(alpha)
-    tau = x - spec.lo
-    if tau < -1e-12:
-        raise DomainError(f"point {x} below base point {spec.lo}")
-    tau = max(tau, 0.0)
-    q = _tau_coefficients(tuple(float(c) for c in coeffs), spec.width)
-    start = math.ceil(alpha)
-    if tau == 0.0:
-        return 0.0
-    terms = [
-        q[r] * gamma_fn(r + 1) / gamma_fn(r + 1 - alpha) * tau ** (r - alpha)
-        for r in range(start, len(q))
-    ]
-    return math.fsum(terms)
+    tau = _offsets(spec, points)
+    fractions, weights = caputo_rule(alpha, spec.degree_count // 2 + 2)
+    s = shift_to_canonical(spec.lo + np.outer(tau, fractions), spec)
+    dphi = legendre_table(spec.degree_count, s, 1)[1] * (2.0 / spec.width)
+    return tau[:, None] ** (1.0 - alpha) * (dphi @ weights).T
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class L1Grid:
         return self.points.size
 
 
-def caputo_l1(samples, grid: L1Grid, alpha: float) -> float:
+def caputo_l1(samples, grid: L1Grid, alpha: float):
     """L1 approximation of the Caputo derivative of order alpha at x_m.
 
     With g_k = ((x_m - x_k)^(1-a) - (x_m - x_{k+1})^(1-a)) / (Gamma(2-a) h),
@@ -146,12 +148,14 @@ def caputo_l1(samples, grid: L1Grid, alpha: float) -> float:
         sum_{k=0}^{m-1} g_k (h_{k+1} - h_k),
 
     i.e. the standard L1 quadrature of the fractional integral of the
-    piecewise-linear interpolant.  Truncation error is O(h^(2-a)).
+    piecewise-linear interpolant.  Truncation error is O(h^(2-a)).  Samples
+    of several functions may be stacked along the leading axes (the last
+    axis runs over the grid); the result then has the leading shape.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"L1 scheme requires 0 < alpha < 1, got {alpha}")
     h = np.asarray(samples, dtype=float)
-    if h.ndim != 1 or h.size != len(grid):
+    if h.ndim < 1 or h.shape[-1] != len(grid):
         raise GridError(f"expected {len(grid)} samples, got {h.shape}")
     x = grid.points
     xm = x[-1]
@@ -159,4 +163,20 @@ def caputo_l1(samples, grid: L1Grid, alpha: float) -> float:
     g = ((xm - x[:-1]) ** beta - (xm - x[1:]) ** beta) / (
         gamma_fn(2.0 - alpha) * grid.spacing
     )
-    return float(g @ np.diff(h))
+    out = np.diff(h) @ g
+    return out if out.ndim else float(out)
+
+
+def caputo_l1_table(spec: BasisSpec, alpha: float, points, intervals: int) -> np.ndarray:
+    """(n_points, degree_count) matrix of the L1 approximation of D^alpha phi_j.
+
+    Each point gets its own uniform grid of `intervals` steps on [spec.lo, point].
+    """
+    points = np.asarray(points, dtype=float)
+    out = np.zeros((points.size, spec.degree_count))
+    for g, (point, tau) in enumerate(zip(points, _offsets(spec, points))):
+        if tau > 0.0:
+            grid = L1Grid.uniform(spec.lo, point, intervals)
+            samples = legendre_table(spec.degree_count, shift_to_canonical(grid.points, spec))[0]
+            out[g] = caputo_l1(samples, grid, alpha)
+    return out

@@ -34,6 +34,7 @@ for mpmath's LU solve at m = 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -145,22 +146,33 @@ class InterpolantModel:
     def evaluate(self, unknown: int, point) -> float:
         return float(self.evaluate_mp(unknown, point))
 
-    def errors_at(self, unknown: int, point):
-        """(absolute, relative) error against the problem's exact solution."""
+    @cached_property
+    def _exact_mp(self) -> tuple:
+        """The exact solutions recompiled to mpf, once per model."""
         if not self.problem.exact:
             raise ValidationError("problem has no exact solution attached")
         nvars = ("x", "t") if self.d_x is not None else ("t",)
-        exact = self.problem.exact[unknown]
-        if not isinstance(exact, Field) and hasattr(exact, "value"):
-            exact = exact.value
         with workdps(self.digits):
-            exact_fn = _recompiled(exact, nvars)
+            return tuple(
+                _recompiled(e if isinstance(e, Field) else getattr(e, "value", e), nvars)
+                for e in self.problem.exact
+            )
+
+    def evaluate_with_errors(self, unknown: int, point):
+        """(value, absolute error, relative error) against the problem's exact
+        solution, from one evaluation in working precision."""
+        exact_fn = self._exact_mp[unknown]
+        with workdps(self.digits):
             args = _mpf_point(point)
             exact = exact_fn(*args) if self.d_x is not None else exact_fn(args)
             approx = self.evaluate_mp(unknown, point)
             abs_err = abs(approx - exact)
             rel = abs_err / abs(exact) if abs(exact) > 0 else abs_err
-            return float(abs_err), float(rel)
+            return float(approx), float(abs_err), float(rel)
+
+    def errors_at(self, unknown: int, point):
+        """(absolute, relative) error against the problem's exact solution."""
+        return self.evaluate_with_errors(unknown, point)[1:]
 
 
 def _reject_unsupported(problem: DaeProblem, config: SolverConfig) -> None:
@@ -258,10 +270,7 @@ def solve_interpolant(
         Z, y = ctx.constraints()
         A = Z.T
         w = np.array(solve_square(A, y), dtype=object)
-        resid = mpf(0)
-        for i in range(n):
-            acc = mpmath.fsum(A[i, j] * w[j] for j in range(n)) - y[i]
-            resid = max(resid, abs(acc))
+        resid = max(abs(mpmath.fdot(row, w) - y_i) for row, y_i in zip(A, y))
         return InterpolantModel(
             problem=problem,
             digits=digits,

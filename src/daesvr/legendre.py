@@ -4,10 +4,10 @@ Everything is built on the three-term recurrence
 
     (n + 1) P_{n+1}(x) = (2n + 1) x P_n(x) - n P_{n-1}(x),
 
-which is numerically stable on [-1, 1] for every degree used here.  The
-explicit monomial form is exposed separately (`monomial_coefficients`) for
-callers that need power-basis coefficients; it is the ill-conditioned
-representation and is guarded accordingly.
+which is numerically stable on [-1, 1] for every degree used here.
+`legendre_table` carries the recurrence and its derivatives for a whole
+basis at once, in double precision or on numpy object arrays of mpmath
+`mpf`; every operator table of the solver is built from it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooLarge, DomainError, NonConvergence
+from .errors import DomainError, NonConvergence
 
 __all__ = [
     "BasisSpec",
@@ -26,12 +26,10 @@ __all__ = [
     "legendre_table",
     "legendre_roots",
     "gauss_quadrature",
-    "monomial_coefficients",
     "shift_to_canonical",
     "shift_from_canonical",
 ]
 
-_MAX_MONOMIAL_DEGREE = 30
 _ROOT_TOL = 1e-14
 _ROOT_MAX_ITERS = 100
 _SHIFT_SLACK = 1e-12
@@ -97,15 +95,15 @@ def legendre_deriv(n: int, x, order: int = 1):
         (n+1) P_{n+1}^(r) = (2n+1) (x P_n^(r) + r P_n^(r-1)) - n P_{n-1}^(r),
 
     so all derivative orders up to `order` are carried along together.
-    Orders above n return zero.
+    Orders above n return zero.  A scalar `x` gives a float; an array gives
+    an array of its shape.
     """
     if n < 0:
         raise DomainError("degree must be non-negative")
     if order < 0:
         raise DomainError("derivative order must be non-negative")
-    table = legendre_table(n + 1, x, order)
-    out = table[order][n]
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    out = legendre_table(n + 1, x, order)[order][n]
+    return out if np.ndim(x) else float(out[0])
 
 
 def legendre_table(count: int, x, order: int = 0) -> list[np.ndarray]:
@@ -181,34 +179,6 @@ def gauss_quadrature(m: int) -> QuadratureRule:
     dp = legendre_deriv(m, x, 1)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return QuadratureRule(nodes=x, weights=w)
-
-
-def monomial_coefficients(n: int) -> np.ndarray:
-    """Power-basis coefficients of P_n, ascending (index = power of x).
-
-    Built from the closed form
-
-        P_n(x) = sum_v (-1)^v (2n-2v)! / (2^n (n-v)! (n-2v)! v!) x^(n-2v)
-
-    by accumulating successive term ratios, so no factorial overflows occur.
-    Degrees above 30 are refused (DegreeTooLarge): beyond that the power
-    basis has shed too much precision to be useful.
-    """
-    if n < 0:
-        raise DomainError("degree must be non-negative")
-    if n > _MAX_MONOMIAL_DEGREE:
-        raise DegreeTooLarge(f"monomial form limited to degree {_MAX_MONOMIAL_DEGREE}, got {n}")
-    coeffs = np.zeros(n + 1)
-    # v = 0 term: (2n)! / (2^n n! n!) = prod_{i=1..n} (n+i)/(2i)
-    term = 1.0
-    for i in range(1, n + 1):
-        term *= (n + i) / (2.0 * i)
-    coeffs[n] = term
-    for v in range(n // 2):
-        power = n - 2 * v
-        term *= -(power * (power - 1)) / (2.0 * (2 * n - 2 * v - 1) * (v + 1))
-        coeffs[power - 2] = term
-    return coeffs
 
 
 def shift_to_canonical(x, spec: BasisSpec):

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, EvaluationError, ValidationError
+from .fractional import caputo_rule
 from .legendre import gauss_quadrature
 
 __all__ = [
@@ -329,15 +329,11 @@ class ExactCandidate:
                     continue
                 total += c * math.gamma(e + 1) / math.gamma(e + 1 - alpha) * tau ** (e - alpha)
             return total
-        # Gauss-Jacobi on the weakly singular integral
-        #   D^a u(x) = (x-lo)^(1-a)/Gamma(1-a) * int_0^1 u'(x - (x-lo) s) s^-a ds
-        nodes, weights = roots_jacobi(32, 0.0, -alpha)
-        sigma = 0.5 * (nodes + 1.0)
-        scale = 0.5 ** (1.0 - alpha)
+        fractions, weights = caputo_rule(alpha, 32)
         acc = 0.0
-        for sg, w in zip(sigma, weights):
-            acc += w * self._derivative(sol, "t", 1, point - tau * sg)
-        return tau ** (1.0 - alpha) / math.gamma(1.0 - alpha) * scale * acc
+        for f, w in zip(fractions, weights):
+            acc += w * self._derivative(sol, "t", 1, lo + tau * f)
+        return tau ** (1.0 - alpha) * acc
 
     # -- Volterra -----------------------------------------------------
 

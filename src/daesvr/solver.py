@@ -45,13 +45,12 @@ from .errors import (
     SingularSchur,
     ValidationError,
 )
-from .fractional import L1Grid, caputo_l1, caputo_poly
+from .fractional import caputo_l1_table, caputo_table
 from .legendre import (
     BasisSpec,
     gauss_quadrature,
     legendre_roots,
     legendre_table,
-    monomial_coefficients,
     shift_from_canonical,
     shift_to_canonical,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ResidualReport",
     "basis_counts",
     "build_grid",
-    "apply_operator_to_basis",
     "assemble",
     "solve_linear",
     "gauss_newton",
@@ -192,41 +190,22 @@ def _cached_rule(nodes: int):
     return gauss_quadrature(nodes)
 
 
-def _caputo_basis(j: int, alpha: float, spec: BasisSpec, point: float, config: SolverConfig) -> float:
-    if config.fractional_scheme == "analytic":
-        return caputo_poly(monomial_coefficients(j), alpha, spec, point)
-    length = point - spec.lo
-    if length <= 0.0:
-        return 0.0
-    grid = L1Grid.uniform(spec.lo, point, config.l1_grid)
-    s = shift_to_canonical(grid.points, spec)
-    samples = legendre_table(j + 1, s)[0][j]
-    return caputo_l1(samples, grid, alpha)
+def _volterra_table(kernel, spec: BasisSpec, points, nodes: int) -> np.ndarray:
+    """(n_points, degree_count) matrix of int_lo^point kernel(point, s) phi_j(s) ds.
 
-
-def _volterra_basis(j: int, kernel, spec: BasisSpec, point: float, config: SolverConfig) -> float:
-    length = point - spec.lo
-    if length <= 0.0:
-        return 0.0
-    qx, qw = _cached_rule(config.quadrature_nodes).mapped(spec.lo, point)
-    vals = legendre_table(j + 1, shift_to_canonical(qx, spec))[0][j]
-    kvals = np.array([kernel(point, s) for s in qx])
-    return float(np.sum(qw * kvals * vals))
-
-
-def apply_operator_to_basis(op, j: int, spec: BasisSpec, point: float, config: SolverConfig) -> float:
-    """(L phi_j)(point) for a single interval basis function."""
-    s = shift_to_canonical(point, spec)
-    if isinstance(op, Identity):
-        return float(legendre_table(j + 1, s)[0][j])
-    if isinstance(op, Derivative):
-        scale = (2.0 / spec.width) ** op.order
-        return float(legendre_table(j + 1, s, op.order)[op.order][j]) * scale
-    if isinstance(op, Caputo):
-        return _caputo_basis(j, op.alpha, spec, point, config)
-    if isinstance(op, VolterraIntegral):
-        return _volterra_basis(j, op.kernel, spec, point, config)
-    raise ValidationError(f"unknown operator {op!r}")
+    Gauss-Legendre with `nodes` nodes on each [spec.lo, point]; the kernel is
+    evaluated once per (point, node).  Points at or below spec.lo give zero rows.
+    """
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros((pts.size, spec.degree_count))
+    live = pts - spec.lo > 0.0
+    if not live.any():
+        return out
+    qx, qw = _cached_rule(nodes).mapped(spec.lo, pts[live, None])  # row g: [lo, point g]
+    kv = np.array([[kernel(p, s) for s in row] for p, row in zip(pts[live], qx)])
+    tab = legendre_table(spec.degree_count, shift_to_canonical(qx, spec))[0]
+    out[live] = np.sum((qw * kv) * tab, axis=2).T
+    return out
 
 
 @dataclass(frozen=True)
@@ -306,7 +285,11 @@ class _Context:
         return self._axis_values(self.spec_t, [point], 0)[:, 0]
 
     def operator_matrix(self, op, points) -> np.ndarray:
-        """(n_points, D) matrix of (L phi_j)(point)."""
+        """(n_points, D) matrix of (L phi_j)(point), one table per operator.
+
+        Column 0 is (L 1)(point), since phi_0 = P_0 = 1 on every axis: that
+        is what a bias term contributes through L.
+        """
         pts = np.asarray(points)
         if self.problem.is_2d:
             x, t = pts[:, 0], pts[:, 1]
@@ -328,24 +311,12 @@ class _Context:
             return self._axis_values(self.spec_t, pts, 0).T
         if isinstance(op, Derivative):
             return self._axis_values(self.spec_t, pts, op.order).T
-        out = np.empty((pts.size, self.d_t))
-        for g, p in enumerate(pts.astype(float)):
-            for j in range(self.d_t):
-                out[g, j] = apply_operator_to_basis(op, j, self.spec_t, p, self.config)
-        return out
-
-    def op_applied_to_one(self, op, point) -> float:
-        """(L 1)(point): what a bias term contributes through operator L."""
-        if isinstance(op, Identity):
-            return 1.0
-        if isinstance(op, (Derivative, Caputo)):
-            return 0.0
+        if isinstance(op, Caputo):
+            if self.config.fractional_scheme == "analytic":
+                return caputo_table(self.spec_t, op.alpha, pts)
+            return caputo_l1_table(self.spec_t, op.alpha, pts, self.config.l1_grid)
         if isinstance(op, VolterraIntegral):
-            lo = self.problem.interval[0]
-            if point - lo <= 0.0:
-                return 0.0
-            qx, qw = _cached_rule(self.config.quadrature_nodes).mapped(lo, point)
-            return float(np.sum(qw * np.array([op.kernel(point, s) for s in qx])))
+            return _volterra_table(op.kernel, self.spec_t, pts, self.config.quadrature_nodes)
         raise ValidationError(f"unknown operator {op!r}")
 
     # -- constraint columns ----------------------------------------------
@@ -422,11 +393,10 @@ def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
     if config.include_bias:
         n_grid = ctx.n_grid
         V = np.zeros((ctx.k, ctx.n_constraints))
-        for i, eq in enumerate(problem.equations):
+        for i in range(len(problem.equations)):
             cols = slice(i * n_grid, (i + 1) * n_grid)
-            for term in eq.terms:
-                lone = np.array([ctx.op_applied_to_one(term.op, p) for p in grid.points])
-                V[term.target, cols] += ctx.grid_values(term.coeff) * lone
+            for target, coeffs, B in ctx.equation_blocks(i):
+                V[target, cols] += coeffs * B[:, 0]
         for s_idx, side in enumerate(ctx.sides):
             if side.order == 0:
                 V[side.target, ctx.k * n_grid + s_idx] = side.scale
@@ -688,7 +658,7 @@ class TrainedModel:
         row = ctx.operator_matrix(op, [point])[0]
         out = float(row @ self.weights[unknown])
         if self.biases is not None and self.biases[unknown]:
-            out += self.biases[unknown] * ctx.op_applied_to_one(op, point)
+            out += self.biases[unknown] * row[0]
         return out
 
     # dual-form evaluation --------------------------------------------------

@@ -1,12 +1,29 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
 from daesvr.errors import DomainError, GridError
-from daesvr.fractional import L1Grid, caputo_l1, caputo_monomial, caputo_poly, gamma_fn
-from daesvr.legendre import BasisSpec
+from daesvr.fractional import (
+    L1Grid,
+    caputo_l1,
+    caputo_l1_table,
+    caputo_monomial,
+    caputo_rule,
+    caputo_table,
+    gamma_fn,
+)
+from daesvr.legendre import (
+    BasisSpec,
+    legendre_eval,
+    legendre_roots,
+    shift_from_canonical,
+    shift_to_canonical,
+)
 
 UNIT = BasisSpec(8, 0.0, 1.0)
 
@@ -55,46 +72,103 @@ class TestCaputoMonomial:
             caputo_monomial(2, -0.5, 0.5)
 
 
+def caputo_of_series(coeffs, alpha, spec, x):
+    """D^alpha of the polynomial sum_j coeffs[j] phi_j at x, through the table."""
+    row = caputo_table(spec, alpha, [x])[0]
+    return float(row[: len(coeffs)] @ np.asarray(coeffs, dtype=float))
+
+
+def caputo_half_reference(j, x):
+    """D^(1/2) of the shifted Legendre P_j on [0, 1] at x, to 30 digits.
+
+    P_j(2t - 1) = sum_k (-1)^(j+k) C(j,k) C(j+k,k) t^k, and for k >= 1
+    D^(1/2) t^k = 4^k k!^2 / ((2k)! sqrt(pi)) t^(k - 1/2); the sum over k is
+    taken exactly in rationals, so no cancellation is left.
+    """
+    t = Fraction(x)
+    total = sum(
+        (-1) ** (j + k) * math.comb(j, k) * math.comb(j + k, k)
+        * Fraction(4**k * math.factorial(k) ** 2, math.factorial(2 * k)) * t**k
+        for k in range(1, j + 1)
+    )
+    with workdps(30):
+        return mpf(total.numerator) / total.denominator / mpmath.sqrt(mpmath.pi * mpf(x))
+
+
 class TestCaputoPoly:
+    """Caputo derivatives of Legendre-series polynomials through `caputo_table`."""
+
     def test_constant_vanishes(self):
-        assert caputo_poly([1.0], 0.5, UNIT, 0.8) == 0.0
+        assert caputo_of_series([1.0], 0.5, UNIT, 0.8) == 0.0
+        assert np.all(caputo_table(UNIT, 0.5, [0.1, 0.8])[:, 0] == 0.0)
 
     def test_identity_function(self):
-        # t on [0,1] is (s+1)/2 in the canonical variable
-        got = caputo_poly([0.5, 0.5], 0.5, UNIT, 1.0)
+        # t on [0,1] is (s+1)/2 in the canonical variable: P_0/2 + P_1/2
+        got = caputo_of_series([0.5, 0.5], 0.5, UNIT, 1.0)
         assert_allclose(got, 2.0 / math.sqrt(math.pi), rtol=1e-13)
 
     def test_square_function(self):
         # t^2 on [0,1] is ((s+1)/2)^2; Gamma(3)/Gamma(2.5) * 0.64^1.5
-        got = caputo_poly([0.25, 0.5, 0.25], 0.5, UNIT, 0.64)
+        coeffs = np.polynomial.legendre.poly2leg([0.25, 0.5, 0.25])
+        got = caputo_of_series(coeffs, 0.5, UNIT, 0.64)
         assert_allclose(got, 0.7703068447372032, rtol=1e-13)
 
     def test_matches_monomial_rule_termwise(self):
-        # expand p(2t-1) in powers of t by hand and apply the monomial rule
+        # expand the series in powers of t by hand and apply the monomial rule
         rng = np.random.default_rng(3)
         c = rng.uniform(-1.0, 1.0, 6)
+        in_s = np.polynomial.legendre.leg2poly(c)
+        in_t = np.zeros(6)
+        for k, ck in enumerate(in_s):
+            for r in range(k + 1):
+                in_t[r] += ck * math.comb(k, r) * 2.0**r * (-1.0) ** (k - r)
         alpha = 0.5
         for x in (0.2, 0.7, 1.0):
-            direct = caputo_poly(c, alpha, UNIT, x)
-            in_t = np.zeros(6)
-            for k, ck in enumerate(c):
-                for r in range(k + 1):
-                    in_t[r] += ck * math.comb(k, r) * 2.0**r * (-1.0) ** (k - r)
-            want = math.fsum(
-                qk * caputo_monomial(k, alpha, x) for k, qk in enumerate(in_t)
-            )
-            assert_allclose(direct, want, rtol=1e-11, atol=1e-13)
+            want = math.fsum(qk * caputo_monomial(k, alpha, x) for k, qk in enumerate(in_t))
+            assert_allclose(caputo_of_series(c, alpha, UNIT, x), want, rtol=1e-11, atol=1e-13)
 
     def test_offset_interval_base_point(self):
         # on [1, 3], tau = t - 1: the canonical s equals tau - 1, so
         # p(s) = s + 1 is exactly tau and D^0.5 tau = 2 sqrt(tau/pi)
         spec = BasisSpec(4, 1.0, 3.0)
-        got = caputo_poly([1.0, 1.0], 0.5, spec, 2.0)
+        got = caputo_of_series([1.0, 1.0], 0.5, spec, 2.0)
         assert_allclose(got, 2.0 / math.sqrt(math.pi), rtol=1e-13)
 
     def test_below_base_point(self):
         with pytest.raises(DomainError):
-            caputo_poly([0.5, 0.5], 0.5, UNIT, -0.2)
+            caputo_table(UNIT, 0.5, [0.5, -0.2])
+
+    def test_base_point_row_vanishes(self):
+        assert np.all(caputo_table(UNIT, 0.5, [0.0]) == 0.0)
+
+    @pytest.mark.parametrize("m", [14, 30])
+    def test_matches_high_precision_reference(self, m):
+        spec = BasisSpec(m + 2, 0.0, 1.0)
+        pts = shift_from_canonical(legendre_roots(m), spec)
+        want = np.array([[float(caputo_half_reference(j, x)) for j in range(m + 2)] for x in pts])
+        got = caputo_table(spec, 0.5, pts)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestCaputoRule:
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_exact_on_monomials(self, alpha):
+        # u = t^k, u' = k t^(k-1): exact while k - 1 < 2 * nodes
+        fractions, weights = caputo_rule(alpha, 4)
+        tau = 0.7
+        for k in range(1, 9):
+            got = tau ** (1.0 - alpha) * (weights @ (k * (tau * fractions) ** (k - 1)))
+            assert_allclose(got, caputo_monomial(k, alpha, tau), rtol=1e-13)
+
+    def test_shared_arrays_are_read_only(self):
+        fractions, weights = caputo_rule(0.5, 4)
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        assert 0.0 < fractions.min() and fractions.max() < 1.0
+
+    def test_order_guard(self):
+        with pytest.raises(DomainError):
+            caputo_rule(1.5, 4)
 
 
 class TestL1Grid:
@@ -151,6 +225,27 @@ class TestCaputoL1:
         grid = L1Grid.uniform(0.0, 1.0, 2000)
         got = caputo_l1(grid.points**3, grid, alpha)
         assert abs(got - caputo_monomial(3, alpha, 1.0)) <= 5e-3
+
+    def test_stacked_samples(self):
+        grid = L1Grid.uniform(0.0, 1.0, 64)
+        rows = np.stack([grid.points, grid.points**2, np.sin(grid.points)])
+        got = caputo_l1(rows, grid, 0.4)
+        assert got.shape == (3,)
+        assert_allclose(got, [caputo_l1(r, grid, 0.4) for r in rows], rtol=1e-14)
+
+    def test_table_matches_per_function_loop(self):
+        # the loop over basis functions the table replaced, kept as reference
+        spec, alpha, intervals = BasisSpec(7, 0.5, 2.0), 0.3, 50
+        pts = [0.5, 0.9, 1.6, 2.0]
+        got = caputo_l1_table(spec, alpha, pts, intervals)
+        want = np.zeros((len(pts), spec.degree_count))
+        for g, p in enumerate(pts[1:], start=1):
+            grid = L1Grid.uniform(spec.lo, p, intervals)
+            s = shift_to_canonical(grid.points, spec)
+            for j in range(spec.degree_count):
+                want[g, j] = caputo_l1(legendre_eval(j, s), grid, alpha)
+        assert np.all(got[0] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_sample_count_guard(self):
         grid = L1Grid.uniform(0.0, 1.0, 10)

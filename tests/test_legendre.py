@@ -5,7 +5,7 @@ import pytest
 from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
-from daesvr.errors import DegreeTooLarge, DomainError
+from daesvr.errors import DomainError
 from daesvr.highprec import _gauss_nodes
 from daesvr.legendre import (
     BasisSpec,
@@ -14,7 +14,6 @@ from daesvr.legendre import (
     legendre_eval,
     legendre_roots,
     legendre_table,
-    monomial_coefficients,
     shift_from_canonical,
     shift_to_canonical,
 )
@@ -76,10 +75,22 @@ class TestDeriv:
         rng = np.random.default_rng(7)
         pts = rng.uniform(-1.0, 1.0, 20)
         for n in range(2, 13):
-            c = monomial_coefficients(n)
-            dc = np.polynomial.polynomial.polyder(c)
-            want = np.polynomial.polynomial.polyval(pts, dc)
+            dc = np.polynomial.legendre.legder(np.eye(n + 1)[n])
+            want = np.polynomial.legendre.legval(pts, dc)
             assert_allclose(legendre_deriv(n, pts), want, atol=1e-10)
+
+    def test_scalar_gives_float(self):
+        got = legendre_deriv(5, 0.3)
+        assert type(got) is float
+        assert_allclose(got, -0.1685625, rtol=1e-14)
+        assert type(legendre_deriv(2, 0.7, order=2)) is float
+
+    def test_array_keeps_shape(self):
+        x = np.array([[0.1, -0.5, 0.3], [0.9, 0.0, -1.0]])
+        got = legendre_deriv(4, x, order=2)
+        assert got.shape == (2, 3)
+        assert_allclose(got[0, 2], legendre_deriv(4, 0.3, order=2), rtol=1e-14)
+        assert legendre_deriv(3, np.array([0.2])).shape == (1,)
 
     def test_table_layout(self):
         t = legendre_table(4, np.array([0.1, -0.5]), order=1)
@@ -154,23 +165,6 @@ class TestQuadrature:
         rule = gauss_quadrature(6)
         pts, w = rule.mapped(0.0, 2.0)
         assert_allclose(w @ pts**3, 4.0, atol=1e-12)
-
-
-class TestMonomialCoefficients:
-    def test_cubic(self):
-        # P_3 = (5x^3 - 3x)/2
-        assert_allclose(monomial_coefficients(3), [0.0, -1.5, 0.0, 2.5], rtol=1e-15)
-
-    def test_matches_oracle_sum(self):
-        for n in range(0, 15):
-            c = monomial_coefficients(n)
-            got = np.polynomial.polynomial.polyval(0.37, c)
-            assert_allclose(got, legendre_sum(n, 0.37), rtol=1e-12)
-
-    def test_degree_guard(self):
-        monomial_coefficients(30)
-        with pytest.raises(DegreeTooLarge):
-            monomial_coefficients(31)
 
 
 class TestShift:

@@ -12,11 +12,17 @@ from daesvr.errors import (
     SingularSchur,
     ValidationError,
 )
-from daesvr.model import Derivative
+import daesvr.fractional
+import daesvr.legendre
+import daesvr.solver
+from daesvr.benchmarks import CASES
+from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
+from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral
 from daesvr.schema import load_problem
 from daesvr.solver import (
     SolverConfig,
     DualSystem,
+    _Context,
     assemble,
     basis_counts,
     build_grid,
@@ -271,6 +277,100 @@ class TestLinearSolve:
         got = model.evaluate(0, (0.05, 0.1))
         want = p.exact[0](0.05, 0.1)
         assert_allclose(got, want, rtol=1e-5)
+
+
+class TestOperatorTables:
+    """One table per interval operator; column 0 is the operator applied to 1."""
+
+    def context(self, config=None):
+        problem = load_problem("example2")
+        config = config or SolverConfig(m=8)
+        return _Context(problem, build_grid(problem, config), config)
+
+    def test_volterra_matches_per_function_loop(self):
+        # the scalar loop the table replaced, kept as reference: same
+        # arithmetic, so the entries must agree bit for bit
+        ctx = self.context()
+        kernel = Field(lambda t, s: 1.0 + s * t)
+        spec, pts = ctx.spec_t, [0.0, 0.13, 0.5, 0.97]
+        rule = gauss_quadrature(ctx.config.quadrature_nodes)
+        want = np.zeros((len(pts), ctx.d_t))
+        for g, p in enumerate(pts[1:], start=1):
+            qx, qw = rule.mapped(spec.lo, p)
+            kvals = np.array([kernel(p, s) for s in qx])
+            for j in range(ctx.d_t):
+                vals = legendre_table(j + 1, shift_to_canonical(qx, spec))[0][j]
+                want[g, j] = float(np.sum(qw * kvals * vals))
+        got = ctx.operator_matrix(VolterraIntegral(kernel), pts)
+        assert got.tobytes() == want.tobytes()
+
+    def test_column_zero_is_operator_on_one(self):
+        ctx = self.context()
+        pts = np.array([0.0, 0.25, 0.8])
+        cases = [
+            (Identity(), np.ones(3)),
+            (Derivative(1), np.zeros(3)),
+            (Caputo(0.5), np.zeros(3)),
+            (VolterraIntegral(Field.constant(2.0)), 2.0 * pts),
+        ]
+        for op, want in cases:
+            assert_allclose(ctx.operator_matrix(op, pts)[:, 0], want, atol=1e-15)
+
+    def test_bias_block_reads_column_zero(self):
+        # example2's operators applied to 1: its Volterra kernels are "1" and "1+s"
+        def on_one(op, t, lo):
+            if isinstance(op, Identity):
+                return np.ones_like(t)
+            if isinstance(op, VolterraIntegral):
+                return (t - lo) + (0.5 * (t**2 - lo**2) if op.kernel.tag == "1+s" else 0.0)
+            return np.zeros_like(t)
+
+        problem = load_problem("example2")
+        config = SolverConfig(m=8, include_bias=True)
+        grid = build_grid(problem, config)
+        _, dual = assemble(problem, grid, config)
+        n_grid, lo = len(grid), problem.interval[0]
+        want = np.zeros((problem.unknowns, problem.unknowns * n_grid))
+        for i, eq in enumerate(problem.equations):
+            for term in eq.terms:
+                coeff = np.array([term.coeff(t) for t in grid.points])
+                want[term.target, i * n_grid : (i + 1) * n_grid] += coeff * on_one(term.op, grid.points, lo)
+        assert_allclose(dual.v[:, : problem.unknowns * n_grid], want, atol=1e-13)
+
+    def test_bias_enters_apply_op_through_column_zero(self):
+        model = solve(oscillator(), SolverConfig(m=8, gamma=1e8, include_bias=True))
+        assert model.biases[0] != 0.0
+        assert_allclose(model.apply_op(0, Identity(), 0.4), model.evaluate(0, 0.4), rtol=1e-14)
+
+    def test_l1_scheme_matches_analytic_table(self):
+        ctx = self.context(SolverConfig(m=8, fractional_scheme="l1", l1_grid=4000))
+        exact = self.context().operator_matrix(Caputo(0.5), ctx.grid.points)
+        got = ctx.operator_matrix(Caputo(0.5), ctx.grid.points)
+        assert np.max(np.abs(got - exact)) <= 5e-3 * np.max(np.abs(exact))
+
+    def test_assembly_cost_is_per_operator(self, monkeypatch):
+        # example2 at its default m: one table per operator and one kernel
+        # call per (point, node), never one per basis function
+        calls = {"field": 0, "table": 0}
+        field_call, table = Field.__call__, daesvr.legendre.legendre_table
+
+        def counted_field(self, *args):
+            calls["field"] += 1
+            return field_call(self, *args)
+
+        def counted_table(*args, **kwargs):
+            calls["table"] += 1
+            return table(*args, **kwargs)
+
+        problem = load_problem("example2")
+        config = CASES["example2"].config
+        grid = build_grid(problem, config)
+        monkeypatch.setattr(Field, "__call__", counted_field)
+        for module in (daesvr.legendre, daesvr.fractional, daesvr.solver):
+            monkeypatch.setattr(module, "legendre_table", counted_table)
+        assemble(problem, grid, config)
+        assert calls["field"] <= 2000
+        assert calls["table"] <= 60
 
 
 class TestGaussNewton:
