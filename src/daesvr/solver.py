@@ -80,6 +80,8 @@ __all__ = [
 
 HARD_IC_SCALE = 1e3
 TINY_EXACT = 1e-14
+GN_DAMPING = 1e-3  # starting Levenberg parameter of gauss_newton
+GN_OBJECTIVE_RTOL = 1e-13  # relative objective change that ends gauss_newton
 
 
 @dataclass(frozen=True)
@@ -102,9 +104,6 @@ class SolverConfig:
     quadrature_nodes: int = 32
     hard_ic: bool = False
     max_iters: int = 50
-    step_tol: float = 1e-12
-    residual_tol: float = 1e-14
-    damping: float = 1e-3
 
     def __post_init__(self):
         if self.m < 1:
@@ -333,14 +332,6 @@ class _Context:
             self._grid_matrices[op] = self.operator_matrix(op, self.grid.points)
         return self._grid_matrices[op]
 
-    def equation_blocks(self, eq_index: int):
-        """Per-term (target, coeff values, operator matrix) over the grid."""
-        eq = self.problem.equations[eq_index]
-        return [
-            (term.target, self.grid_values(term.coeff), self.grid_matrix(term.op))
-            for term in eq.terms
-        ]
-
     def side_rows(self) -> np.ndarray:
         """(n_sides, D): each side condition's scaled operator row, which
         fills its target unknown's block of the constraint column."""
@@ -366,8 +357,10 @@ class _Context:
         y = np.zeros(self.n_constraints, dtype=dtype)
         for i, eq in enumerate(self.problem.equations):
             cols = slice(i * n_grid, (i + 1) * n_grid)
-            for target, coeffs, B in self.equation_blocks(i):
-                Z[target * D : (target + 1) * D, cols] += (coeffs[:, None] * B).T
+            for term in eq.terms:
+                coeffs = self.grid_values(term.coeff)
+                rows = slice(term.target * D, (term.target + 1) * D)
+                Z[rows, cols] += (coeffs[:, None] * self.grid_matrix(term.op)).T
             y[cols] = self.grid_values(eq.rhs)
         for s_idx, (side, row) in enumerate(zip(self.sides, self.side_rows())):
             c = self.k * n_grid + s_idx
@@ -389,17 +382,8 @@ def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
         raise ShapeError("no equations to assemble")
     ctx = _Context(problem, grid, config)
     Z, y = ctx.constraints()
-    V = None
-    if config.include_bias:
-        n_grid = ctx.n_grid
-        V = np.zeros((ctx.k, ctx.n_constraints))
-        for i in range(len(problem.equations)):
-            cols = slice(i * n_grid, (i + 1) * n_grid)
-            for target, coeffs, B in ctx.equation_blocks(i):
-                V[target, cols] += coeffs * B[:, 0]
-        for s_idx, side in enumerate(ctx.sides):
-            if side.order == 0:
-                V[side.target, ctx.k * n_grid + s_idx] = side.scale
+    # phi_0 = 1, so each unknown's P_0 row of Z is what its bias contributes
+    V = Z[:: ctx.D].copy() if config.include_bias else None
 
     omega = Z.T @ Z
     omega = 0.5 * (omega + omega.T)
@@ -495,12 +479,19 @@ def gauss_newton(
 ) -> "TrainedModel":
     """Minimize 1/2 ||w||^2 + gamma/2 sum_c r_c(w)^2 by damped Gauss-Newton.
 
+    Without `w0` the iteration starts from the dual solve of the linear
+    part, closures dropped: w = Z alpha with (Z^T Z + I/gamma) alpha = y.
     The linear operator terms contribute an exact, constant Jacobian block;
     the nonlinear closures are differentiated by forward finite differences
-    in the unknown values.  The Levenberg parameter is halved after accepted
-    steps and quadrupled after steps that increase the residual norm.
-    Raises NonConvergence (with the best iterate attached) when the budget
-    runs out.
+    in the unknown values.  A step is accepted when it lowers the objective;
+    the Levenberg parameter then halves, and otherwise it quadruples.  The
+    iteration stops when a step changes the objective by at most
+    GN_OBJECTIVE_RTOL of its value.  A step that lowers the objective counts
+    only while the Levenberg parameter is at or below its starting value
+    GN_DAMPING, so that a step shrunk by heavy damping does not pass for
+    convergence; a step that fails to lower it shows that no step does at
+    this precision.  Raises NonConvergence (with the last iterate, the best
+    one seen, attached) when the budget runs out.
     """
     problem.validate()
     if config.include_bias:
@@ -518,53 +509,38 @@ def gauss_newton(
     value_B = ctx.operator_matrix(Identity(), grid.points)  # (n_grid, D)
     closures = [eq.nonlinear for eq in problem.equations]
 
-    def unknown_values(w: np.ndarray) -> np.ndarray:
-        return value_B @ w.reshape(k, D).T  # (n_grid, k)
-
-    def residual(w: np.ndarray) -> np.ndarray:
+    def linearize(w: np.ndarray):
+        """Residual r(w) and its Jacobian J, one pass over the closures."""
         r = A @ w - y
-        if any(cl is not None for cl in closures):
-            uv = unknown_values(w)
-            for i, cl in enumerate(closures):
-                if cl is None:
-                    continue
-                base = i * n_grid
-                for g, t in enumerate(grid.points):
-                    r[base + g] += cl(t, *uv[g])
-        return r
-
-    def jacobian(w: np.ndarray) -> np.ndarray:
         J = A.copy()
-        uv = unknown_values(w)
+        uv = value_B @ w.reshape(k, D).T  # (n_grid, k)
         for i, cl in enumerate(closures):
             if cl is None:
                 continue
-            base = i * n_grid
-            for g, t in enumerate(grid.points):
-                vals = uv[g]
-                f0 = cl(t, *vals)
-                for u in range(k):
-                    h = 1e-7 * max(1.0, abs(vals[u]))
-                    bumped = vals.copy()
-                    bumped[u] += h
-                    dfdu = (cl(t, *bumped) - f0) / h
-                    if dfdu != 0.0:
-                        J[base + g, u * D : (u + 1) * D] += dfdu * value_B[g]
-        return J
+            rows = slice(i * n_grid, (i + 1) * n_grid)
+            f0 = np.array([cl(t, *vals) for t, vals in zip(grid.points, uv)])
+            r[rows] += f0
+            for u in range(k):
+                h = 1e-7 * np.maximum(1.0, np.abs(uv[:, u]))
+                bumped = uv.copy()
+                bumped[:, u] += h
+                f1 = np.array([cl(t, *vals) for t, vals in zip(grid.points, bumped)])
+                J[rows, u * D : (u + 1) * D] += ((f1 - f0) / h)[:, None] * value_B
+        return r, J
 
-    w = np.zeros(n_w) if w0 is None else np.asarray(w0, dtype=float).ravel().copy()
+    def objective(w: np.ndarray, r: np.ndarray) -> float:
+        return 0.5 * (w @ w) + 0.5 * gamma * (r @ r)
+
+    if w0 is None:
+        w = Z @ _refined_solver(Z.T @ Z + np.eye(Z.shape[1]) / gamma)(y)
+    else:
+        w = np.asarray(w0, dtype=float).ravel().copy()
     if w.size != n_w:
         raise ShapeError(f"initial weights must have length {n_w}, got {w.size}")
-    lam = config.damping
-    r = residual(w)
-    best_w, best_obj = w.copy(), 0.5 * w @ w + 0.5 * gamma * (r @ r)
-    converged = False
-    iters = 0
+    lam = GN_DAMPING
+    r, J = linearize(w)
+    obj = objective(w, r)
     for iters in range(1, config.max_iters + 1):
-        if np.max(np.abs(r)) <= config.residual_tol:
-            converged = True
-            break
-        J = jacobian(w)
         grad = gamma * (J.T @ r) + w
         M = gamma * (J.T @ J) + (1.0 + lam) * np.eye(n_w)
         try:
@@ -572,38 +548,36 @@ def gauss_newton(
         except LinAlgError as err:
             raise NotPositiveDefinite(f"Gauss-Newton normal matrix failed: {err}") from err
         trial_w = w + step
-        trial_r = residual(trial_w)
-        if np.linalg.norm(trial_r) <= np.linalg.norm(r):
-            w, r = trial_w, trial_r
+        trial_r, trial_J = linearize(trial_w)
+        trial_obj = objective(trial_w, trial_r)
+        lowered = trial_obj < obj
+        converged = abs(obj - trial_obj) <= GN_OBJECTIVE_RTOL * obj and (
+            lam <= GN_DAMPING or not lowered
+        )
+        if lowered:
+            w, r, J, obj = trial_w, trial_r, trial_J, trial_obj
             lam = max(lam * 0.5, 1e-15)
-            obj = 0.5 * w @ w + 0.5 * gamma * (r @ r)
-            if obj < best_obj:
-                best_w, best_obj = w.copy(), obj
-            if np.max(np.abs(step)) <= config.step_tol:
-                converged = True
-                break
         else:
             lam *= 4.0
+        if converged:
+            break
 
-    def finish(weights: np.ndarray, resid: np.ndarray, n_iters: int) -> TrainedModel:
-        return TrainedModel(
-            weights=weights.reshape(k, D),
-            biases=np.zeros(k),
-            alpha=-gamma * resid,
-            errors=resid.copy(),
-            problem=problem,
-            grid=grid,
-            config=config,
-            iterations=n_iters,
-            _ctx=ctx,
-        )
-
+    model = TrainedModel(
+        weights=w.reshape(k, D),
+        biases=np.zeros(k),
+        alpha=-gamma * r,
+        errors=r,
+        problem=problem,
+        grid=grid,
+        config=config,
+        iterations=iters,
+        _ctx=ctx,
+    )
     if not converged:
         raise NonConvergence(
-            f"Gauss-Newton did not converge in {config.max_iters} iterations",
-            best=finish(best_w, residual(best_w), iters),
+            f"Gauss-Newton did not converge in {config.max_iters} iterations", best=model
         )
-    return finish(w, r, iters)
+    return model
 
 
 def solve(problem: DaeProblem, config: Optional[SolverConfig] = None) -> "TrainedModel":
@@ -660,37 +634,6 @@ class TrainedModel:
         if self.biases is not None and self.biases[unknown]:
             out += self.biases[unknown] * row[0]
         return out
-
-    # dual-form evaluation --------------------------------------------------
-
-    def evaluate_kernel_form(self, unknown: int, point) -> float:
-        """Dual evaluation through the operator-applied kernel sums.
-
-        Rebuilds each constraint's operator-applied basis values and
-        contracts them with the dual coefficients; agrees with `evaluate`
-        up to solver precision on linear problems.
-        """
-        ctx = self._context()
-        problem = self.problem
-        if not is_linear(problem):
-            raise ValidationError("kernel-form evaluation requires a linear problem")
-        phi = ctx.basis_row(point)
-        n_grid = ctx.n_grid
-        total = 0.0
-        for i in range(problem.unknowns):
-            cols = slice(i * n_grid, (i + 1) * n_grid)
-            alpha_block = self.alpha[cols]
-            for target, coeffs, B in ctx.equation_blocks(i):
-                if target != unknown:
-                    continue
-                # K(point, p_c) = phi(point) . coeff(p_c) (L phi)(p_c)
-                total += alpha_block @ ((coeffs[:, None] * B) @ phi)
-        for s_idx, (side, row) in enumerate(zip(ctx.sides, ctx.side_rows())):
-            if side.target == unknown:
-                total += self.alpha[problem.unknowns * n_grid + s_idx] * (row @ phi)
-        if self.biases is not None:
-            total += float(self.biases[unknown])
-        return float(total)
 
 
 @dataclass(frozen=True)

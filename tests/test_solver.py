@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,7 @@ from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
 from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral
 from daesvr.schema import load_problem
 from daesvr.solver import (
+    HARD_IC_SCALE,
     SolverConfig,
     DualSystem,
     _Context,
@@ -189,15 +191,6 @@ class TestDualSystem:
         assert_allclose(model.errors, -model.alpha / self.config.gamma,
                         rtol=1e-13, atol=1e-18)
 
-    def test_primal_and_kernel_evaluation_agree(self):
-        model = solve_linear(self.dual, self.Z, problem=self.problem,
-                             grid=self.grid, config=self.config)
-        for u in range(2):
-            for t in (0.1, 0.37, 0.9):
-                assert_allclose(model.evaluate(u, t),
-                                model.evaluate_kernel_form(u, t),
-                                rtol=1e-10, atol=1e-12)
-
     def test_shape_mismatch_rejected(self):
         bad = DualSystem(omega=np.eye(3), v=None, y=np.ones(2), gamma=1.0)
         with pytest.raises(ShapeError):
@@ -337,6 +330,38 @@ class TestOperatorTables:
                 want[term.target, i * n_grid : (i + 1) * n_grid] += coeff * on_one(term.op, grid.points, lo)
         assert_allclose(dual.v[:, : problem.unknowns * n_grid], want, atol=1e-13)
 
+    @pytest.mark.parametrize("name", ["example2", "example3", "example5"])
+    def test_bias_block_is_the_p0_row_of_z(self, name):
+        problem = load_problem(name)
+        config = SolverConfig(m=6, include_bias=True)
+        Z, dual = assemble(problem, build_grid(problem, config), config)
+        assert np.array_equal(dual.v, Z[:: Z.shape[0] // problem.unknowns])
+
+    def test_bias_block_side_columns(self):
+        # a value condition carries its scale into its target's bias row;
+        # the oscillator's two conditions are both values at t = 0
+        config = SolverConfig(m=6, include_bias=True, hard_ic=True)
+        _, dual = assemble(oscillator(), build_grid(oscillator(), config), config)
+        assert np.array_equal(dual.v[:, -2:], np.diag([HARD_IC_SCALE] * 2))
+
+    def test_bias_costs_no_extra_field_calls(self, monkeypatch):
+        calls = {"field": 0}
+        field_call = Field.__call__
+
+        def counted_field(self, *args):
+            calls["field"] += 1
+            return field_call(self, *args)
+
+        monkeypatch.setattr(Field, "__call__", counted_field)
+        problem = load_problem("example2")
+        counts = []
+        for include_bias in (False, True):
+            config = SolverConfig(m=8, include_bias=include_bias)
+            calls["field"] = 0
+            assemble(problem, build_grid(problem, config), config)
+            counts.append(calls["field"])
+        assert counts[0] == counts[1]
+
     def test_bias_enters_apply_op_through_column_zero(self):
         model = solve(oscillator(), SolverConfig(m=8, gamma=1e8, include_bias=True))
         assert model.biases[0] != 0.0
@@ -393,6 +418,15 @@ class TestGaussNewton:
         Z, dual = assemble(p, grid, config)
         direct = solve_linear(dual, Z, problem=p, grid=grid, config=config)
         assert_allclose(iterated.weights, direct.weights, rtol=1e-9, atol=1e-9)
+        # the start is the linear-part solve, so there is nothing left to do
+        assert iterated.iterations <= 2
+
+    @pytest.mark.parametrize("m", [6, 8, 10, 12, 14, 16])
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    def test_cases_converge_with_margin(self, name, m):
+        config = dataclasses.replace(CASES[name].config, m=m)
+        model = solve(load_problem(name), config)
+        assert model.iterations <= config.max_iters // 2
 
     def test_nonconvergence_carries_best_iterate(self):
         p = load_problem("example1")
