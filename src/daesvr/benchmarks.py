@@ -31,25 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SelfCheckError, ValidationError
-from .highprec import InterpolantModel, solve_interpolant
-from .model import (
-    Caputo,
-    DaeProblem,
-    ExactCandidate,
-    ExactSolution,
-    VolterraIntegral,
-    is_linear,
-    residual_at,
-)
+from .highprec import _unsupported, solve_interpolant
+from .model import DaeProblem, ExactCandidate, ExactSolution, residual_at
 from .schema import load_problem
-from .solver import (
-    ReportRow,
-    ResidualReport,
-    SolverConfig,
-    TINY_EXACT,
-    report,
-    solve,
-)
+from .solver import ResidualReport, SolverConfig, report, solve
 
 __all__ = [
     "CASES",
@@ -330,33 +315,6 @@ def _apply_bounds(case: BenchmarkCase, rep: ResidualReport, m: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Runs.
 
-def _interpolant_capable(problem: DaeProblem) -> bool:
-    if not is_linear(problem):
-        return False
-    for eq in problem.equations:
-        for term in eq.terms:
-            if isinstance(term.op, (Caputo, VolterraIntegral)):
-                return False
-    return True
-
-
-def _interpolant_report(model: InterpolantModel, problem: DaeProblem, probes) -> ResidualReport:
-    """Error table for an interpolant, computed in working precision."""
-    rows = []
-    l2 = np.zeros(problem.unknowns)
-    for u in range(problem.unknowns):
-        urows = []
-        for p in probes:
-            args = tuple(p) if problem.is_2d else (p,)
-            exact = float(problem.exact[u](*args))
-            approx, abs_err, rel = model.evaluate_with_errors(u, p)
-            near_zero = abs(exact) < TINY_EXACT
-            urows.append(ReportRow(p, exact, approx, rel, abs_err, near_zero))
-        l2[u] = math.sqrt(math.fsum(r.abs_err**2 for r in urows))
-        rows.append(tuple(urows))
-    return ResidualReport(rows=tuple(rows), l2=l2, probes=tuple(probes))
-
-
 def _make_config(case: BenchmarkCase, overrides: dict) -> SolverConfig:
     try:
         return replace(case.config, **overrides)
@@ -377,35 +335,26 @@ def run_case(name: str, **overrides) -> BenchmarkResult:
     config = _make_config(case, overrides)
     problem = load_problem(name)
     self_check(name, problem, case.probes)
+    return _graded_run(case, problem, config)
+
+
+def _graded_run(
+    case: BenchmarkCase, problem: DaeProblem, config: SolverConfig, digits: Optional[int] = None
+) -> BenchmarkResult:
+    """Solve (in extended precision when `digits` is given), report at the
+    case's probes and grade the report against the case's reference data."""
     t0 = time.perf_counter()
-    model = solve(problem, config)
+    if digits is None:
+        model = solve(problem, config)
+    else:
+        model = solve_interpolant(problem, config, digits=digits)
     rep = report(model, case.probes)
     duration = time.perf_counter() - t0
     passed, failures = _apply_bounds(case, rep, config.m)
     return BenchmarkResult(
-        name=name,
-        config=config,
-        mode="dual",
-        report=rep,
-        passed=passed,
-        failures=failures,
-        duration=duration,
-        model=model,
-        problem=problem,
-    )
-
-
-def _run_interpolant(case: BenchmarkCase, problem: DaeProblem, m: int, digits: int) -> BenchmarkResult:
-    config = replace(case.config, m=m)
-    t0 = time.perf_counter()
-    model = solve_interpolant(problem, config, digits=digits)
-    rep = _interpolant_report(model, problem, case.probes)
-    duration = time.perf_counter() - t0
-    passed, failures = _apply_bounds(case, rep, m)
-    return BenchmarkResult(
         name=case.name,
         config=config,
-        mode="interpolant",
+        mode="dual" if digits is None else "interpolant",
         report=rep,
         passed=passed,
         failures=failures,
@@ -447,20 +396,20 @@ def sweep(
         return SweepResult(name=name, cells=cells)
     problem = load_problem(name)
     self_check(name, problem, case.probes)
-    use_interpolant = gamma_values is None and _interpolant_capable(problem)
+    use_interpolant = gamma_values is None and _unsupported(problem) is None
     gammas = gamma_values if gamma_values is not None else [case.config.gamma]
     for m in m_values:
         for g in gammas:
+            config = replace(case.config, m=m, gamma=g)
             try:
-                if use_interpolant:
-                    cells.append(_run_interpolant(case, problem, m, digits))
-                else:
-                    cells.append(run_case(name, m=m, gamma=g))
+                cells.append(
+                    _graded_run(case, problem, config, digits if use_interpolant else None)
+                )
             except Exception as err:  # record the cell, keep sweeping
                 cells.append(
                     BenchmarkResult(
                         name=name,
-                        config=replace(case.config, m=m, gamma=g),
+                        config=config,
                         mode="interpolant" if use_interpolant else "dual",
                         report=None,
                         passed=None,
@@ -549,12 +498,11 @@ def plot_rows(result: BenchmarkResult, points_1d: int = 201, points_2d: int = 21
     else:
         lo, hi = problem.domain
         points = [float(t) for t in np.linspace(lo, hi, points_1d)]
-    for u in range(problem.unknowns):
-        for p in points:
-            args = tuple(p) if problem.is_2d else (p,)
-            err = abs(float(problem.exact[u](*args)) - model.evaluate(u, p))
-            px, pt = _point_xt(problem.is_2d, p)
-            rows.append([result.name, f"u{u + 1}", px, pt, repr(err)])
+    rep = report(model, points)
+    for u, urows in enumerate(rep.rows):
+        for row in urows:
+            px, pt = _point_xt(problem.is_2d, row.point)
+            rows.append([result.name, f"u{u + 1}", px, pt, repr(row.abs_err)])
     return rows
 
 

@@ -17,10 +17,18 @@ fractional and integral terms stay on the double precision path, and there
 are no bias terms.
 
 The system is the regular solver's own: the problem is restated in mpmath
-`mpf` numbers (domain, side values, and fields recompiled from their source
-text), the Gauss nodes are refined to working precision, and the solver's
-grid, Legendre tables and constraint builder run unchanged on numpy object
-arrays of `mpf`.  The square matrix is then Z^T.
+`mpf` numbers (domain, side values, and fields and exact solutions
+recompiled from their source text), the Gauss nodes are refined to working
+precision, and the solver's grid, Legendre tables and constraint builder run
+unchanged on numpy object arrays of `mpf`.  The square matrix is then Z^T.
+
+The result is the regular solver's `TrainedModel` with `mpf` weights, an
+object array of shape (k, D); `InterpolantModel` adds only the working
+precision `digits`.  Evaluation and `solver.report` then run in `mpf` at
+those digits: one operator table per batch of points, taken at `mpf`
+coordinates, and the exact solutions in `mpf` too, so the reported errors
+carry no double-precision rounding.  `errors` holds the collocation
+residual A w - y.
 
 The direct solve (`solve_square`) is Gaussian elimination with partial
 pivoting on Python integers: each row is scaled by a power of two and held
@@ -33,8 +41,7 @@ for mpmath's LU solve at m = 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -45,7 +52,7 @@ from .errors import SingularSystem, ValidationError
 from .expressions import Vocabulary, compile_expression
 from .legendre import legendre_roots, legendre_table
 from .model import Caputo, DaeProblem, Field, VolterraIntegral, is_linear
-from .solver import SolverConfig, _Context, _grid_from_roots
+from .solver import SolverConfig, TrainedModel, _Context, _grid_from_roots
 
 __all__ = ["InterpolantModel", "solve_interpolant", "solve_square"]
 
@@ -85,7 +92,8 @@ def _mpf_point(point):
 
 
 def _in_mpf(problem: DaeProblem) -> DaeProblem:
-    """The same problem with mpf domain, side points and values, and fields."""
+    """The same problem with mpf domain, side points and values, and fields
+    (exact solutions included)."""
     if problem.is_2d:
         variables, side_variables = ("x", "t"), ("x",)
         domain = tuple(_mpf_point(axis) for axis in problem.domain)
@@ -104,7 +112,10 @@ def _in_mpf(problem: DaeProblem) -> DaeProblem:
         replace(sc, point=_mpf_point(sc.point), value=_recompiled(sc.value, side_variables))
         for sc in problem.side_conditions
     )
-    return replace(problem, domain=domain, equations=equations, side_conditions=sides)
+    exact = problem.exact
+    if exact is not None:
+        exact = tuple(_recompiled(e, variables) for e in exact)
+    return replace(problem, domain=domain, equations=equations, side_conditions=sides, exact=exact)
 
 
 def _gauss_nodes(m: int) -> np.ndarray:
@@ -121,73 +132,28 @@ def _gauss_nodes(m: int) -> np.ndarray:
 
 
 @dataclass
-class InterpolantModel:
-    """Square-system interpolant with extended-precision evaluation."""
+class InterpolantModel(TrainedModel):
+    """A TrainedModel with mpf weights, evaluated at `digits` digits."""
 
-    problem: DaeProblem
-    digits: int
-    d_x: Optional[int]
-    d_t: int
-    residual_inf: float
-    _ctx: _Context
-    _weights: np.ndarray
+    digits: int = field(kw_only=True)
 
-    @property
-    def block(self) -> int:
-        return (self.d_x or 1) * self.d_t
-
-    def evaluate_mp(self, unknown: int, point):
-        """Value of one unknown at a point, in working precision."""
-        with workdps(self.digits):
-            row = self._ctx.basis_row(_mpf_point(point))
-            base = unknown * self.block
-            return mpmath.fdot(self._weights[base : base + self.block], row)
-
-    def evaluate(self, unknown: int, point) -> float:
-        return float(self.evaluate_mp(unknown, point))
-
-    @cached_property
-    def _exact_mp(self) -> tuple:
-        """The exact solutions recompiled to mpf, once per model."""
-        if not self.problem.exact:
-            raise ValidationError("problem has no exact solution attached")
-        nvars = ("x", "t") if self.d_x is not None else ("t",)
-        with workdps(self.digits):
-            return tuple(
-                _recompiled(e if isinstance(e, Field) else getattr(e, "value", e), nvars)
-                for e in self.problem.exact
-            )
-
-    def evaluate_with_errors(self, unknown: int, point):
-        """(value, absolute error, relative error) against the problem's exact
-        solution, from one evaluation in working precision."""
-        exact_fn = self._exact_mp[unknown]
-        with workdps(self.digits):
-            args = _mpf_point(point)
-            exact = exact_fn(*args) if self.d_x is not None else exact_fn(args)
-            approx = self.evaluate_mp(unknown, point)
-            abs_err = abs(approx - exact)
-            rel = abs_err / abs(exact) if abs(exact) > 0 else abs_err
-            return float(approx), float(abs_err), float(rel)
-
-    def errors_at(self, unknown: int, point):
-        """(absolute, relative) error against the problem's exact solution."""
-        return self.evaluate_with_errors(unknown, point)[1:]
+    def _arithmetic(self):
+        return workdps(self.digits)
 
 
-def _reject_unsupported(problem: DaeProblem, config: SolverConfig) -> None:
-    if config.include_bias:
-        raise ValidationError("extended-precision solve has no bias terms")
+def _unsupported(problem: DaeProblem) -> Optional[str]:
+    """Why extended precision cannot solve the problem, or None if it can."""
     if not is_linear(problem):
-        raise ValidationError("extended-precision solve handles linear problems only")
+        return "extended-precision solve handles linear problems only"
     for eq in problem.equations:
         for term in eq.terms:
             if isinstance(term.op, (Caputo, VolterraIntegral)):
-                raise ValidationError(
+                return (
                     "extended-precision solve supports identity and derivative "
                     "terms only; fractional and integral operators stay on the "
                     "double precision path"
                 )
+    return None
 
 
 _GUARD_BITS = 128
@@ -256,7 +222,11 @@ def solve_interpolant(
         raise ValidationError(f"digits must be at least 15, got {digits}")
     config = config or SolverConfig()
     problem.validate()
-    _reject_unsupported(problem, config)
+    if config.include_bias:
+        raise ValidationError("extended-precision solve has no bias terms")
+    reason = _unsupported(problem)
+    if reason is not None:
+        raise ValidationError(reason)
 
     with workdps(digits):
         mp_problem = _in_mpf(problem)
@@ -270,13 +240,15 @@ def solve_interpolant(
         Z, y = ctx.constraints()
         A = Z.T
         w = np.array(solve_square(A, y), dtype=object)
-        resid = max(abs(mpmath.fdot(row, w) - y_i) for row, y_i in zip(A, y))
-        return InterpolantModel(
-            problem=problem,
-            digits=digits,
-            d_x=ctx.d_x,
-            d_t=ctx.d_t,
-            residual_inf=float(resid),
-            _ctx=ctx,
-            _weights=w,
-        )
+        errors = np.array([mpmath.fdot(row, w) - y_i for row, y_i in zip(A, y)], dtype=object)
+    return InterpolantModel(
+        weights=w.reshape(ctx.k, ctx.D),
+        biases=None,
+        alpha=None,
+        errors=errors,
+        problem=problem,
+        grid=ctx.grid,
+        config=config,
+        _ctx=ctx,
+        digits=digits,
+    )

@@ -13,6 +13,7 @@ basis at once, in double precision or on numpy object arrays of mpmath
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,15 +170,19 @@ def legendre_roots(m: int) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=64)
 def gauss_quadrature(m: int) -> QuadratureRule:
     """m-point Gauss-Legendre rule on [-1, 1].
 
     Weights  w_k = 2 / ((1 - x_k^2) P_m'(x_k)^2);  exact for polynomials of
-    degree <= 2m - 1.
+    degree <= 2m - 1.  The rule is shared between callers and its arrays
+    are read-only.
     """
     x = legendre_roots(m)
     dp = legendre_deriv(m, x, 1)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return QuadratureRule(nodes=x, weights=w)
 
 

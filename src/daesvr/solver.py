@@ -30,11 +30,12 @@ tensor collocation grid.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from mpmath import mpf
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
@@ -77,6 +78,8 @@ __all__ = [
     "solve",
     "report",
 ]
+
+_to_mpf = np.frompyfunc(mpf, 1, 1)
 
 HARD_IC_SCALE = 1e3
 TINY_EXACT = 1e-14
@@ -184,11 +187,6 @@ def _grid_from_roots(problem: DaeProblem, roots) -> CollocationGrid:
     return CollocationGrid(points=pts)
 
 
-@lru_cache(maxsize=64)
-def _cached_rule(nodes: int):
-    return gauss_quadrature(nodes)
-
-
 def _volterra_table(kernel, spec: BasisSpec, points, nodes: int) -> np.ndarray:
     """(n_points, degree_count) matrix of int_lo^point kernel(point, s) phi_j(s) ds.
 
@@ -200,7 +198,7 @@ def _volterra_table(kernel, spec: BasisSpec, points, nodes: int) -> np.ndarray:
     live = pts - spec.lo > 0.0
     if not live.any():
         return out
-    qx, qw = _cached_rule(nodes).mapped(spec.lo, pts[live, None])  # row g: [lo, point g]
+    qx, qw = gauss_quadrature(nodes).mapped(spec.lo, pts[live, None])  # row g: [lo, point g]
     kv = np.array([[kernel(p, s) for s in row] for p, row in zip(pts[live], qx)])
     tab = legendre_table(spec.degree_count, shift_to_canonical(qx, spec))[0]
     out[live] = np.sum((qw * kv) * tab, axis=2).T
@@ -274,14 +272,12 @@ class _Context:
             tab = tab * (2.0 / spec.width) ** order
         return np.take(tab, where, axis=1)  # C-ordered, unlike tab[:, where]
 
-    def basis_row(self, point) -> np.ndarray:
-        """Identity basis values at one point, shape (D,)."""
+    def coordinates(self, points) -> np.ndarray:
+        """Points as an array in the grid's number type: float, or mpf."""
+        pts = np.asarray(points, dtype=float)
         if self.problem.is_2d:
-            x, t = point
-            bx = self._axis_values(self.spec_x, [x], 0)[:, 0]
-            bt = self._axis_values(self.spec_t, [t], 0)[:, 0]
-            return np.outer(bx, bt).ravel()
-        return self._axis_values(self.spec_t, [point], 0)[:, 0]
+            pts = pts.reshape(-1, 2)
+        return _to_mpf(pts) if self.grid.points.dtype == object else pts
 
     def operator_matrix(self, op, points) -> np.ndarray:
         """(n_points, D) matrix of (L phi_j)(point), one table per operator.
@@ -592,11 +588,16 @@ def solve(problem: DaeProblem, config: Optional[SolverConfig] = None) -> "Traine
 
 @dataclass
 class TrainedModel:
-    """A trained approximation; also a residual candidate (value/apply_op)."""
+    """A trained approximation; also a residual candidate (value/apply_op).
+
+    The weights are float, or mpf in an object array for the extended-
+    precision interpolant; evaluation and `report` keep that number type.
+    `errors` is the constraint residual (-alpha/gamma on the dual path).
+    """
 
     weights: np.ndarray
     biases: Optional[np.ndarray]
-    alpha: np.ndarray
+    alpha: Optional[np.ndarray]
     errors: np.ndarray
     problem: Optional[DaeProblem] = None
     grid: Optional[CollocationGrid] = None
@@ -609,18 +610,42 @@ class TrainedModel:
             raise ValidationError("model was trained without problem context")
         return self._ctx
 
+    def _arithmetic(self):
+        """Context in which the model's numbers are computed."""
+        return nullcontext()
+
+    @property
+    def block(self) -> int:
+        """Basis functions per unknown."""
+        return self.weights.shape[1]
+
+    @property
+    def residual_inf(self) -> float:
+        """Largest constraint residual, max |errors|."""
+        return float(np.max(np.abs(self.errors)))
+
     @property
     def squared_error_sum(self) -> float:
         return float(self.errors @ self.errors)
 
-    def evaluate(self, unknown: int, point) -> float:
-        """Primal evaluation: weights against the identity basis row."""
+    def _values(self, op, points) -> np.ndarray:
+        """(k, n_points) array of op applied to every unknown at the points,
+        in the model's number type, from one operator table.
+
+        Each value is one table row dotted with the unknown's weights; a
+        row-by-row dot keeps a value independent of the other points.
+        """
         ctx = self._context()
-        row = ctx.basis_row(point)
-        out = float(row @ self.weights[unknown])
-        if self.biases is not None:
-            out += float(self.biases[unknown])
+        with self._arithmetic():
+            M = np.ascontiguousarray(ctx.operator_matrix(op, ctx.coordinates(points)))
+            out = np.array([[row @ w for row in M] for w in self.weights])
+            if self.biases is not None:
+                out = out + self.biases[:, None] * M[:, 0]
         return out
+
+    def evaluate(self, unknown: int, point) -> float:
+        """Value of one unknown at one point."""
+        return self.apply_op(unknown, Identity(), point)
 
     # candidate interface --------------------------------------------------
 
@@ -628,12 +653,7 @@ class TrainedModel:
         return self.evaluate(unknown, point)
 
     def apply_op(self, unknown: int, op, point) -> float:
-        ctx = self._context()
-        row = ctx.operator_matrix(op, [point])[0]
-        out = float(row @ self.weights[unknown])
-        if self.biases is not None and self.biases[unknown]:
-            out += self.biases[unknown] * row[0]
-        return out
+        return float(self._values(op, [point])[unknown, 0])
 
 
 @dataclass(frozen=True)
@@ -656,22 +676,30 @@ class ResidualReport:
 
 
 def report(model: TrainedModel, probes) -> ResidualReport:
-    """Error table of the model against the problem's exact solution."""
+    """Error table of the model against the problem's exact solution.
+
+    Values, exact solutions and errors are computed in the model's number
+    type, at coordinates of that type, then stored as floats.
+    """
     problem = model.problem
     if problem is None or problem.exact is None:
         raise MissingExact("problem carries no exact solution")
+    ctx = model._context()
+    values = model._values(Identity(), probes)
     rows = []
     l2 = np.zeros(problem.unknowns)
-    for u in range(problem.unknowns):
-        urows = []
-        for p in probes:
-            args = tuple(p) if problem.is_2d else (p,)
-            exact = float(problem.exact[u](*args))
-            approx = model.evaluate(u, p)
-            abs_err = abs(exact - approx)
-            near_zero = abs(exact) < TINY_EXACT
-            rel = abs_err if near_zero else abs_err / abs(exact)
-            urows.append(ReportRow(p, exact, approx, rel, abs_err, near_zero))
-        l2[u] = math.sqrt(math.fsum(r.abs_err**2 for r in urows))
-        rows.append(tuple(urows))
+    with model._arithmetic():
+        coords = ctx.coordinates(probes).tolist()
+        for u, exact_fn in enumerate(ctx.problem.exact):
+            urows = []
+            for p, x, approx in zip(probes, coords, values[u]):
+                exact = exact_fn(*x) if problem.is_2d else exact_fn(x)
+                abs_err = abs(exact - approx)
+                near_zero = abs(exact) < TINY_EXACT
+                rel = abs_err if near_zero else abs_err / abs(exact)
+                urows.append(
+                    ReportRow(p, float(exact), float(approx), float(rel), float(abs_err), near_zero)
+                )
+            l2[u] = math.sqrt(math.fsum(r.abs_err**2 for r in urows))
+            rows.append(tuple(urows))
     return ResidualReport(rows=tuple(rows), l2=l2, probes=tuple(probes))

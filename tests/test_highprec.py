@@ -1,14 +1,19 @@
 import json
+import math
 
+import mpmath
+import numpy as np
 import pytest
 from mpmath import mp, mpf, workdps
 from numpy.testing import assert_allclose
 
 import daesvr.highprec as highprec
-from daesvr.errors import DaeSvrError, SingularSystem, ValidationError
+from daesvr.benchmarks import CASES, sweep
+from daesvr.errors import DaeSvrError, MissingExact, SingularSystem, ValidationError
 from daesvr.highprec import solve_interpolant, solve_square
+from daesvr.legendre import legendre_table
 from daesvr.schema import load_problem
-from daesvr.solver import SolverConfig
+from daesvr.solver import SolverConfig, TrainedModel, report
 
 OSCILLATOR = json.dumps(
     {
@@ -85,19 +90,21 @@ def fine():
     return solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=10), digits=40)
 
 
+def abs_errors(model, probes):
+    """Absolute errors of every (unknown, probe) row of the model's report."""
+    return [row.abs_err for rows in report(model, probes).rows for row in rows]
+
+
 class TestInterval:
     def test_coarse_accuracy(self, coarse):
-        errs = [coarse.errors_at(u, t)[0] for u in range(2) for t in PROBES]
-        assert max(errs) <= 1e-6
+        assert max(abs_errors(coarse, PROBES)) <= 1e-6
 
     def test_fine_accuracy(self, fine):
-        errs = [fine.errors_at(u, t)[0] for u in range(2) for t in PROBES]
-        assert max(errs) <= 1e-12
+        assert max(abs_errors(fine, PROBES)) <= 1e-12
 
     def test_refinement_improves_every_probe(self, coarse, fine):
-        for u in range(2):
-            for t in PROBES:
-                assert fine.errors_at(u, t)[0] < coarse.errors_at(u, t)[0]
+        for f, c in zip(abs_errors(fine, PROBES), abs_errors(coarse, PROBES)):
+            assert f < c
 
     def test_square_system_residual_is_tiny(self, coarse):
         # the collocation equations are solved exactly at working precision,
@@ -105,31 +112,30 @@ class TestInterval:
         assert coarse.residual_inf <= 1e-35
 
     def test_evaluate_is_float_of_mp(self, coarse):
-        got = coarse.evaluate(0, 0.4)
-        assert got == float(coarse.evaluate_mp(0, 0.4))
+        # the value is summed in working precision and rounded once; on [0, 1]
+        # the canonical coordinate of t is 2t - 1
+        with workdps(40):
+            s = np.array([2 * mpf(0.4) - 1], dtype=object)
+            want = mpmath.fdot(coarse.weights[0], legendre_table(coarse.block, s)[0][:, 0])
+        assert coarse.evaluate(0, 0.4) == float(want)
 
     def test_errors_are_consistent(self, fine):
-        import math
-
-        abs_err, rel_err = fine.errors_at(0, 0.6)
-        assert_allclose(rel_err, abs_err / abs(math.sin(0.6)), rtol=1e-7)
+        row = report(fine, [0.6]).rows[0][0]
+        assert_allclose(row.rel_err, row.abs_err / abs(math.sin(0.6)), rtol=1e-7)
 
     def test_block_size_interval(self, coarse):
-        assert coarse.d_x is None
-        assert coarse.d_t == 7
+        assert isinstance(coarse, TrainedModel)
         assert coarse.block == 7
+        assert coarse.weights.shape == (2, 7)
+        assert all(isinstance(w, mpf) for w in coarse.weights.ravel())
 
 
 class TestRectangle:
     def test_small_rectangle_solve(self):
         p = load_problem("example5")
         model = solve_interpolant(p, SolverConfig(m=4), digits=30)
-        assert model.block == model.d_x * model.d_t == 4 * 6
-        worst = 0.0
-        for u in range(3):
-            for pt in ((0.02, 0.02), (0.1, 0.1), (-0.3, 0.5)):
-                worst = max(worst, model.errors_at(u, pt)[0])
-        assert worst <= 1e-6
+        assert model.block == 4 * 6
+        assert max(abs_errors(model, ((0.02, 0.02), (0.1, 0.1), (-0.3, 0.5)))) <= 1e-6
 
     @pytest.mark.parametrize(
         "text, probes",
@@ -141,7 +147,7 @@ class TestRectangle:
     )
     def test_polynomial_reproduced_to_working_precision(self, text, probes):
         model = solve_interpolant(load_problem(text), SolverConfig(m=6), digits=40)
-        assert max(model.errors_at(0, p)[0] for p in probes) <= 1e-30
+        assert max(abs_errors(model, probes)) <= 1e-30
 
     @pytest.mark.parametrize("m", [6, 8])
     def test_square_system_residual_is_tiny(self, m):
@@ -228,5 +234,14 @@ class TestRejections:
         del bare["exact"]
         model = solve_interpolant(load_problem(json.dumps(bare)), SolverConfig(m=6))
         assert model.evaluate(0, 0.5) == pytest.approx(0.479425538604, abs=1e-6)
-        with pytest.raises(ValidationError, match="exact"):
-            model.errors_at(0, 0.5)
+        with pytest.raises(MissingExact, match="exact"):
+            report(model, [0.5])
+
+
+class TestReport:
+    def test_sweep_cell_is_the_report_of_the_interpolant(self):
+        cell = sweep("example5", [4]).cells[0]
+        model = solve_interpolant(load_problem("example5"), SolverConfig(m=4), digits=40)
+        rep = report(model, CASES["example5"].probes)
+        assert cell.report.rows == rep.rows
+        assert cell.report.l2.tobytes() == rep.l2.tobytes()

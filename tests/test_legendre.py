@@ -166,6 +166,12 @@ class TestQuadrature:
         pts, w = rule.mapped(0.0, 2.0)
         assert_allclose(w @ pts**3, 4.0, atol=1e-12)
 
+    def test_rule_is_cached_and_read_only(self):
+        rule = gauss_quadrature(64)
+        assert gauss_quadrature(64) is rule
+        assert not rule.nodes.flags.writeable
+        assert not rule.weights.flags.writeable
+
 
 class TestShift:
     def test_forward(self):

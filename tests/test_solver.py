@@ -191,6 +191,12 @@ class TestDualSystem:
         assert_allclose(model.errors, -model.alpha / self.config.gamma,
                         rtol=1e-13, atol=1e-18)
 
+    def test_residual_inf_is_the_largest_constraint_error(self):
+        model = solve_linear(self.dual, self.Z, problem=self.problem,
+                             grid=self.grid, config=self.config)
+        assert model.residual_inf == max(abs(model.errors))
+        assert model.block == model.weights.shape[1] == 9
+
     def test_shape_mismatch_rejected(self):
         bad = DualSystem(omega=np.eye(3), v=None, y=np.ones(2), gamma=1.0)
         with pytest.raises(ShapeError):
@@ -481,3 +487,17 @@ class TestReport:
         rep = report(model, probes)
         assert rep.probes == probes
         assert [r.point for r in rep.rows[0]] == list(probes)
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [("example2", (0.05, 0.0)), ("example5", ((0.45, 0.35), (-0.5, 0.0)))],
+    )
+    def test_batch_matches_one_point_evaluation(self, name, extra):
+        # report evaluates all probes from one table; each value must be the
+        # bits that evaluate() gives for its point alone
+        case = CASES[name]
+        model = solve(load_problem(name), case.config)
+        rep = report(model, case.probes + extra)
+        for u, rows in enumerate(rep.rows):
+            for row in rows:
+                assert row.approx.hex() == model.evaluate(u, row.point).hex()
