@@ -15,8 +15,8 @@ which happens several orders of magnitude later than in extended
 precision.  The calibrated values sit at the flat part of each case's
 error-vs-gamma curve.
 
-Every run is deterministic: identical inputs produce identical reports
-and identical CSV bytes.
+Every run is deterministic: at a fixed BLAS thread count, identical inputs
+produce identical reports and identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -382,41 +382,30 @@ def sweep(
     case = CASES.get(name)
     if case is None:
         raise ValidationError(f"unknown benchmark case {name!r}; choose from {case_names()}")
-    m_values = list(m_values)
-    for m in m_values:
-        if not isinstance(m, int) or m < 1:
-            raise ValidationError(f"m values must be positive integers, got {m!r}")
-    if gamma_values is not None:
-        gamma_values = [float(g) for g in gamma_values]
-        for g in gamma_values:
-            if not math.isfinite(g) or g <= 0:
-                raise ValidationError(f"gamma values must be positive and finite, got {g!r}")
+    gammas = [case.config.gamma] if gamma_values is None else gamma_values
+    # every cell's configuration is checked before any cell runs
+    configs = [replace(case.config, m=m, gamma=g) for m in m_values for g in gammas]
     cells = []
-    if not m_values:
+    if not configs:
         return SweepResult(name=name, cells=cells)
     problem = load_problem(name)
     self_check(name, problem, case.probes)
     use_interpolant = gamma_values is None and _unsupported(problem) is None
-    gammas = gamma_values if gamma_values is not None else [case.config.gamma]
-    for m in m_values:
-        for g in gammas:
-            config = replace(case.config, m=m, gamma=g)
-            try:
-                cells.append(
-                    _graded_run(case, problem, config, digits if use_interpolant else None)
+    for config in configs:
+        try:
+            cells.append(_graded_run(case, problem, config, digits if use_interpolant else None))
+        except Exception as err:  # record the cell, keep sweeping
+            cells.append(
+                BenchmarkResult(
+                    name=name,
+                    config=config,
+                    mode="interpolant" if use_interpolant else "dual",
+                    report=None,
+                    passed=None,
+                    error=f"{type(err).__name__}: {err}",
+                    problem=problem,
                 )
-            except Exception as err:  # record the cell, keep sweeping
-                cells.append(
-                    BenchmarkResult(
-                        name=name,
-                        config=config,
-                        mode="interpolant" if use_interpolant else "dual",
-                        report=None,
-                        passed=None,
-                        error=f"{type(err).__name__}: {err}",
-                        problem=problem,
-                    )
-                )
+            )
     return SweepResult(name=name, cells=cells)
 
 
@@ -432,21 +421,37 @@ def _point_xt(problem_is_2d: bool, point) -> tuple:
     return "", repr(float(point))
 
 
+def _reported(results) -> list:
+    """One result, a sweep or a list of results, as a list of the results
+    that carry a report (failed sweep cells carry none)."""
+    if isinstance(results, BenchmarkResult):
+        results = [results]
+    return [res for res in results if res.report is not None]
+
+
+def _write_rows(path_or_file, columns, rows) -> None:
+    """Write `columns` as the header, then `rows`, deterministically."""
+
+    def emit(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+    if hasattr(path_or_file, "write"):
+        emit(path_or_file)
+    else:
+        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
+            emit(fh)
+
+
 def csv_rows(results, label_with_config: bool = False) -> list:
     """Rows (lists of strings) for one or more results, CSV_COLUMNS order."""
-    if isinstance(results, (BenchmarkResult, SweepResult)):
-        results = list(results) if isinstance(results, SweepResult) else [results]
     rows = []
-    for res in results:
-        if res.report is None:
-            continue
-        is_2d = res.problem.is_2d if res.problem is not None else isinstance(
-            res.report.probes[0], tuple
-        )
+    for res in _reported(results):
         case_label = res.label if label_with_config else res.name
         for u, urows in enumerate(res.report.rows):
             for row in urows:
-                px, pt = _point_xt(is_2d, row.point)
+                px, pt = _point_xt(res.problem.is_2d, row.point)
                 rows.append(
                     [
                         case_label,
@@ -463,19 +468,8 @@ def csv_rows(results, label_with_config: bool = False) -> list:
 
 
 def write_csv(results, path_or_file, label_with_config: bool = False) -> None:
-    """Write results as CSV with the fixed column set, deterministically."""
-    rows = csv_rows(results, label_with_config=label_with_config)
-
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
-
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+    """Write one result, a sweep or a list as CSV with the fixed column set."""
+    _write_rows(path_or_file, CSV_COLUMNS, csv_rows(results, label_with_config=label_with_config))
 
 
 PLOT_COLUMNS = ("case", "unknown", "point_x", "point_t", "abs_err")
@@ -485,7 +479,7 @@ def plot_rows(result: BenchmarkResult, points_1d: int = 201, points_2d: int = 21
     """Per-unknown absolute-error series on a uniform grid, for plotting."""
     problem = result.problem
     model = result.model
-    if problem is None or model is None:
+    if model is None:
         raise ValidationError("result carries no model to sample")
     if problem.exact is None:
         raise ValidationError("plot data needs a problem with an exact solution")
@@ -506,19 +500,10 @@ def plot_rows(result: BenchmarkResult, points_1d: int = 201, points_2d: int = 21
     return rows
 
 
-def write_plot_data(result: BenchmarkResult, path_or_file) -> None:
-    rows = plot_rows(result)
-
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PLOT_COLUMNS)
-        writer.writerows(rows)
-
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+def write_plot_data(results, path_or_file) -> None:
+    """Write the plot_rows of one result, a sweep or a list as CSV."""
+    rows = [row for res in _reported(results) for row in plot_rows(res)]
+    _write_rows(path_or_file, PLOT_COLUMNS, rows)
 
 
 def render_result(result: BenchmarkResult) -> str:
@@ -531,9 +516,7 @@ def render_result(result: BenchmarkResult) -> str:
         out.write(f"  failed: {result.error}\n")
         return out.getvalue()
     rep = result.report
-    is_2d = result.problem.is_2d if result.problem is not None else isinstance(
-        rep.probes[0], tuple
-    )
+    is_2d = result.problem.is_2d
     for u, urows in enumerate(rep.rows):
         out.write(f"\n  u{u + 1}\n")
         if is_2d:

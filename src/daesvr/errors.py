@@ -34,7 +34,11 @@ class ValidationError(DaeSvrError):
 
 
 class EvaluationError(DaeSvrError):
-    """A field or residual evaluation produced a non-finite value."""
+    """A field, expression or residual evaluation is undefined or non-finite.
+
+    Raised for a value that is not finite, and by compiled expressions for
+    a math domain error, a division by zero or an overflow.
+    """
 
 
 class ShapeError(DaeSvrError):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ParseError
+from .errors import EvaluationError, ParseError
 
 __all__ = ["compile_expression", "FUNCTIONS", "Vocabulary", "FLOAT"]
 
@@ -91,7 +91,10 @@ def compile_expression(text: str, variables: tuple, vocabulary: Vocabulary = FLO
     returns `vocabulary.result` of the value (a float by default).
 
     Raises ParseError for syntax errors, unknown names, or any construct
-    outside the arithmetic/function whitelist.
+    outside the arithmetic/function whitelist.  The returned function
+    raises EvaluationError, naming the text and its arguments, where the
+    value is undefined (a math domain error, a division by zero, an
+    overflow).
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError(f"expected an expression string, got {text!r}")
@@ -106,7 +109,11 @@ def compile_expression(text: str, variables: tuple, vocabulary: Vocabulary = FLO
 
     def fn(*args):
         local = dict(zip(variables, args))
-        return result(eval(code, namespace, local))
+        try:
+            return result(eval(code, namespace, local))
+        except (ValueError, ArithmeticError) as err:
+            at = ", ".join(f"{v}={a}" for v, a in local.items())
+            raise EvaluationError(f"cannot evaluate {text!r} at {at}: {err}") from err
 
     fn.__name__ = f"expr[{text}]"
     return fn

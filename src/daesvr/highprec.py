@@ -50,7 +50,7 @@ import mpmath
 
 from .errors import SingularSystem, ValidationError
 from .expressions import Vocabulary, compile_expression
-from .legendre import legendre_roots, legendre_table
+from .legendre import gauss_quadrature, legendre_table
 from .model import Caputo, DaeProblem, Field, VolterraIntegral, is_linear
 from .solver import SolverConfig, TrainedModel, _Context, _grid_from_roots
 
@@ -120,7 +120,7 @@ def _in_mpf(problem: DaeProblem) -> DaeProblem:
 
 def _gauss_nodes(m: int) -> np.ndarray:
     """Roots of P_m refined from double precision to working precision."""
-    s = np.array([mpf(r) for r in legendre_roots(m)], dtype=object)
+    s = np.array([mpf(r) for r in gauss_quadrature(m).nodes], dtype=object)
     tol = mpf(10) ** (-mp.dps)
     for _ in range(8):
         tab = legendre_table(m + 1, s, 1)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -50,7 +51,6 @@ from .fractional import caputo_l1_table, caputo_table
 from .legendre import (
     BasisSpec,
     gauss_quadrature,
-    legendre_roots,
     legendre_table,
     shift_from_canonical,
     shift_to_canonical,
@@ -109,12 +109,12 @@ class SolverConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("collocation degree m must be >= 1")
+        if not isinstance(self.m, Integral) or self.m < 1:
+            raise ValidationError(f"collocation degree m must be an integer >= 1, got {self.m!r}")
         if self.degree is not None and self.degree < 1:
             raise ValidationError("basis degree must be >= 1")
-        if not self.gamma > 0.0:
-            raise ValidationError(f"regularization gamma must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValidationError(f"regularization gamma must be finite and > 0, got {self.gamma}")
         if self.fractional_scheme not in ("analytic", "l1"):
             raise ValidationError("fractional_scheme must be 'analytic' or 'l1'")
         if self.l1_grid < 2:
@@ -167,7 +167,7 @@ class DualSystem:
 
 def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
     """Mapped roots of P_m; the tensor product of per-axis roots in 2D."""
-    return _grid_from_roots(problem, legendre_roots(config.m))
+    return _grid_from_roots(problem, gauss_quadrature(config.m).nodes)
 
 
 def _grid_from_roots(problem: DaeProblem, roots) -> CollocationGrid:
@@ -374,8 +374,6 @@ def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
     problem.validate()
     if not is_linear(problem):
         raise ValidationError("assemble expects a linear problem; use gauss_newton")
-    if len(problem.equations) == 0:
-        raise ShapeError("no equations to assemble")
     ctx = _Context(problem, grid, config)
     Z, y = ctx.constraints()
     # phi_0 = 1, so each unknown's P_0 row of Z is what its bias contributes

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -15,6 +16,7 @@ from daesvr.benchmarks import (
     self_check,
     sweep,
     write_csv,
+    write_plot_data,
 )
 from daesvr.errors import SelfCheckError, ValidationError
 from daesvr.schema import load_problem
@@ -86,7 +88,7 @@ class TestSweep:
         sr = sweep("example1", [])
         assert sr.cells == []
 
-    @pytest.mark.parametrize("bad_m", [[0], [-3], [2.5]])
+    @pytest.mark.parametrize("bad_m", [[0], [-3], [2.5], [4, 0]])
     def test_m_validation(self, bad_m):
         with pytest.raises(ValidationError):
             sweep("example1", bad_m)
@@ -94,6 +96,8 @@ class TestSweep:
     def test_gamma_validation(self):
         with pytest.raises(ValidationError):
             sweep("example1", [6], gamma_values=[-1.0])
+        with pytest.raises(ValidationError):
+            sweep("example1", [6], gamma_values=[float("inf")])
 
     def test_resolution_grid(self):
         sr = sweep("example1", [4, 10])
@@ -179,6 +183,24 @@ class TestPlotRows:
         rows = plot_rows(results["example4"], points_1d=51)
         worst = max(float(r[-1]) for r in rows)
         assert worst <= 1e-6
+
+
+class TestPlotData:
+    def test_list_concatenates_plot_rows(self, results):
+        a, b = results["example3"], results["example5"]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(PLOT_COLUMNS)
+        writer.writerows(plot_rows(a) + plot_rows(b))
+        buf = io.StringIO()
+        write_plot_data([a, b], buf)
+        assert buf.getvalue() == expected.getvalue()
+
+    def test_single_result_matches_one_element_list(self, results):
+        one, listed = io.StringIO(), io.StringIO()
+        write_plot_data(results["example1"], one)
+        write_plot_data([results["example1"]], listed)
+        assert one.getvalue() == listed.getvalue()
 
 
 class TestRender:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from daesvr.benchmarks import CSV_COLUMNS, PLOT_COLUMNS
 from daesvr.cli import main
 
@@ -34,6 +36,25 @@ def problem_file(tmp_path, data=None, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data or OSCILLATOR))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "example1", "--m", "0"],
+        ["sweep", "example1", "--m", "4", "--gamma", "inf"],
+        ["bench", "example1", "example3", "--degree", "0"],
+        ["solve", "example1", "--gamma", "inf"],
+        ["solve", "example3", "--fractional-scheme", "l1:1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_option_value_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no case ran
+    assert err.count("\n") == 1 and err.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in err
 
 
 class TestList:
@@ -116,6 +137,15 @@ class TestSolve:
         assert main(["solve", "--file", path, "--m", "8", "--gamma", "1e8"]) == 0
         out = capsys.readouterr().out
         assert "trained" in out
+
+    def test_undefined_expression_value_is_named(self, tmp_path, capsys):
+        data = json.loads(json.dumps(OSCILLATOR))
+        data["equations"][0]["rhs"] = "sqrt(t-0.5)"
+        path = problem_file(tmp_path, data)
+        assert main(["solve", "--file", path, "--m", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'sqrt(t-0.5)'" in err and "math domain error" in err
 
     def test_without_exact_rejects_error_tables(self, tmp_path, capsys):
         data = json.loads(json.dumps(OSCILLATOR))

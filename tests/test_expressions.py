@@ -3,7 +3,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from daesvr.errors import ParseError
+from daesvr.errors import EvaluationError, ParseError
 from daesvr.expressions import FUNCTIONS, compile_expression
 
 
@@ -84,3 +84,26 @@ class TestRejections:
     def test_unknown_name_message_lists_variables(self):
         with pytest.raises(ParseError, match="variables"):
             compile_expression("q", ("x", "t"))
+
+
+class TestEvaluationFailures:
+    @pytest.mark.parametrize(
+        "text, args, reason",
+        [
+            ("sqrt(t - 0.5)", (0.25,), "domain"),
+            ("1 / (x - t)", (1.0, 1.0), "division"),
+            ("exp(t)", (1e6,), "range"),
+        ],
+    )
+    def test_named_in_the_error(self, text, args, reason):
+        variables = ("x", "t")[-len(args):]
+        fn = compile_expression(text, variables)
+        with pytest.raises(EvaluationError, match=reason) as exc:
+            fn(*args)
+        message = str(exc.value)
+        assert repr(text) in message
+        for name, value in zip(variables, args):
+            assert f"{name}={value}" in message
+
+    def test_defined_values_unchanged(self):
+        assert compile_expression("sqrt(t - 0.5)", ("t",))(0.75) == math.sqrt(0.25)

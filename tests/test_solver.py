@@ -86,9 +86,20 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="> 0"):
             SolverConfig(gamma=gamma)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_gamma_finite(self, gamma):
+        # the objective 1/2 ||w||^2 + gamma/2 ||e||^2 needs a finite gamma
+        with pytest.raises(ValidationError, match="finite"):
+            SolverConfig(gamma=gamma)
+
     def test_m_at_least_one(self):
         with pytest.raises(ValidationError):
             SolverConfig(m=0)
+
+    def test_m_integral(self):
+        with pytest.raises(ValidationError, match="integer"):
+            SolverConfig(m=2.5)
+        assert SolverConfig(m=np.int64(6)).m == 6
 
     def test_degree_positive_when_given(self):
         with pytest.raises(ValidationError):
@@ -115,6 +126,25 @@ class TestGrid:
         g = build_grid(oscillator(), SolverConfig(m=2))
         r = 0.5 / math.sqrt(3.0)
         assert_allclose(g.points, [0.5 - r, 0.5 + r], rtol=1e-14)
+
+    def test_repeated_grids_reuse_the_cached_rule(self, monkeypatch):
+        calls = []
+        original = daesvr.legendre.legendre_roots
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        for mod in (daesvr.legendre, daesvr.solver):
+            if vars(mod).get("legendre_roots") is original:
+                monkeypatch.setattr(mod, "legendre_roots", counting)
+        gauss_quadrature.cache_clear()
+        p = oscillator()
+        first = build_grid(p, SolverConfig(m=7))
+        second = build_grid(p, SolverConfig(m=7))
+        assert len(calls) <= 1
+        assert np.array_equal(first.points, second.points)
+        assert np.array_equal(first.points, 0.5 * (original(7) + 1.0))
 
     def test_nodes_stay_interior(self):
         p = load_problem("example2")
