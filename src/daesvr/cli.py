@@ -237,6 +237,10 @@ def _cmd_sweep(args) -> int:
     if args.name not in benchmarks.CASES:
         print(f"sweep: unknown case {args.name!r}; choose from {benchmarks.case_names()}", file=sys.stderr)
         return USAGE_ERROR
+    for flag, values in (("--m", args.m), ("--gamma", args.gamma)):
+        if values == []:
+            print(f"sweep: {flag} needs at least one value", file=sys.stderr)
+            return USAGE_ERROR
     m_values = args.m if args.m is not None else [benchmarks.CASES[args.name].config.m]
     try:
         result = benchmarks.sweep(args.name, m_values, gamma_values=args.gamma)

@@ -6,8 +6,8 @@ parsed with `ast`, checked against a whitelist, and compiled to an ordinary
 Python function of the declared variables.  Nothing outside the whitelist
 (attribute access, subscripts, names other than the declared variables) is
 accepted.  The vocabulary (functions, constants and the number type of
-the result) is a parameter, so the same text compiles for double precision
-and for mpmath's extended precision.
+the result) is a parameter: `FLOAT` computes in double precision, `MPF` in
+mpmath's extended precision at the working precision of the call.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
+
 from .errors import EvaluationError, ParseError
 
-__all__ = ["compile_expression", "FUNCTIONS", "Vocabulary", "FLOAT"]
+__all__ = ["compile_expression", "FUNCTIONS", "Vocabulary", "FLOAT", "MPF"]
 
 
 def _sec(x: float) -> float:
@@ -48,6 +50,21 @@ class Vocabulary:
 
 
 FLOAT = Vocabulary(FUNCTIONS, {"pi": math.pi, "e": math.e}, float)
+
+MPF = Vocabulary(
+    functions={
+        "sin": mpmath.sin,
+        "cos": mpmath.cos,
+        "tan": mpmath.tan,
+        "sec": mpmath.sec,
+        "exp": mpmath.exp,
+        "sqrt": mpmath.sqrt,
+        "pow": mpmath.power,
+        "gamma": mpmath.gamma,
+    },
+    constants={"pi": mpmath.pi, "e": mpmath.e},
+    result=mpmath.mpf,
+)
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)

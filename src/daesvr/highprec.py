@@ -16,11 +16,12 @@ double precision.  Only identity and derivative operators are supported;
 fractional and integral terms stay on the double precision path, and there
 are no bias terms.
 
-The system is the regular solver's own: the problem is restated in mpmath
-`mpf` numbers (domain, side values, and fields and exact solutions
-recompiled from their source text), the Gauss nodes are refined to working
-precision, and the solver's grid, Legendre tables and constraint builder run
-unchanged on numpy object arrays of `mpf`.  The square matrix is then Z^T.
+The system is the regular solver's own: `schema` builds the problem from
+its source description with the `MPF` vocabulary, so the domain, side
+points and values, constant fields and every expression (exact solutions
+included) are `mpf`; the Gauss nodes are refined to working precision, and
+the solver's grid, Legendre tables and constraint builder run unchanged on
+numpy object arrays of `mpf`.  The square matrix is then Z^T.
 
 The result is the regular solver's `TrainedModel` with `mpf` weights, an
 object array of shape (k, D); `InterpolantModel` adds only the working
@@ -41,7 +42,7 @@ for mpmath's LU solve at m = 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -49,73 +50,13 @@ from mpmath import mp, mpf, workdps
 import mpmath
 
 from .errors import SingularSystem, ValidationError
-from .expressions import Vocabulary, compile_expression
+from .expressions import MPF
 from .legendre import gauss_quadrature, legendre_table
-from .model import Caputo, DaeProblem, Field, VolterraIntegral, is_linear
+from .model import Caputo, DaeProblem, VolterraIntegral, is_linear
+from .schema import _build
 from .solver import SolverConfig, TrainedModel, _Context, _grid_from_roots
 
 __all__ = ["InterpolantModel", "solve_interpolant", "solve_square"]
-
-_MPF = Vocabulary(
-    functions={
-        "sin": mpmath.sin,
-        "cos": mpmath.cos,
-        "tan": mpmath.tan,
-        "sec": mpmath.sec,
-        "exp": mpmath.exp,
-        "sqrt": mpmath.sqrt,
-        "pow": mpmath.power,
-        "gamma": mpmath.gamma,
-    },
-    constants={"pi": mpmath.pi, "e": mpmath.e},
-    result=mpf,
-)
-
-
-def _recompiled(value, variables: tuple):
-    """A number as mpf, or a Field recompiled from its source text to mpf."""
-    if not isinstance(value, Field):
-        return mpf(value)
-    if value.tag is None:
-        raise ValidationError(
-            "extended-precision solve needs fields with source text; "
-            "build the problem through the structured schema"
-        )
-    return Field(compile_expression(value.tag, variables, _MPF), tag=value.tag)
-
-
-def _mpf_point(point):
-    """A coordinate, or a sequence of them (None kept), as mpf."""
-    if np.ndim(point):
-        return tuple(None if v is None else mpf(v) for v in point)
-    return mpf(point)
-
-
-def _in_mpf(problem: DaeProblem) -> DaeProblem:
-    """The same problem with mpf domain, side points and values, and fields
-    (exact solutions included)."""
-    if problem.is_2d:
-        variables, side_variables = ("x", "t"), ("x",)
-        domain = tuple(_mpf_point(axis) for axis in problem.domain)
-    else:
-        variables = side_variables = ("t",)
-        domain = _mpf_point(problem.domain)
-    equations = tuple(
-        replace(
-            eq,
-            terms=tuple(replace(t, coeff=_recompiled(t.coeff, variables)) for t in eq.terms),
-            rhs=_recompiled(eq.rhs, variables),
-        )
-        for eq in problem.equations
-    )
-    sides = tuple(
-        replace(sc, point=_mpf_point(sc.point), value=_recompiled(sc.value, side_variables))
-        for sc in problem.side_conditions
-    )
-    exact = problem.exact
-    if exact is not None:
-        exact = tuple(_recompiled(e, variables) for e in exact)
-    return replace(problem, domain=domain, equations=equations, side_conditions=sides, exact=exact)
 
 
 def _gauss_nodes(m: int) -> np.ndarray:
@@ -214,14 +155,22 @@ def solve_interpolant(
 ) -> InterpolantModel:
     """Solve the square collocation system exactly to working precision.
 
-    Basis counts follow the same rule as the regular solver, which makes
-    the linear system square; it is then solved directly rather than through
-    the regularized dual, giving the gamma -> infinity limit.
+    The problem solved is the one its `source` describes (what
+    `serialize_problem` writes), rebuilt in `mpf` at `digits` digits, so
+    `problem` must come from `load_problem`.  Basis counts follow the same
+    rule as the regular solver, which makes the linear system square; it is
+    then solved directly rather than through the regularized dual, giving
+    the gamma -> infinity limit.
     """
     if digits < 15:
         raise ValidationError(f"digits must be at least 15, got {digits}")
     config = config or SolverConfig()
     problem.validate()
+    if problem.source is None:
+        raise ValidationError(
+            "extended-precision solve rebuilds the problem from its source "
+            "description; build the problem with load_problem"
+        )
     if config.include_bias:
         raise ValidationError("extended-precision solve has no bias terms")
     reason = _unsupported(problem)
@@ -229,7 +178,7 @@ def solve_interpolant(
         raise ValidationError(reason)
 
     with workdps(digits):
-        mp_problem = _in_mpf(problem)
+        mp_problem = _build(problem.source, problem.name, MPF)
         ctx = _Context(mp_problem, _grid_from_roots(mp_problem, _gauss_nodes(config.m)), config)
         n = ctx.n_constraints
         if n != ctx.k * ctx.D:

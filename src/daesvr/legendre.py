@@ -147,7 +147,8 @@ def legendre_roots(m: int) -> np.ndarray:
     cos(pi (4k - 1) / (4m + 2)), k = 1..m.  Iteration stops when the update
     falls below 1e-14 in absolute value; exceeding 100 iterations raises
     NonConvergence.  Symmetry about the origin is enforced exactly by
-    averaging mirrored pairs.
+    averaging mirrored pairs.  The result must pass |P_m / P_m'| <= 1e-13,
+    the Newton step left (|P_m| alone scales with |P_m'|, which grows like m^2).
     """
     if m < 1:
         raise DomainError("need at least one root")
@@ -164,9 +165,9 @@ def legendre_roots(m: int) -> np.ndarray:
         raise NonConvergence(f"Newton iteration for P_{m} roots stalled")
     x = 0.5 * (x - x[::-1])
     x = np.sort(x)
-    resid = np.max(np.abs(legendre_eval(m, x)))
+    resid = np.max(np.abs(legendre_eval(m, x) / legendre_deriv(m, x, 1)))
     if resid > 1e-13:
-        raise NonConvergence(f"P_{m} root residual {resid:.3e} exceeds 1e-13")
+        raise NonConvergence(f"P_{m} root residual |P_m/P_m'| {resid:.3e} exceeds 1e-13")
     return x
 
 

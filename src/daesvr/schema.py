@@ -23,6 +23,11 @@ or expression strings over the fixed vocabulary in `expressions.FUNCTIONS`.
 In rectangle problems a side condition pins a t-slice: "x" is a number or
 "*" (every x collocation node) and "value" may be an expression in x.
 
+Numbers must be JSON numbers, and "unknowns", "target" and "order" integers;
+a refusal names the field ("domain.lo").  Each real number and expression is
+built in one vocabulary, so one description gives the double-precision
+problem (`FLOAT`) and the extended-precision one (`MPF`).
+
 `load_problem` also accepts the names of the built-in benchmark systems,
 "example1" through "example5".
 """
@@ -34,7 +39,7 @@ import json
 from typing import Optional
 
 from .errors import ParseError, ValidationError
-from .expressions import compile_expression
+from .expressions import FLOAT, Vocabulary, compile_expression
 from .model import (
     Caputo,
     DaeProblem,
@@ -50,59 +55,77 @@ from .model import (
 __all__ = ["load_problem", "serialize_problem", "builtin_names"]
 
 
-def _field(value, variables: tuple, where: str) -> Field:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return Field.constant(value)
+def _real(value, where: str, vocabulary: Vocabulary, expected: str = "a number"):
+    """A JSON number in the vocabulary's number type; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: expected {expected}, got {value!r}")
+    return vocabulary.result(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _field(value, variables: tuple, where: str, vocabulary: Vocabulary) -> Field:
     if isinstance(value, str):
-        return Field(compile_expression(value, variables), tag=value)
-    raise ValidationError(f"{where}: expected a number or expression string, got {value!r}")
+        return Field(compile_expression(value, variables, vocabulary), tag=value)
+    v = _real(value, where, vocabulary, "a number or expression string")
+    return Field(lambda *args: v, tag=str(v))
 
 
 def _require(d: dict, key: str, where: str):
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where}: expected an object, got {d!r}")
     if key not in d:
         raise ValidationError(f"{where}: missing required field {key!r}")
     return d[key]
 
 
-def _build_term(d: dict, variables: tuple, where: str) -> OperatorTerm:
+def _build_term(d: dict, variables: tuple, where: str, vocabulary: Vocabulary) -> OperatorTerm:
     kind = _require(d, "op", where)
-    target = _require(d, "target", where)
-    if not isinstance(target, int):
-        raise ValidationError(f"{where}: target must be an integer")
-    coeff = _field(_require(d, "coeff", where), variables, f"{where}.coeff")
+    target = _integer(_require(d, "target", where), f"{where}.target")
+    coeff = _field(_require(d, "coeff", where), variables, f"{where}.coeff", vocabulary)
     if kind == "identity":
         op = Identity()
     elif kind == "deriv":
-        op = Derivative(order=_require(d, "order", where), var=d.get("var", "t"))
+        order = _integer(_require(d, "order", where), f"{where}.order")
+        op = Derivative(order=order, var=d.get("var", "t"))
     elif kind == "caputo":
-        op = Caputo(alpha=_require(d, "alpha", where))
+        op = Caputo(alpha=_real(_require(d, "alpha", where), f"{where}.alpha", vocabulary))
     elif kind == "volterra":
-        kernel = _field(_require(d, "kernel", where), ("t", "s"), f"{where}.kernel")
+        kernel = _field(_require(d, "kernel", where), ("t", "s"), f"{where}.kernel", vocabulary)
         op = VolterraIntegral(kernel=kernel)
     else:
         raise ValidationError(f"{where}: unknown operator kind {kind!r}")
     return OperatorTerm(coeff=coeff, op=op, target=target)
 
 
-def _build(data: dict, name: Optional[str] = None) -> DaeProblem:
+def _build(data: dict, name: Optional[str] = None, vocabulary: Vocabulary = FLOAT) -> DaeProblem:
+    """The problem `data` describes, with every real number and expression
+    in `vocabulary`'s number type (double precision by default)."""
     if not isinstance(data, dict):
         raise ValidationError(f"problem must be an object, got {type(data).__name__}")
     where = "problem"
     unknowns = _require(data, "unknowns", where)
-    if not isinstance(unknowns, int) or unknowns < 1:
+    if isinstance(unknowns, bool) or not isinstance(unknowns, int) or unknowns < 1:
         raise ValidationError("unknowns must be a positive integer")
+
+    def number(d: dict, key: str, where: str):
+        return _real(_require(d, key, where), f"{where}.{key}", vocabulary)
 
     if "domain2" in data:
         d2 = data["domain2"]
         domain = (
-            (float(_require(d2, "x_lo", "domain2")), float(_require(d2, "x_hi", "domain2"))),
-            (float(_require(d2, "t_lo", "domain2")), float(_require(d2, "t_hi", "domain2"))),
+            (number(d2, "x_lo", "domain2"), number(d2, "x_hi", "domain2")),
+            (number(d2, "t_lo", "domain2"), number(d2, "t_hi", "domain2")),
         )
         is_2d = True
         variables = ("x", "t")
     elif "domain" in data:
         d1 = data["domain"]
-        domain = (float(_require(d1, "lo", "domain")), float(_require(d1, "hi", "domain")))
+        domain = (number(d1, "lo", "domain"), number(d1, "hi", "domain"))
         is_2d = False
         variables = ("t",)
     else:
@@ -113,43 +136,40 @@ def _build(data: dict, name: Optional[str] = None) -> DaeProblem:
     for i, eq in enumerate(_require(data, "equations", where)):
         eq_where = f"equations[{i}]"
         terms = tuple(
-            _build_term(t, variables, f"{eq_where}.terms[{j}]")
+            _build_term(t, variables, f"{eq_where}.terms[{j}]", vocabulary)
             for j, t in enumerate(_require(eq, "terms", eq_where))
         )
-        rhs = _field(_require(eq, "rhs", eq_where), variables, f"{eq_where}.rhs")
+        rhs = _field(_require(eq, "rhs", eq_where), variables, f"{eq_where}.rhs", vocabulary)
         nonlinear = None
         if eq.get("nonlinear") is not None:
             if is_2d:
                 raise ValidationError(f"{eq_where}: nonlinear closures are interval-only")
-            nonlinear = _field(eq["nonlinear"], nl_vars, f"{eq_where}.nonlinear")
+            nonlinear = _field(eq["nonlinear"], nl_vars, f"{eq_where}.nonlinear", vocabulary)
         equations.append(Equation(terms=terms, rhs=rhs, nonlinear=nonlinear))
 
     side = []
     for i, sc in enumerate(data.get("side_conditions", [])):
         sc_where = f"side_conditions[{i}]"
-        target = _require(sc, "target", sc_where)
-        order = sc.get("order", 0)
+        target = _integer(_require(sc, "target", sc_where), f"{sc_where}.target")
+        order = _integer(sc.get("order", 0), f"{sc_where}.order")
+        raw = _require(sc, "value", sc_where)
         if is_2d:
             x = _require(sc, "x", sc_where)
-            t = float(_require(sc, "t", sc_where))
-            point = (None if x == "*" else float(x), t)
-            raw = _require(sc, "value", sc_where)
+            x = None if x == "*" else _real(x, f"{sc_where}.x", vocabulary, 'a number or "*"')
+            point = (x, number(sc, "t", sc_where))
             if isinstance(raw, str):
-                value = Field(compile_expression(raw, ("x",)), tag=raw)
+                value = Field(compile_expression(raw, ("x",), vocabulary), tag=raw)
             else:
-                value = float(raw)
-            side.append(SideCondition(target=target, point=point, value=value, order=order))
+                value = _real(raw, f"{sc_where}.value", vocabulary, "a number or expression string")
         else:
-            point = float(_require(sc, "point", sc_where))
-            raw = _require(sc, "value", sc_where)
-            if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-                raise ValidationError(f"{sc_where}: interval side condition value must be a number")
-            side.append(SideCondition(target=target, point=point, value=float(raw), order=order))
+            point = number(sc, "point", sc_where)
+            value = _real(raw, f"{sc_where}.value", vocabulary)
+        side.append(SideCondition(target=target, point=point, value=value, order=order))
 
     exact = None
     if data.get("exact") is not None:
         exact = tuple(
-            _field(e, variables, f"exact[{i}]") for i, e in enumerate(data["exact"])
+            _field(e, variables, f"exact[{i}]", vocabulary) for i, e in enumerate(data["exact"])
         )
 
     problem = DaeProblem(

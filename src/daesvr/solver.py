@@ -111,6 +111,10 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.m, Integral) or self.m < 1:
             raise ValidationError(f"collocation degree m must be an integer >= 1, got {self.m!r}")
+        for name in ("degree", "l1_grid", "quadrature_nodes", "max_iters"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.degree is not None and self.degree < 1:
             raise ValidationError("basis degree must be >= 1")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):

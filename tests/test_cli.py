@@ -46,6 +46,8 @@ def problem_file(tmp_path, data=None, name="problem.json"):
         ["bench", "example1", "example3", "--degree", "0"],
         ["solve", "example1", "--gamma", "inf"],
         ["solve", "example3", "--fractional-scheme", "l1:1"],
+        ["sweep", "example1", "--m", ","],
+        ["sweep", "example1", "--m", "4", "--gamma", ","],
     ],
     ids=" ".join,
 )
@@ -146,6 +148,16 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "'sqrt(t-0.5)'" in err and "math domain error" in err
+
+    def test_malformed_number_is_named(self, tmp_path, capsys):
+        data = json.loads(json.dumps(OSCILLATOR))
+        data["side_conditions"][0]["target"] = "0"
+        path = problem_file(tmp_path, data)
+        assert main(["solve", "--file", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("solve: side_conditions[0].target: ")
+        assert "Traceback" not in err
 
     def test_without_exact_rejects_error_tables(self, tmp_path, capsys):
         data = json.loads(json.dumps(OSCILLATOR))

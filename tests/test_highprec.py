@@ -11,8 +11,10 @@ import daesvr.highprec as highprec
 from daesvr.benchmarks import CASES, sweep
 from daesvr.errors import DaeSvrError, MissingExact, SingularSystem, ValidationError
 from daesvr.highprec import solve_interpolant, solve_square
+from daesvr.expressions import MPF
 from daesvr.legendre import legendre_table
-from daesvr.schema import load_problem
+from daesvr.model import DaeProblem
+from daesvr.schema import _build, load_problem
 from daesvr.solver import SolverConfig, TrainedModel, report
 
 OSCILLATOR = json.dumps(
@@ -236,6 +238,47 @@ class TestRejections:
         assert model.evaluate(0, 0.5) == pytest.approx(0.479425538604, abs=1e-6)
         with pytest.raises(MissingExact, match="exact"):
             report(model, [0.5])
+
+
+class TestMpfBuild:
+    """The schema builds the mpf problem the extended-precision solve runs on."""
+
+    @staticmethod
+    def numbers(problem, point):
+        """Every real number of the problem: constants, and fields at `point`."""
+        yield from np.ravel(problem.domain)
+        for sc in problem.side_conditions:
+            yield from (v for v in np.ravel(sc.point) if v is not None)
+            yield sc.value(point[0]) if callable(sc.value) else sc.value
+        for eq in problem.equations:
+            yield from (term.coeff(*point) for term in eq.terms)
+            yield eq.rhs(*point)
+        yield from (e(*point) for e in problem.exact)
+
+    @pytest.mark.parametrize("text", [OSCILLATOR, "example5"], ids=["oscillator", "example5"])
+    def test_every_number_is_mpf_and_matches_the_float_build(self, text):
+        problem = load_problem(text)
+        point = (0.13, 0.37) if problem.is_2d else (0.37,)
+        want = list(self.numbers(problem, point))
+        with workdps(40):
+            mp_problem = _build(problem.source, problem.name, MPF)
+            got = list(self.numbers(mp_problem, tuple(mpf(v) for v in point)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert isinstance(g, mpf)
+            assert abs(g - w) <= 1e-15 * abs(w)
+
+    def test_problem_without_source_is_refused(self):
+        loaded = load_problem(OSCILLATOR)
+        built = DaeProblem(
+            unknowns=loaded.unknowns,
+            domain=loaded.domain,
+            equations=loaded.equations,
+            side_conditions=loaded.side_conditions,
+            exact=loaded.exact,
+        )
+        with pytest.raises(ValidationError, match="load_problem"):
+            solve_interpolant(built, SolverConfig(m=6))
 
 
 class TestReport:

@@ -166,6 +166,15 @@ class TestQuadrature:
         pts, w = rule.mapped(0.0, 2.0)
         assert_allclose(w @ pts**3, 4.0, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [86, 104, 200])
+    def test_large_rules_build_and_are_exact(self, m):
+        # |P_m'| at the roots grows like m^2, so the roots are accepted by the
+        # Newton step |P_m/P_m'| they would still take, not by |P_m|
+        rule = gauss_quadrature(m)
+        assert len(rule.nodes) == m
+        got = rule.weights @ rule.nodes ** (2 * m - 2)
+        assert_allclose(got, 2.0 / (2 * m - 1), rtol=1e-12)
+
     def test_rule_is_cached_and_read_only(self):
         rule = gauss_quadrature(64)
         assert gauss_quadrature(64) is rule

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,54 @@ class TestRejections:
         data = json.loads(OSCILLATOR)
         data["side_conditions"][0]["value"] = "sin(t)"
         with pytest.raises(ValidationError, match="number"):
+            load_problem(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("domain", "lo"), "zero"),
+            (("domain", "lo"), None),
+            (("domain", "lo"), "0.0"),
+            (("domain", "hi"), True),
+            (("side_conditions", 0, "point"), "0"),
+            (("side_conditions", 1, "value"), None),
+            (("side_conditions", 0, "target"), "0"),
+            (("side_conditions", 0, "target"), 0.0),
+            (("side_conditions", 1, "order"), None),
+            (("equations", 0, "terms", 0, "order"), "1"),
+            (("equations", 0, "terms", 0, "order"), 1.0),
+            (("equations", 0, "terms", 1, "target"), True),
+            (("equations", 1, "terms", 0, "coeff"), None),
+            (("equations", 1, "rhs"), False),
+            (("exact", 0), [1]),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v),
+    )
+    def test_malformed_number_is_named(self, path, value):
+        data = json.loads(OSCILLATOR)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        where = path[0] + "".join(
+            f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:]
+        )
+        with pytest.raises(ValidationError, match=re.escape(f"{where}: expected")):
+            load_problem(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("x_lo", "a"), ("t_hi", None), ("x", "mid"), ("t", None), ("value", [0])],
+    )
+    def test_malformed_rectangle_number_is_named(self, key, value):
+        data = json.loads(json.dumps(BUILTIN_PROBLEMS["example5"]))
+        if key in data["domain2"]:
+            data["domain2"][key] = value
+            where = f"domain2.{key}"
+        else:
+            data["side_conditions"][2][key] = value
+            where = f"side_conditions[2].{key}"
+        with pytest.raises(ValidationError, match=re.escape(f"{where}: expected")):
             load_problem(json.dumps(data))
 
     def test_bad_expression_text(self):

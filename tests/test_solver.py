@@ -101,6 +101,12 @@ class TestConfigValidation:
             SolverConfig(m=2.5)
         assert SolverConfig(m=np.int64(6)).m == 6
 
+    @pytest.mark.parametrize("name", ["degree", "quadrature_nodes", "max_iters", "l1_grid"])
+    def test_counts_integral(self, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: 100.5})
+        assert getattr(SolverConfig(**{name: np.int64(12)}), name) == 12
+
     def test_degree_positive_when_given(self):
         with pytest.raises(ValidationError):
             SolverConfig(degree=0)
