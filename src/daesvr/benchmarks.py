@@ -15,6 +15,9 @@ which happens several orders of magnitude later than in extended
 precision.  The calibrated values sit at the flat part of each case's
 error-vs-gamma curve.
 
+Before any solve, `self_check` verifies that the case's exact solution, read
+from its text alone, satisfies the case's equations at the probes.
+
 Every run is deterministic: at a fixed BLAS thread count, identical inputs
 produce identical reports and identical CSV bytes.
 """
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import SelfCheckError, ValidationError
 from .highprec import _unsupported, solve_interpolant
-from .model import DaeProblem, ExactCandidate, ExactSolution, residual_at
+from .model import DaeProblem, ExactCandidate, residual_at
 from .schema import load_problem
 from .solver import ResidualReport, SolverConfig, report, solve
 
@@ -205,60 +208,15 @@ def case_names() -> list:
     return list(CASES)
 
 
-# ---------------------------------------------------------------------------
-# Exact-solution structure.  The schema carries exact solutions as plain
-# expressions; the entries here add what the residual self-check needs to
-# evaluate operators on them exactly (power-sum forms for fractional
-# derivatives, analytic derivatives where finite differences would lose
-# digits or step outside the domain).
-
-def _exact_structure(name: str, problem: DaeProblem) -> list:
-    f = problem.exact
-    if name == "example1":
-        return [
-            ExactSolution(f[0], {("t", 1): lambda t: math.sin(t) + t * math.cos(t)}),
-            ExactSolution(f[1], {("t", 1): lambda t: 1.0 / math.cos(t) ** 2}),
-            ExactSolution(f[2], {("t", 1): lambda t: math.cos(t) - t * math.sin(t)}),
-        ]
-    if name == "example2":
-        return [
-            ExactSolution(f[0], powers=[(1.0, 1.5)]),
-            ExactSolution(f[1], powers=[(1.0, 1.5)]),
-        ]
-    if name == "example3":
-        return [
-            ExactSolution(f[0], powers=[(1.0, 2.5)]),
-            ExactSolution(f[1], powers=[(1.0, 2.0)]),
-            ExactSolution(f[2], {("t", 1): math.cos}),
-        ]
-    if name == "example4":
-        return [
-            ExactSolution(f[0], powers=[(1.0, 3.0)]),
-            ExactSolution(f[1], powers=[(2.0, 1.0), (1.0, 4.0)]),
-            ExactSolution(f[2]),
-        ]
-    if name == "example5":
-        return [
-            ExactSolution(f[0], {("t", 1): lambda x, t: -x * x * math.exp(-t)}),
-            ExactSolution(f[1], {("t", 1): lambda x, t: -x * x * math.exp(-t / 2) / 2}),
-            ExactSolution(
-                f[2],
-                {
-                    ("t", 1): lambda x, t: x * x * math.cos(t),
-                    ("x", 2): lambda x, t: 2 * math.sin(t),
-                },
-            ),
-        ]
-    raise ValidationError(f"unknown benchmark case {name!r}")
-
-
 def self_check(name: str, problem: DaeProblem, probes: Sequence) -> float:
-    """Verify the stated exact solution satisfies every equation at probes.
+    """Verify the exact solution, read from its text alone (`ExactCandidate`),
+    satisfies every equation at probes; `name` labels the diagnostic.
 
     Returns the worst absolute residual; raises SelfCheckError above
-    SELF_CHECK_TOL with a diagnostic naming the equation and point.
+    SELF_CHECK_TOL naming the equation and point, and MissingExact when
+    the problem states no exact solution.
     """
-    candidate = ExactCandidate(problem, _exact_structure(name, problem), quad_nodes=64)
+    candidate = ExactCandidate(problem)
     worst, where = 0.0, None
     for i in range(problem.unknowns):
         for pt in probes:

@@ -8,6 +8,8 @@ Python function of the declared variables.  Nothing outside the whitelist
 accepted.  The vocabulary (functions, constants and the number type of
 the result) is a parameter: `FLOAT` computes in double precision, `MPF` in
 mpmath's extended precision at the working precision of the call.
+`derivative` differentiates the checked tree and compiles the result the
+same way, in double precision.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import mpmath
 
 from .errors import EvaluationError, ParseError
 
-__all__ = ["compile_expression", "FUNCTIONS", "Vocabulary", "FLOAT", "MPF"]
+__all__ = ["compile_expression", "derivative", "FUNCTIONS", "Vocabulary", "FLOAT", "MPF"]
 
 
 def _sec(x: float) -> float:
@@ -87,6 +89,9 @@ def _check(node: ast.AST, variables: tuple, text: str, vocabulary: Vocabulary) -
             raise ParseError(f"unknown function in {text!r}")
         if node.keywords:
             raise ParseError(f"keyword arguments not allowed in {text!r}")
+        arity = 2 if node.func.id == "pow" else 1
+        if len(node.args) != arity:
+            raise ParseError(f"{node.func.id} takes {arity} argument(s) in {text!r}")
         for arg in node.args:
             _check(arg, variables, text, vocabulary)
     elif isinstance(node, ast.Name):
@@ -101,6 +106,35 @@ def _check(node: ast.AST, variables: tuple, text: str, vocabulary: Vocabulary) -
         raise ParseError(f"unsupported syntax ({type(node).__name__}) in {text!r}")
 
 
+def _parse(text: str, variables: tuple, vocabulary: Vocabulary) -> ast.Expression:
+    """The checked syntax tree of `text`."""
+    if not isinstance(text, str) or not text.strip():
+        raise ParseError(f"expected an expression string, got {text!r}")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as err:
+        raise ParseError(f"syntax error in {text!r} at column {err.offset}") from err
+    _check(tree, variables, text, vocabulary)
+    return tree
+
+
+def _function(tree: ast.Expression, variables: tuple, vocabulary: Vocabulary, label: str):
+    """`tree` as a function of `variables`; evaluation failures name `label`."""
+    code = compile(tree, "<expression>", "eval")
+    namespace = {"__builtins__": {}} | vocabulary.functions | vocabulary.constants
+    result = vocabulary.result
+
+    def fn(*args):
+        local = dict(zip(variables, args))
+        try:
+            return result(eval(code, namespace, local))
+        except (ValueError, ArithmeticError) as err:
+            at = ", ".join(f"{v}={a}" for v, a in local.items())
+            raise EvaluationError(f"cannot evaluate {label} at {at}: {err}") from err
+
+    return fn
+
+
 def compile_expression(text: str, variables: tuple, vocabulary: Vocabulary = FLOAT):
     """Compile `text` to a function of the named `variables`.
 
@@ -113,24 +147,87 @@ def compile_expression(text: str, variables: tuple, vocabulary: Vocabulary = FLO
     value is undefined (a math domain error, a division by zero, an
     overflow).
     """
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError(f"expected an expression string, got {text!r}")
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as err:
-        raise ParseError(f"syntax error in {text!r} at column {err.offset}") from err
-    _check(tree, variables, text, vocabulary)
-    code = compile(tree, "<expression>", "eval")
-    namespace = {"__builtins__": {}} | vocabulary.functions | vocabulary.constants
-    result = vocabulary.result
+    return _function(_parse(text, variables, vocabulary), variables, vocabulary, repr(text))
 
-    def fn(*args):
-        local = dict(zip(variables, args))
-        try:
-            return result(eval(code, namespace, local))
-        except (ValueError, ArithmeticError) as err:
-            at = ", ".join(f"{v}={a}" for v, a in local.items())
-            raise EvaluationError(f"cannot evaluate {text!r} at {at}: {err}") from err
 
-    fn.__name__ = f"expr[{text}]"
-    return fn
+# ---------------------------------------------------------------------------
+# Symbolic differentiation of the checked tree.
+
+def _depends(node: ast.AST, var: str) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == var for n in ast.walk(node))
+
+
+def _call(name: str, *args) -> ast.Call:
+    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
+
+
+def _mul(a, b) -> ast.BinOp:
+    return ast.BinOp(a, ast.Mult(), b)
+
+
+# d f(a) / da for the one-argument functions, as a tree in a
+_OUTER = {
+    "sin": lambda a: _call("cos", a),
+    "cos": lambda a: ast.UnaryOp(ast.USub(), _call("sin", a)),
+    "tan": lambda a: _call("pow", _call("sec", a), ast.Constant(2)),
+    "sec": lambda a: _mul(_call("sec", a), _call("tan", a)),
+    "exp": lambda a: _call("exp", a),
+    "sqrt": lambda a: ast.BinOp(ast.Constant(0.5), ast.Div(), _call("sqrt", a)),
+}
+
+
+def _diff(node: ast.AST, var: str, text: str) -> ast.AST:
+    """The tree of d(node)/d(var).  A subtree free of `var` differentiates
+    to 0 and is kept out of the product and quotient rules."""
+    if not _depends(node, var):
+        return ast.Constant(0)
+    if isinstance(node, ast.Name):
+        return ast.Constant(1)
+    if isinstance(node, ast.UnaryOp):
+        return ast.UnaryOp(node.op, _diff(node.operand, var, text))
+    if isinstance(node, ast.Call) and node.func.id in _OUTER:
+        return _mul(_OUTER[node.func.id](node.args[0]), _diff(node.args[0], var, text))
+    if isinstance(node, ast.Call) and node.func.id == "pow":
+        base, exponent = node.args
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        base, exponent = node.left, node.right
+    elif isinstance(node, ast.BinOp):
+        a, b = node.left, node.right
+        da, db = _diff(a, var, text), _diff(b, var, text)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            return ast.BinOp(da, node.op, db)
+        if not _depends(b, var):
+            return ast.BinOp(da, node.op, b)
+        if isinstance(node.op, ast.Mult) and not _depends(a, var):
+            return _mul(a, db)
+        if isinstance(node.op, ast.Mult):
+            return ast.BinOp(_mul(da, b), ast.Add(), _mul(a, db))
+        numerator = ast.BinOp(_mul(da, b), ast.Sub(), _mul(a, db))
+        return ast.BinOp(numerator, ast.Div(), _mul(b, b))
+    else:
+        raise ParseError(f"cannot differentiate {ast.unparse(node)} in {text!r} by {var}")
+    if _depends(exponent, var):
+        raise ParseError(f"cannot differentiate {ast.unparse(node)} in {text!r} by {var}: "
+                         "the exponent depends on it")
+    if isinstance(exponent, ast.Constant):
+        if exponent.value == 0:
+            return ast.Constant(0)
+        lowered = ast.Constant(exponent.value - 1)
+    else:
+        lowered = ast.BinOp(exponent, ast.Sub(), ast.Constant(1))
+    return _mul(_mul(exponent, _call("pow", base, lowered)), _diff(base, var, text))
+
+
+def derivative(text: str, variables: tuple, var: str, order: int = 1):
+    """Compile the `order`-th partial derivative of `text` by `var`, taken on
+    the checked syntax tree and compiled like `compile_expression` (a float
+    result; EvaluationError naming the text where it is undefined).  An
+    exponent or a `gamma` argument that depends on `var` raises ParseError.
+    """
+    body = _parse(text, variables, FLOAT).body
+    if var not in variables:
+        raise ParseError(f"cannot differentiate {text!r} by {var!r}: not one of {variables}")
+    for _ in range(order):
+        body = _diff(body, var, text)
+    label = f"d^{order}/d{var}^{order} of {text!r}"
+    return _function(ast.fix_missing_locations(ast.Expression(body)), variables, FLOAT, label)

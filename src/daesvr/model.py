@@ -13,18 +13,20 @@ the left endpoint.  Side conditions pin values or derivatives at points.
 
 `residual_at` evaluates one equation's residual against any candidate object
 that can report values and operator-applied values of the unknowns; both
-trained models and exact solutions implement that interface.
+trained models and `ExactCandidate`, which reads the exact solutions from
+their source text, implement that interface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ValidationError
+from .errors import DomainError, EvaluationError, MissingExact, ValidationError
+from .expressions import derivative
 from .fractional import caputo_rule
 from .legendre import gauss_quadrature
 
@@ -37,7 +39,6 @@ __all__ = [
     "Equation",
     "SideCondition",
     "DaeProblem",
-    "ExactSolution",
     "ExactCandidate",
     "Field",
     "is_linear",
@@ -215,136 +216,72 @@ def residual_at(problem: DaeProblem, eq_index: int, candidate, point) -> float:
 # ---------------------------------------------------------------------------
 # Exact solutions as residual candidates
 
-
-# 4th-order central stencils, offsets symmetric about 0.
-_STENCILS = {
-    1: (np.arange(-2, 3), np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0),
-    2: (np.arange(-2, 3), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0),
-    3: (np.arange(-3, 4), np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0),
-    4: (np.arange(-3, 4), np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0),
-}
-
-
-@dataclass
-class ExactSolution:
-    """A known solution with optional analytic structure.
-
-    derivatives maps ("t", order) or ("x", order) to a callable with the
-    same signature as `value`.  `powers` is a list of (coefficient,
-    exponent) pairs describing value(t) = sum c * (t - base)^e, which makes
-    the Caputo derivative exact; it is only meaningful for interval
-    problems.
-    """
-
-    value: Callable
-    derivatives: dict = field(default_factory=dict)
-    powers: Optional[Sequence] = None
-
-
 class ExactCandidate:
-    """Adapter exposing exact solutions through the candidate interface.
+    """The problem's exact solutions, read from their text alone, as a candidate.
 
-    Analytic derivative and power-sum data are used when present; otherwise
-    derivatives fall back to finite differences and Caputo derivatives to a
-    Gauss-Jacobi quadrature of the singular integral.  Volterra integrals
-    use a square-root substitution so half-integer power behaviour at the
-    left endpoint is integrated exactly.
+    Derivatives are the text's symbolic derivatives, compiled once per
+    (unknown, variable, order).  Caputo derivatives and Volterra integrals
+    are Gauss rules in sigma after s = lo + tau sigma^2, tau = point - lo,
+    which makes half-integer powers at the left endpoint polynomials.
     """
 
-    def __init__(self, problem: DaeProblem, solutions: Sequence[ExactSolution], quad_nodes: int = 64):
-        if len(solutions) != problem.unknowns:
+    def __init__(self, problem: DaeProblem):
+        if problem.exact is None:
+            raise MissingExact("problem carries no exact solution")
+        if len(problem.exact) != problem.unknowns:
             raise ValidationError("one exact solution per unknown required")
+        if any(f.tag is None for f in problem.exact):
+            raise ValidationError("exact solutions need their source text; build with load_problem")
         self.problem = problem
-        self.solutions = list(solutions)
-        self._rule = gauss_quadrature(quad_nodes)
+        self._variables = ("x", "t") if problem.is_2d else ("t",)
+        self._derivatives = {}
+
+    def _args(self, point) -> tuple:
+        return tuple(point) if self.problem.is_2d else (point,)
 
     def value(self, u: int, point) -> float:
-        args = tuple(point) if self.problem.is_2d else (point,)
-        return float(self.solutions[u].value(*args))
+        return float(self.problem.exact[u](*self._args(point)))
 
     def apply_op(self, u: int, op: LinearOp, point) -> float:
-        sol = self.solutions[u]
         if isinstance(op, Identity):
             return self.value(u, point)
         if isinstance(op, Derivative):
-            return self._derivative(sol, op.var, op.order, point)
+            return self._derivative(u, op.var, op.order)(*self._args(point))
         if isinstance(op, Caputo):
-            return self._caputo(sol, op.alpha, point)
+            return self._caputo(u, op.alpha, point)
         if isinstance(op, VolterraIntegral):
-            return self._volterra(sol, op.kernel, point)
+            return self._volterra(u, op.kernel, point)
         raise ValidationError(f"unknown operator {op!r}")
 
-    # -- derivatives --------------------------------------------------
+    def _derivative(self, u: int, var: str, order: int):
+        key = (u, var, order)
+        if key not in self._derivatives:
+            text = self.problem.exact[u].tag
+            self._derivatives[key] = derivative(text, self._variables, var, order)
+        return self._derivatives[key]
 
-    def _derivative(self, sol: ExactSolution, var: str, order: int, point) -> float:
-        fn = sol.derivatives.get((var, order))
-        if fn is not None:
-            args = tuple(point) if self.problem.is_2d else (point,)
-            return float(fn(*args))
-        if sol.powers is not None and var == "t" and not self.problem.is_2d:
-            lo = self.problem.interval[0]
-            tau = point - lo
-            total = 0.0
-            for c, e in sol.powers:
-                factor = c
-                for i in range(order):
-                    factor *= e - i
-                if e - order < 0 and tau == 0.0:
-                    raise EvaluationError("derivative of fractional power at base point")
-                total += factor * tau ** (e - order) if factor else 0.0
-            return total
-        return self._fd_derivative(sol, var, order, point)
-
-    def _fd_derivative(self, sol: ExactSolution, var: str, order: int, point) -> float:
-        offsets, weights = _STENCILS[order]
-        h = (2.6e-16) ** (1.0 / (order + 4)) * 0.5
-        if self.problem.is_2d:
-            x, t = point
-            if var == "x":
-                samples = [sol.value(x + k * h, t) for k in offsets]
-            else:
-                samples = [sol.value(x, t + k * h) for k in offsets]
-        else:
-            samples = [sol.value(point + k * h) for k in offsets]
-        out = float(np.dot(weights, samples) / h**order)
-        if not math.isfinite(out):
-            raise EvaluationError(
-                "finite-difference derivative failed; supply an analytic derivative"
-            )
-        return out
-
-    # -- Caputo -------------------------------------------------------
-
-    def _caputo(self, sol: ExactSolution, alpha: float, point: float) -> float:
+    def _caputo(self, u: int, alpha: float, point: float) -> float:
+        # D^a u(x) = tau^(1-a) int_0^1 (1-sigma)^(-a) (1+sigma)^(-a) 2 sigma
+        # u'(lo + tau sigma^2) dsigma / Gamma(1-a), the Gauss-Jacobi rule
+        # carrying (1-sigma)^(-a) / Gamma(1-a)
         lo = self.problem.interval[0]
         tau = point - lo
         if tau < 0:
             raise DomainError("Caputo evaluation below base point")
         if tau == 0.0:
             return 0.0
-        if sol.powers is not None:
-            total = 0.0
-            for c, e in sol.powers:
-                if e <= 0:
-                    continue
-                total += c * math.gamma(e + 1) / math.gamma(e + 1 - alpha) * tau ** (e - alpha)
-            return total
-        fractions, weights = caputo_rule(alpha, 32)
-        acc = 0.0
-        for f, w in zip(fractions, weights):
-            acc += w * self._derivative(sol, "t", 1, lo + tau * f)
-        return tau ** (1.0 - alpha) * acc
+        sigma, weights = caputo_rule(alpha, 32)
+        du = self._derivative(u, "t", 1)
+        slopes = [du(lo + tau * si * si) for si in sigma]
+        return tau ** (1.0 - alpha) * float(np.dot(weights * (1.0 + sigma) ** -alpha * 2.0 * sigma, slopes))
 
-    # -- Volterra -----------------------------------------------------
-
-    def _volterra(self, sol: ExactSolution, kernel: Field, point: float) -> float:
+    def _volterra(self, u: int, kernel: Field, point: float) -> float:
         lo = self.problem.interval[0]
         length = point - lo
         if length <= 0.0:
             return 0.0
-        # s = lo + length * sigma^2 turns sqrt-type behaviour at lo into a
-        # polynomial in sigma; Gauss on [0, 1] in sigma.
-        sigma, w = self._rule.mapped(0.0, 1.0)
+        sigma, w = gauss_quadrature(64).mapped(0.0, 1.0)
         s = lo + length * sigma**2
-        vals = np.array([kernel(point, si) * sol.value(si) for si in s])
+        exact = self.problem.exact[u]
+        vals = np.array([kernel(point, si) * exact(si) for si in s])
         return float(np.sum(w * vals * 2.0 * length * sigma))

@@ -23,8 +23,9 @@ or expression strings over the fixed vocabulary in `expressions.FUNCTIONS`.
 In rectangle problems a side condition pins a t-slice: "x" is a number or
 "*" (every x collocation node) and "value" may be an expression in x.
 
-Numbers must be JSON numbers, and "unknowns", "target" and "order" integers;
-a refusal names the field ("domain.lo").  Each real number and expression is
+Numbers must be JSON numbers, "unknowns", "target" and "order" integers,
+and "equations", "terms", "side_conditions" and "exact" lists; a refusal
+names the field ("domain.lo").  Each real number and expression is
 built in one vocabulary, so one description gives the double-precision
 problem (`FLOAT`) and the extended-precision one (`MPF`).
 
@@ -65,6 +66,12 @@ def _real(value, where: str, vocabulary: Vocabulary, expected: str = "a number")
 def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list, got {value!r}")
     return value
 
 
@@ -133,11 +140,11 @@ def _build(data: dict, name: Optional[str] = None, vocabulary: Vocabulary = FLOA
 
     nl_vars = ("t",) + tuple(f"u{i + 1}" for i in range(unknowns))
     equations = []
-    for i, eq in enumerate(_require(data, "equations", where)):
+    for i, eq in enumerate(_list(_require(data, "equations", where), "equations")):
         eq_where = f"equations[{i}]"
         terms = tuple(
             _build_term(t, variables, f"{eq_where}.terms[{j}]", vocabulary)
-            for j, t in enumerate(_require(eq, "terms", eq_where))
+            for j, t in enumerate(_list(_require(eq, "terms", eq_where), f"{eq_where}.terms"))
         )
         rhs = _field(_require(eq, "rhs", eq_where), variables, f"{eq_where}.rhs", vocabulary)
         nonlinear = None
@@ -148,7 +155,7 @@ def _build(data: dict, name: Optional[str] = None, vocabulary: Vocabulary = FLOA
         equations.append(Equation(terms=terms, rhs=rhs, nonlinear=nonlinear))
 
     side = []
-    for i, sc in enumerate(data.get("side_conditions", [])):
+    for i, sc in enumerate(_list(data.get("side_conditions", []), "side_conditions")):
         sc_where = f"side_conditions[{i}]"
         target = _integer(_require(sc, "target", sc_where), f"{sc_where}.target")
         order = _integer(sc.get("order", 0), f"{sc_where}.order")
@@ -169,7 +176,8 @@ def _build(data: dict, name: Optional[str] = None, vocabulary: Vocabulary = FLOA
     exact = None
     if data.get("exact") is not None:
         exact = tuple(
-            _field(e, variables, f"exact[{i}]", vocabulary) for i, e in enumerate(data["exact"])
+            _field(e, variables, f"exact[{i}]", vocabulary)
+            for i, e in enumerate(_list(data["exact"], "exact"))
         )
 
     problem = DaeProblem(

@@ -18,7 +18,7 @@ from daesvr.benchmarks import (
     write_csv,
     write_plot_data,
 )
-from daesvr.errors import SelfCheckError, ValidationError
+from daesvr.errors import MissingExact, SelfCheckError, ValidationError
 from daesvr.schema import load_problem
 
 
@@ -81,6 +81,21 @@ class TestSelfCheck:
         broken = load_problem(json.dumps(data))
         with pytest.raises(SelfCheckError, match="equation"):
             self_check("example1", broken, PROBES_1D)
+
+    def test_detects_broken_exact_solution_text(self):
+        # u1 of example5 enters its equations only through du1/dt, so only
+        # a derivative taken from the text itself sees the slip
+        data = load_problem("example5").source
+        data["exact"][0] = "pow(x,2)*exp(-2*t)"
+        broken = load_problem(json.dumps(data))
+        with pytest.raises(SelfCheckError, match="equation 1"):
+            self_check("example5", broken, CASES["example5"].probes)
+
+    def test_needs_an_exact_solution(self):
+        data = load_problem("example1").source
+        del data["exact"]
+        with pytest.raises(MissingExact):
+            self_check("example1", load_problem(json.dumps(data)), PROBES_1D)
 
 
 class TestSweep:

@@ -159,6 +159,31 @@ class TestSolve:
         assert err.count("\n") == 1 and err.startswith("solve: side_conditions[0].target: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("equations",), 7),
+            (("equations", 0, "terms"), 3),
+            (("side_conditions",), 5),
+            (("exact",), 7),
+            (("exact",), "t"),
+            (("exact",), "sin(t)"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v),
+    )
+    def test_field_that_is_not_a_list_is_named(self, tmp_path, capsys, path, value):
+        data = json.loads(json.dumps(OSCILLATOR))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        where = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+        assert main(["solve", "--file", problem_file(tmp_path, data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"solve: {where}: expected a list, got ")
+        assert "Traceback" not in err
+
     def test_without_exact_rejects_error_tables(self, tmp_path, capsys):
         data = json.loads(json.dumps(OSCILLATOR))
         del data["exact"]

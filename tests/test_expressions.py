@@ -1,10 +1,12 @@
 import math
+import re
 
+import mpmath
 import pytest
 from numpy.testing import assert_allclose
 
 from daesvr.errors import EvaluationError, ParseError
-from daesvr.expressions import FUNCTIONS, compile_expression
+from daesvr.expressions import FUNCTIONS, MPF, compile_expression, derivative
 
 
 class TestCompile:
@@ -67,6 +69,8 @@ class TestRejections:
             "unknown_fn(t)",
             "y + 1",
             "pow(t, exponent=2)",
+            "pow(t)",
+            "sin(t, 1)",
             "'abc'",
             "t +",
             "",
@@ -107,3 +111,72 @@ class TestEvaluationFailures:
 
     def test_defined_values_unchanged(self):
         assert compile_expression("sqrt(t - 0.5)", ("t",))(0.75) == math.sqrt(0.25)
+
+
+class TestDerivative:
+    # every rule: sum, difference, product, quotient, unary signs, ** and
+    # pow with constant exponents, each function of the vocabulary, gamma
+    # of a constant, and constant denominators
+    TEXTS = [
+        "t*sin(t)",
+        "tan(t)",
+        "tan(t/2)",
+        "exp(-t/2)*t",
+        "t*cos(t) - sec(t)",
+        "sqrt(1 + t*t)",
+        "pow(t,2.5) + t**3",
+        "-exp(t) + +sin(3*t)",
+        "1/(2 + cos(t))",
+        "sin(t)/(1 + t)",
+        "gamma(3.5)/gamma(3)*pow(t,1.5)",
+        "pow(sin(t), 3)",
+        "pi*exp(e*t)",
+        "2*t + pow(t,4)",
+        "sqrt(t)*t",
+    ]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matches_numerical_derivative(self, text, order):
+        fn = compile_expression(text, ("t",), MPF)
+        d = derivative(text, ("t",), "t", order)
+        for t in (0.3, 0.9):
+            with mpmath.workdps(40):
+                want = mpmath.diff(fn, mpmath.mpf(t), order)
+            assert_allclose(d(t), float(want), rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "var, order, want",
+        [
+            ("x", 1, lambda x, t: 2 * x * math.sin(t)),
+            ("x", 2, lambda x, t: 2 * math.sin(t)),
+            ("x", 3, lambda x, t: 0.0),
+            ("t", 1, lambda x, t: x * x * math.cos(t)),
+            ("t", 2, lambda x, t: -x * x * math.sin(t)),
+        ],
+    )
+    def test_partial_derivatives_of_a_rectangle_field(self, var, order, want):
+        d = derivative("pow(x,2)*sin(t)", ("x", "t"), var, order)
+        assert_allclose(d(0.3, 0.7), want(0.3, 0.7), rtol=1e-15)
+
+    @pytest.mark.parametrize("text", ["pow(2,t)", "t**t", "pow(t, sin(t))", "gamma(t)", "gamma(2*t)"])
+    def test_refuses_what_the_rules_do_not_cover(self, text):
+        with pytest.raises(ParseError, match=re.escape(repr(text))):
+            derivative(text, ("t",), "t")
+
+    def test_constant_parts_need_no_rule(self):
+        # an exponent or gamma argument free of the variable is a constant
+        assert derivative("gamma(t)*x + pow(2,t)", ("x", "t"), "x")(0.5, 0.25) == math.gamma(0.25)
+
+    def test_unknown_variable(self):
+        with pytest.raises(ParseError, match="'x'"):
+            derivative("sin(t)", ("t",), "x")
+
+    def test_text_is_checked(self):
+        with pytest.raises(ParseError):
+            derivative("t.__class__", ("t",), "t")
+
+    def test_evaluation_failure_names_the_text(self):
+        d = derivative("sqrt(t)", ("t",), "t")
+        with pytest.raises(EvaluationError, match=re.escape("'sqrt(t)'")):
+            d(0.0)

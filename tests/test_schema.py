@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from daesvr.errors import ParseError, ValidationError
-from daesvr.model import ExactCandidate, ExactSolution, residual_at
+from daesvr.model import ExactCandidate, residual_at
 from daesvr.schema import (
     BUILTIN_PROBLEMS,
     builtin_names,
@@ -144,8 +144,8 @@ class TestRoundTrip:
         # produce identical residuals
         p = load_problem(name)
         q = load_problem(serialize_problem(p))
-        cand_p = ExactCandidate(p, [ExactSolution(value=f) for f in p.exact])
-        cand_q = ExactCandidate(q, [ExactSolution(value=f) for f in q.exact])
+        cand_p = ExactCandidate(p)
+        cand_q = ExactCandidate(q)
         rng = np.random.default_rng(5)
         for _ in range(3):
             if p.is_2d:
@@ -245,6 +245,14 @@ class TestRejections:
             (("equations", 1, "terms", 0, "coeff"), None),
             (("equations", 1, "rhs"), False),
             (("exact", 0), [1]),
+            (("equations",), 7),
+            (("equations",), {"terms": []}),
+            (("equations", 0, "terms"), 3),
+            (("side_conditions",), 5),
+            (("side_conditions",), None),
+            (("exact",), 7),
+            (("exact",), "t"),
+            (("exact",), "sin(t)"),
         ],
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v),
     )
