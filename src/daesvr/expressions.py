@@ -125,27 +125,40 @@ def _function(tree: ast.Expression, variables: tuple, vocabulary: Vocabulary, la
     result = vocabulary.result
 
     def fn(*args):
-        local = dict(zip(variables, args))
+        local = dict(zip(variables, map(result, args)))
         try:
-            return result(eval(code, namespace, local))
+            value = result(eval(code, namespace, local))
         except (ValueError, ArithmeticError) as err:
-            at = ", ".join(f"{v}={a}" for v, a in local.items())
-            raise EvaluationError(f"cannot evaluate {label} at {at}: {err}") from err
+            raise EvaluationError(f"cannot evaluate {label} at {_at(local)}: {err}") from err
+        except TypeError as err:  # a complex value, which `result` and real functions refuse
+            raise EvaluationError(
+                f"cannot evaluate {label} at {_at(local)}: the value is not real"
+            ) from err
+        if value - value:  # nonzero only for inf and nan
+            raise EvaluationError(f"cannot evaluate {label} at {_at(local)}: the value is {value}")
+        return value
 
     return fn
+
+
+def _at(local: dict) -> str:
+    return ", ".join(f"{v}={a}" for v, a in local.items())
 
 
 def compile_expression(text: str, variables: tuple, vocabulary: Vocabulary = FLOAT):
     """Compile `text` to a function of the named `variables`.
 
-    The function evaluates with `vocabulary`'s functions and constants and
-    returns `vocabulary.result` of the value (a float by default).
+    The function converts its arguments to `vocabulary.result` (a float by
+    default, so numpy scalars compute as Python floats), evaluates with
+    `vocabulary`'s functions and constants and returns `vocabulary.result`
+    of the value.
 
     Raises ParseError for syntax errors, unknown names, or any construct
     outside the arithmetic/function whitelist.  The returned function
     raises EvaluationError, naming the text and its arguments, where the
     value is undefined (a math domain error, a division by zero, an
-    overflow).
+    overflow) or is not a finite real number (a fractional power of a
+    negative base, an infinity).
     """
     return _function(_parse(text, variables, vocabulary), variables, vocabulary, repr(text))
 

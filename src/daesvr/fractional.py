@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, GridError
 from .legendre import BasisSpec, legendre_table, shift_to_canonical
@@ -80,6 +79,8 @@ def caputo_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"Gauss-Jacobi Caputo rule requires 0 < alpha < 1, got {alpha}")
+    from scipy.special import roots_jacobi  # here, so problems without Caputo terms never load it
+
     z, w = roots_jacobi(nodes, -alpha, 0.0)
     fractions = 0.5 * (z + 1.0)
     weights = w * 2.0 ** (alpha - 1.0) / gamma_fn(1.0 - alpha)

@@ -149,6 +149,17 @@ class TestSolve:
         assert err.count("\n") == 1
         assert "'sqrt(t-0.5)'" in err and "math domain error" in err
 
+    def test_complex_expression_value_is_named(self, tmp_path, capsys):
+        # a fractional power of a negative base was a NaN that ended in a
+        # scipy traceback; it is refused like the sqrt of a negative number
+        data = json.loads(json.dumps(OSCILLATOR))
+        data["equations"][0]["rhs"] = "(t-0.5)**0.5"
+        path = problem_file(tmp_path, data)
+        assert main(["solve", "--file", path, "--m", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'(t-0.5)**0.5'" in err and "the value is not real" in err
+
     def test_malformed_number_is_named(self, tmp_path, capsys):
         data = json.loads(json.dumps(OSCILLATOR))
         data["side_conditions"][0]["target"] = "0"

@@ -2,11 +2,12 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from daesvr.errors import EvaluationError, ParseError
-from daesvr.expressions import FUNCTIONS, MPF, compile_expression, derivative
+from daesvr.expressions import FLOAT, FUNCTIONS, MPF, compile_expression, derivative
 
 
 class TestCompile:
@@ -108,6 +109,22 @@ class TestEvaluationFailures:
         assert repr(text) in message
         for name, value in zip(variables, args):
             assert f"{name}={value}" in message
+
+    @pytest.mark.parametrize("vocabulary", [FLOAT, MPF], ids=["float", "mpf"])
+    @pytest.mark.parametrize("arg", [-1.0, np.float64(-1.0), mpmath.mpf(-1)], ids=type)
+    def test_complex_value_is_named(self, vocabulary, arg):
+        # a negative base to a fractional power is complex, not a raw TypeError
+        # (nor, on a numpy float, a NaN with a RuntimeWarning)
+        with pytest.raises(EvaluationError, match=r"'t\*\*0\.5' at t=-1\.0: the value is not real"):
+            compile_expression("t**0.5", ("t",), vocabulary)(arg)
+
+    @pytest.mark.parametrize(
+        "text, arg, reason",
+        [("t*1e308*10", np.float64(1.0), "the value is inf"), ("1/t", np.float64(0.0), "division")],
+    )
+    def test_numpy_arguments_fail_like_floats(self, text, arg, reason):
+        with pytest.raises(EvaluationError, match=reason):
+            compile_expression(text, ("t",))(arg)
 
     def test_defined_values_unchanged(self):
         assert compile_expression("sqrt(t - 0.5)", ("t",))(0.75) == math.sqrt(0.25)

@@ -82,6 +82,22 @@ HEAT = json.dumps(
 )
 
 
+@pytest.fixture(scope="module", params=[6, 8])
+def example5(request):
+    """The example5 interpolant at 40 digits and the square system (A, b) it solved."""
+    seen = {}
+
+    def recording(A, b):
+        seen["system"] = A, b
+        return solve_square(A, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(highprec, "solve_square", recording)
+        config = SolverConfig(m=request.param)
+        model = solve_interpolant(load_problem("example5"), config, digits=40)
+    return (model, *seen["system"])
+
+
 @pytest.fixture(scope="module")
 def coarse():
     return solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6), digits=40)
@@ -151,21 +167,30 @@ class TestRectangle:
         model = solve_interpolant(load_problem(text), SolverConfig(m=6), digits=40)
         assert max(abs_errors(model, probes)) <= 1e-30
 
-    @pytest.mark.parametrize("m", [6, 8])
-    def test_square_system_residual_is_tiny(self, m):
-        model = solve_interpolant(load_problem("example5"), SolverConfig(m=m), digits=40)
+    def test_square_system_residual_is_tiny(self, example5):
+        model, _, _ = example5
         assert model.residual_inf <= 1e-35
 
+    def test_residual_is_the_exact_one_of_the_weights(self, example5):
+        # A w - y recomputed with 3000 bits: the reported residual must carry
+        # its digits, not a dot product rounded to working precision first
+        model, A, b = example5
+        with mp.workprec(3000):
+            exact = [mpmath.fsum(a * w for a, w in zip(row, model.weights.ravel())) - b_i
+                     for row, b_i in zip(A, b)]
+            want = max(abs(r) for r in exact)
+            assert abs(mpf(model.residual_inf) - want) <= 1e-3 * want
 
-def lu_reference(A, b, digits):
+
+def lu_reference(A, b, digits, extra=20):
     """The square solve as mp.lu_solve computes it, in the same mpf entries.
 
     mp.lu_solve rounds at working precision, so on a system with condition
     near 1e16 (the 12x12 Hilbert matrix) its own error is about 1e-30 at 40
-    digits.  It runs here with 20 more digits so that the reference is exact
-    to well below the tolerance the solver under test is held to.
+    digits.  It runs here with `extra` more digits so that the reference is
+    exact to well below the tolerance the solver under test is held to.
     """
-    with workdps(digits + 20):
+    with workdps(digits + extra):
         w = mp.lu_solve(mp.matrix([list(row) for row in A]), mp.matrix(list(b)))
         return [w[i] for i in range(len(b))]
 
@@ -174,14 +199,50 @@ def rel_max_diff(got, ref):
     return max(abs(g - r) for g, r in zip(got, ref)) / max(abs(r) for r in ref)
 
 
+def hilbert(n):
+    return [[mpf(1) / (i + j + 1) for j in range(n)] for i in range(n)]
+
+
+def block_sparse():
+    """A 12x12 system of three 4x4 Hilbert blocks with their rows rotated,
+    so partial pivoting swaps rows, and two rows coupled into block 0, so
+    some multipliers of a column are nonzero and the rest are zero.  The
+    zeros are Python ints, as in the assembled Z."""
+    A = [[0] * 12 for _ in range(12)]
+    for block in range(3):
+        for i in range(4):
+            for j in range(4):
+                A[4 * block + (i + 1) % 4][4 * block + j] = mpf(1) / (i + j + block + 1)
+    A[6][1] = mpf(2) / 3
+    A[9][2] = mpf(-5) / 7
+    return A, [mpf(i + 1) / 3 for i in range(12)]
+
+
 class TestSquareSolve:
     def test_hilbert_matches_lu_solve(self):
         digits = 40
         with workdps(digits):
-            A = [[mpf(1) / (i + j + 1) for j in range(12)] for i in range(12)]
+            A = hilbert(12)
             b = [mpf(1)] * 12
-            got = solve_square(A, b)
+            got, _ = solve_square(A, b)
         assert rel_max_diff(got, lu_reference(A, b, digits)) <= mpf(10) ** (5 - digits)
+
+    def test_correction_reaches_working_precision(self):
+        # the first solve alone is off by about 8.5e-39; only the correction
+        # from the exact residual brings it under 2e-39
+        digits = 40
+        with workdps(digits):
+            A = hilbert(32)
+            b = [mpf(1)] * 32
+            got, _ = solve_square(A, b)
+        assert rel_max_diff(got, lu_reference(A, b, digits, extra=160)) <= 2e-39
+
+    def test_block_sparse_with_row_swaps_matches_lu_solve(self):
+        digits = 40
+        with workdps(digits):
+            A, b = block_sparse()
+            got, _ = solve_square(A, b)
+        assert rel_max_diff(got, lu_reference(A, b, digits)) <= 1e-35
 
     def test_assembled_rectangle_matches_lu_solve(self, monkeypatch):
         digits = 40
@@ -189,8 +250,8 @@ class TestSquareSolve:
 
         def recording(A, b):
             seen["system"] = A, b
-            seen["weights"] = solve_square(A, b)
-            return seen["weights"]
+            seen["weights"], residual = solve_square(A, b)
+            return seen["weights"], residual
 
         monkeypatch.setattr(highprec, "solve_square", recording)
         solve_interpolant(load_problem("example5"), SolverConfig(m=4), digits=digits)
@@ -206,6 +267,30 @@ class TestSquareSolve:
             with pytest.raises(SingularSystem, match="zero pivot") as info:
                 solve_square(A, [mpf(1)] * 5)
         assert isinstance(info.value, DaeSvrError)
+
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_entries_are_refused(self, where, value):
+        with workdps(40):
+            A, b = hilbert(3), [mpf(1)] * 3
+            (A[1] if where == "matrix" else b)[2] = mpf(value)
+            with pytest.raises(ValidationError, match="finite"):
+                solve_square(A, b)
+
+    def test_dependent_sparse_rows_raise_singular_system(self):
+        # row 3 is row 0 + row 1 in a sparse pattern: only elimination shows
+        # it, leaving an exact zero row that no later column can pivot on
+        with workdps(40):
+            A = [
+                [mpf(2), 0, mpf(1), 0, 0, mpf(3)],
+                [0, mpf(1), 0, 0, mpf(2), 0],
+                [0, 0, 0, mpf(4), 0, mpf(1)],
+                [mpf(2), mpf(1), mpf(1), 0, mpf(2), mpf(3)],
+                [0, 0, mpf(3), 0, 0, 0],
+                [mpf(1), 0, 0, 0, 0, mpf(-1)],
+            ]
+            with pytest.raises(SingularSystem, match="zero pivot"):
+                solve_square(A, [mpf(1)] * 6)
 
 
 class TestRejections:
