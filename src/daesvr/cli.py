@@ -71,8 +71,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         metavar="analytic|l1:<gridsize>",
         help="how Caputo terms are discretized (default analytic)",
     )
-    p.add_argument("--bias", action="store_true", help="include per-unknown bias terms")
-    p.add_argument("--hard-ic", action="store_true", help="weight initial conditions strongly")
     p.add_argument("--quadrature-nodes", type=int, default=None, help="Gauss nodes for integral terms")
     p.add_argument("--out", default=None, metavar="PATH", help="write the error table as CSV")
     p.add_argument("--plot-data", default=None, metavar="PATH", help="write dense absolute-error series as CSV")
@@ -119,10 +117,6 @@ def _config_overrides(args) -> dict:
         over["fractional_scheme"] = scheme
         if grid is not None:
             over["l1_grid"] = grid
-    if args.bias:
-        over["include_bias"] = True
-    if args.hard_ic:
-        over["hard_ic"] = True
     if args.quadrature_nodes is not None:
         over["quadrature_nodes"] = args.quadrature_nodes
     return over

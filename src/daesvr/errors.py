@@ -49,10 +49,6 @@ class NotPositiveDefinite(DaeSvrError):
     """A matrix expected to be symmetric positive definite is not."""
 
 
-class SingularSchur(DaeSvrError):
-    """The bias Schur complement is singular; biases are not identifiable."""
-
-
 class SingularSystem(DaeSvrError):
     """A square system has a zero pivot after row equilibration."""
 

@@ -13,8 +13,7 @@ any degree.  `caputo_table` evaluates the whole basis at every point with one
 Legendre table over all quadrature nodes.
 
 The L1 scheme is a piecewise-linear quadrature of the Caputo integral on a
-uniform grid; its truncation order is 2 - a.  `caputo_monomial` is the
-closed form for t^k, kept as a reference.
+uniform grid; its truncation order is 2 - a.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .legendre import BasisSpec, legendre_table, shift_to_canonical
 __all__ = [
     "L1Grid",
     "gamma_fn",
-    "caputo_monomial",
     "caputo_rule",
     "caputo_table",
     "caputo_l1",
@@ -46,26 +44,6 @@ def gamma_fn(z: float) -> float:
     if not z > 0.0:
         raise DomainError(f"gamma_fn requires z > 0, got {z}")
     return math.gamma(z)
-
-
-def _check_analytic_order(alpha: float) -> None:
-    if not alpha > 0.0 or float(alpha).is_integer():
-        raise DomainError(f"fractional order must be positive and non-integer, got {alpha}")
-
-
-def caputo_monomial(k: int, alpha: float, x: float) -> float:
-    """Caputo derivative of order alpha of t^k, base point 0, evaluated at x.
-
-    Powers below ceil(alpha) are annihilated.
-    """
-    _check_analytic_order(alpha)
-    if k < 0:
-        raise DomainError("monomial power must be non-negative")
-    if x < 0.0:
-        raise DomainError(f"evaluation point must be >= 0, got {x}")
-    if k < math.ceil(alpha):
-        return 0.0
-    return gamma_fn(k + 1) / gamma_fn(k + 1 - alpha) * x ** (k - alpha)
 
 
 @lru_cache(maxsize=64)

@@ -13,8 +13,7 @@ balance, the same rule the regular solver uses) in software floats.  That is
 the limit of the regularized estimator as gamma grows without bound, so the
 result is the interpolant the dual solve approaches but cannot reach in
 double precision.  Only identity and derivative operators are supported;
-fractional and integral terms stay on the double precision path, and there
-are no bias terms.
+fractional and integral terms stay on the double precision path.
 
 The system is the regular solver's own: `schema` builds the problem from
 its source description with the `MPF` vocabulary, so the domain, side
@@ -220,8 +219,6 @@ def solve_interpolant(
             "extended-precision solve rebuilds the problem from its source "
             "description; build the problem with load_problem"
         )
-    if config.include_bias:
-        raise ValidationError("extended-precision solve has no bias terms")
     reason = _unsupported(problem)
     if reason is not None:
         raise ValidationError(reason)
@@ -240,7 +237,6 @@ def solve_interpolant(
         w, errors = solve_square(A, y)
     return InterpolantModel(
         weights=np.array(w, dtype=object).reshape(ctx.k, ctx.D),
-        biases=None,
         alpha=None,
         errors=errors,
         problem=problem,

@@ -2,7 +2,7 @@
 
 Each unknown is approximated in a shifted Legendre basis,
 
-    u_i(t) ~ sum_j w[i, j] phi_j(t) + b_i            (b_i optional, default off)
+    u_i(t) ~ sum_j w[i, j] phi_j(t)
 
 and every equation is collocated at the mapped roots of P_m.  Collecting the
 constraint residuals e and minimizing
@@ -15,10 +15,9 @@ problem
     (Omega + I/gamma) alpha = y,        Omega = Z^T Z,   w = Z alpha,
 
 where column c of the feature matrix Z holds the equation's linear operator
-applied to every basis function at collocation point c.  With biases the
-dual picks up a bordered block: V alpha = 0 and (Omega + I/gamma) alpha +
-V^T b = y, solved by elimination and a k x k Schur complement.  Side
-conditions (initial values and derivatives) enter as extra constraint
+applied to every basis function at collocation point c.  A constant offset
+needs no term of its own: phi_0 = P_0 = 1, so it is the P_0 coefficient.
+Side conditions (initial values and derivatives) enter as extra constraint
 columns under the same regularization.
 
 Nonlinear equations keep the same objective but with residuals that are no
@@ -44,7 +43,6 @@ from .errors import (
     NonConvergence,
     NotPositiveDefinite,
     ShapeError,
-    SingularSchur,
     ValidationError,
 )
 from .fractional import caputo_l1_table, caputo_table
@@ -81,7 +79,6 @@ __all__ = [
 
 _to_mpf = np.frompyfunc(mpf, 1, 1)
 
-HARD_IC_SCALE = 1e3
 TINY_EXACT = 1e-14
 GN_DAMPING = 1e-3  # starting Levenberg parameter of gauss_newton
 GN_OBJECTIVE_RTOL = 1e-13  # relative objective change that ends gauss_newton
@@ -101,11 +98,9 @@ class SolverConfig:
     m: int = 10
     degree: Optional[int] = None
     gamma: float = 100.0
-    include_bias: bool = False
     fractional_scheme: str = "analytic"
     l1_grid: int = 400
     quadrature_nodes: int = 32
-    hard_ic: bool = False
     max_iters: int = 50
 
     def __post_init__(self):
@@ -161,10 +156,9 @@ class CollocationGrid:
 
 @dataclass(frozen=True)
 class DualSystem:
-    """The saddle data: Omega = Z^T Z, bias row block V, targets y, gamma."""
+    """The dual data: Omega = Z^T Z, targets y, gamma."""
 
     omega: np.ndarray
-    v: Optional[np.ndarray]
     y: np.ndarray
     gamma: float
 
@@ -217,7 +211,6 @@ class _Side:
     point: object
     order: int
     value: float
-    scale: float
 
 
 class _Context:
@@ -250,16 +243,15 @@ class _Context:
 
     def _expand_side_conditions(self):
         out = []
-        scale = HARD_IC_SCALE if self.config.hard_ic else 1.0
         for sc in self.problem.side_conditions:
             if self.problem.is_2d:
                 x, t = sc.point
                 xs = self.grid.x_nodes if x is None else [x]
                 for xi in xs:
                     value = sc.value(xi) if callable(sc.value) else sc.value
-                    out.append(_Side(sc.target, (xi, t), sc.order, value, scale))
+                    out.append(_Side(sc.target, (xi, t), sc.order, value))
             else:
-                out.append(_Side(sc.target, sc.point, sc.order, sc.value, scale))
+                out.append(_Side(sc.target, sc.point, sc.order, sc.value))
         return out
 
     # -- basis rows -----------------------------------------------------
@@ -286,8 +278,7 @@ class _Context:
     def operator_matrix(self, op, points) -> np.ndarray:
         """(n_points, D) matrix of (L phi_j)(point), one table per operator.
 
-        Column 0 is (L 1)(point), since phi_0 = P_0 = 1 on every axis: that
-        is what a bias term contributes through L.
+        Column 0 is (L 1)(point), since phi_0 = P_0 = 1 on every axis.
         """
         pts = np.asarray(points)
         if self.problem.is_2d:
@@ -333,14 +324,13 @@ class _Context:
         return self._grid_matrices[op]
 
     def side_rows(self) -> np.ndarray:
-        """(n_sides, D): each side condition's scaled operator row, which
-        fills its target unknown's block of the constraint column."""
+        """(n_sides, D): each side condition's operator row, which fills its
+        target unknown's block of the constraint column."""
         rows = np.zeros((len(self.sides), self.D), dtype=self.grid.points.dtype)
         for order in sorted({s.order for s in self.sides}):
             op = Identity() if order == 0 else Derivative(order, "t")
             idx = [i for i, s in enumerate(self.sides) if s.order == order]
-            scale = np.array([self.sides[i].scale for i in idx])
-            rows[idx] = scale[:, None] * self.operator_matrix(op, [self.sides[i].point for i in idx])
+            rows[idx] = self.operator_matrix(op, [self.sides[i].point for i in idx])
         return rows
 
     def constraints(self):
@@ -365,7 +355,7 @@ class _Context:
         for s_idx, (side, row) in enumerate(zip(self.sides, self.side_rows())):
             c = self.k * n_grid + s_idx
             Z[side.target * D : (side.target + 1) * D, c] = row
-            y[c] = side.scale * side.value
+            y[c] = side.value
         return Z, y
 
 
@@ -380,18 +370,9 @@ def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
         raise ValidationError("assemble expects a linear problem; use gauss_newton")
     ctx = _Context(problem, grid, config)
     Z, y = ctx.constraints()
-    # phi_0 = 1, so each unknown's P_0 row of Z is what its bias contributes
-    V = Z[:: ctx.D].copy() if config.include_bias else None
-
     omega = Z.T @ Z
     omega = 0.5 * (omega + omega.T)
-    dual = DualSystem(
-        omega=omega,
-        v=V,
-        y=y,
-        gamma=config.gamma,
-    )
-    return Z, dual
+    return Z, DualSystem(omega=omega, y=y, gamma=config.gamma)
 
 
 def _refined_solver(H: np.ndarray):
@@ -422,9 +403,9 @@ def _refined_solver(H: np.ndarray):
 def solve_linear(
     dual: DualSystem,
     Z: np.ndarray,
-    problem: Optional[DaeProblem] = None,
-    grid: Optional[CollocationGrid] = None,
-    config: Optional[SolverConfig] = None,
+    problem: DaeProblem,
+    grid: CollocationGrid,
+    config: SolverConfig,
 ) -> "TrainedModel":
     """Solve the dual system and reconstruct primal weights w = Z alpha."""
     n_c = dual.y.size
@@ -433,35 +414,12 @@ def solve_linear(
             f"inconsistent dual system: omega {dual.omega.shape}, "
             f"Z {Z.shape}, y {dual.y.shape}"
         )
-    H = dual.omega + np.eye(n_c) / dual.gamma
-    hsolve = _refined_solver(H)
-    if dual.v is not None:
-        k = dual.v.shape[0]
-        X = hsolve(dual.v.T)
-        xy = hsolve(dual.y)
-        S = dual.v @ X
-        S = 0.5 * (S + S.T)
-        if np.linalg.matrix_rank(S, tol=1e-12 * max(1.0, float(np.abs(S).max()))) < k:
-            raise SingularSchur("bias block is rank deficient; biases not identifiable")
-        biases = np.linalg.solve(S, dual.v @ xy)
-        alpha = xy - X @ biases
-    else:
-        alpha = hsolve(dual.y)
-        biases = None
-    w = Z @ alpha
-    errors = -alpha / dual.gamma
-
-    ctx = None
-    if problem is not None:
-        ctx = _Context(problem, grid, config)
-        w = w.reshape(ctx.k, ctx.D)
-        if biases is None:
-            biases = np.zeros(ctx.k)
+    alpha = _refined_solver(dual.omega + np.eye(n_c) / dual.gamma)(dual.y)
+    ctx = _Context(problem, grid, config)
     return TrainedModel(
-        weights=w,
-        biases=biases,
+        weights=(Z @ alpha).reshape(ctx.k, ctx.D),
         alpha=alpha,
-        errors=errors,
+        errors=-alpha / dual.gamma,
         problem=problem,
         grid=grid,
         config=config,
@@ -492,8 +450,6 @@ def gauss_newton(
     one seen, attached) when the budget runs out.
     """
     problem.validate()
-    if config.include_bias:
-        raise ValidationError("bias terms are only supported on the linear path")
     if problem.is_2d:
         raise ValidationError("the Gauss-Newton path handles interval problems only")
     ctx = _Context(problem, grid, config)
@@ -562,7 +518,6 @@ def gauss_newton(
 
     model = TrainedModel(
         weights=w.reshape(k, D),
-        biases=np.zeros(k),
         alpha=-gamma * r,
         errors=r,
         problem=problem,
@@ -598,19 +553,13 @@ class TrainedModel:
     """
 
     weights: np.ndarray
-    biases: Optional[np.ndarray]
     alpha: Optional[np.ndarray]
     errors: np.ndarray
-    problem: Optional[DaeProblem] = None
-    grid: Optional[CollocationGrid] = None
-    config: Optional[SolverConfig] = None
+    problem: DaeProblem
+    grid: CollocationGrid
+    config: SolverConfig
+    _ctx: _Context = field(repr=False)
     iterations: int = 0
-    _ctx: Optional[_Context] = field(default=None, repr=False)
-
-    def _context(self) -> _Context:
-        if self._ctx is None:
-            raise ValidationError("model was trained without problem context")
-        return self._ctx
 
     def _arithmetic(self):
         """Context in which the model's numbers are computed."""
@@ -637,13 +586,10 @@ class TrainedModel:
         Each value is one table row dotted with the unknown's weights; a
         row-by-row dot keeps a value independent of the other points.
         """
-        ctx = self._context()
+        ctx = self._ctx
         with self._arithmetic():
             M = np.ascontiguousarray(ctx.operator_matrix(op, ctx.coordinates(points)))
-            out = np.array([[row @ w for row in M] for w in self.weights])
-            if self.biases is not None:
-                out = out + self.biases[:, None] * M[:, 0]
-        return out
+            return np.array([[row @ w for row in M] for w in self.weights])
 
     def evaluate(self, unknown: int, point) -> float:
         """Value of one unknown at one point."""
@@ -684,9 +630,9 @@ def report(model: TrainedModel, probes) -> ResidualReport:
     type, at coordinates of that type, then stored as floats.
     """
     problem = model.problem
-    if problem is None or problem.exact is None:
+    if problem.exact is None:
         raise MissingExact("problem carries no exact solution")
-    ctx = model._context()
+    ctx = model._ctx
     values = model._values(Identity(), probes)
     rows = []
     l2 = np.zeros(problem.unknowns)

@@ -275,3 +275,12 @@ class TestParser:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "example1", "--bias"], ["bench", "example1", "--hard-ic"]], ids=" ".join
+    )
+    def test_unknown_flag_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no case ran
+        assert f"unrecognized arguments: {argv[-1]}" in err

@@ -12,7 +12,6 @@ from daesvr.fractional import (
     L1Grid,
     caputo_l1,
     caputo_l1_table,
-    caputo_monomial,
     caputo_rule,
     caputo_table,
     gamma_fn,
@@ -24,6 +23,8 @@ from daesvr.legendre import (
     shift_from_canonical,
     shift_to_canonical,
 )
+
+from caputo_reference import caputo_monomial
 
 UNIT = BasisSpec(8, 0.0, 1.0)
 

@@ -307,10 +307,6 @@ class TestRejections:
         with pytest.raises(ValidationError, match="at least 15"):
             solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6), digits=10)
 
-    def test_bias_rejected(self):
-        with pytest.raises(ValidationError, match="bias"):
-            solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6, include_bias=True))
-
     def test_unbalanced_degree_rejected(self):
         # forcing extra basis functions breaks the square count
         with pytest.raises(ValidationError, match="counts balance"):

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from daesvr.errors import DomainError, EvaluationError, MissingExact, ValidationError
 from daesvr.expressions import compile_expression
-from daesvr.fractional import caputo_monomial
 from daesvr.model import (
     Caputo,
     DaeProblem,
@@ -22,6 +21,8 @@ from daesvr.model import (
     residual_at,
 )
 from daesvr.schema import load_problem
+
+from caputo_reference import caputo_monomial
 
 ONE = Field.constant(1.0)
 

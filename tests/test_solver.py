@@ -10,7 +10,6 @@ from daesvr.errors import (
     NonConvergence,
     NotPositiveDefinite,
     ShapeError,
-    SingularSchur,
     ValidationError,
 )
 import daesvr.fractional
@@ -21,7 +20,6 @@ from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
 from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral
 from daesvr.schema import load_problem
 from daesvr.solver import (
-    HARD_IC_SCALE,
     SolverConfig,
     DualSystem,
     _Context,
@@ -234,23 +232,16 @@ class TestDualSystem:
         assert model.block == model.weights.shape[1] == 9
 
     def test_shape_mismatch_rejected(self):
-        bad = DualSystem(omega=np.eye(3), v=None, y=np.ones(2), gamma=1.0)
+        bad = DualSystem(omega=np.eye(3), y=np.ones(2), gamma=1.0)
         with pytest.raises(ShapeError):
-            solve_linear(bad, np.eye(2))
+            solve_linear(bad, np.eye(2), self.problem, self.grid, self.config)
 
     def test_indefinite_matrix_rejected(self):
         bad = DualSystem(
-            omega=np.array([[0.0, 2.0], [2.0, 0.0]]), v=None,
-            y=np.ones(2), gamma=1e6,
+            omega=np.array([[0.0, 2.0], [2.0, 0.0]]), y=np.ones(2), gamma=1e6,
         )
         with pytest.raises(NotPositiveDefinite):
-            solve_linear(bad, np.eye(2))
-
-    def test_degenerate_bias_block_rejected(self):
-        dual = DualSystem(omega=np.eye(2), v=np.zeros((1, 2)),
-                          y=np.ones(2), gamma=10.0)
-        with pytest.raises(SingularSchur):
-            solve_linear(dual, np.eye(2))
+            solve_linear(bad, np.eye(2), self.problem, self.grid, self.config)
 
 
 class TestLinearSolve:
@@ -285,21 +276,6 @@ class TestLinearSolve:
             rep = report(solve(p, SolverConfig(m=m, gamma=1e8)), probes)
             worst[m] = max(r.rel_err for rows in rep.rows for r in rows)
         assert worst[10] < worst[4] / 100.0
-
-    def test_hard_conditions_tighten_the_pin(self):
-        soft = solve(oscillator(), SolverConfig(m=8, gamma=1e4, hard_ic=False))
-        hard = solve(oscillator(), SolverConfig(m=8, gamma=1e4, hard_ic=True))
-        soft_gap = abs(soft.evaluate(1, 0.0) - 1.0)
-        hard_gap = abs(hard.evaluate(1, 0.0) - 1.0)
-        assert soft_gap >= 1e-6
-        assert hard_gap <= 1e-8
-
-    def test_bias_variant_trains(self):
-        model = solve(oscillator(), SolverConfig(m=8, gamma=1e8, include_bias=True))
-        assert model.biases is not None
-        assert np.any(model.biases != 0.0)
-        for t in (0.2, 0.5, 0.9):
-            assert_allclose(model.evaluate(0, t), math.sin(t), atol=1e-7)
 
     def test_trained_model_applies_operators(self):
         model = solve(oscillator(), SolverConfig(m=8, gamma=1e8))
@@ -351,42 +327,11 @@ class TestOperatorTables:
         for op, want in cases:
             assert_allclose(ctx.operator_matrix(op, pts)[:, 0], want, atol=1e-15)
 
-    def test_bias_block_reads_column_zero(self):
-        # example2's operators applied to 1: its Volterra kernels are "1" and "1+s"
-        def on_one(op, t, lo):
-            if isinstance(op, Identity):
-                return np.ones_like(t)
-            if isinstance(op, VolterraIntegral):
-                return (t - lo) + (0.5 * (t**2 - lo**2) if op.kernel.tag == "1+s" else 0.0)
-            return np.zeros_like(t)
-
-        problem = load_problem("example2")
-        config = SolverConfig(m=8, include_bias=True)
-        grid = build_grid(problem, config)
-        _, dual = assemble(problem, grid, config)
-        n_grid, lo = len(grid), problem.interval[0]
-        want = np.zeros((problem.unknowns, problem.unknowns * n_grid))
-        for i, eq in enumerate(problem.equations):
-            for term in eq.terms:
-                coeff = np.array([term.coeff(t) for t in grid.points])
-                want[term.target, i * n_grid : (i + 1) * n_grid] += coeff * on_one(term.op, grid.points, lo)
-        assert_allclose(dual.v[:, : problem.unknowns * n_grid], want, atol=1e-13)
-
-    @pytest.mark.parametrize("name", ["example2", "example3", "example5"])
-    def test_bias_block_is_the_p0_row_of_z(self, name):
-        problem = load_problem(name)
-        config = SolverConfig(m=6, include_bias=True)
-        Z, dual = assemble(problem, build_grid(problem, config), config)
-        assert np.array_equal(dual.v, Z[:: Z.shape[0] // problem.unknowns])
-
-    def test_bias_block_side_columns(self):
-        # a value condition carries its scale into its target's bias row;
-        # the oscillator's two conditions are both values at t = 0
-        config = SolverConfig(m=6, include_bias=True, hard_ic=True)
-        _, dual = assemble(oscillator(), build_grid(oscillator(), config), config)
-        assert np.array_equal(dual.v[:, -2:], np.diag([HARD_IC_SCALE] * 2))
-
-    def test_bias_costs_no_extra_field_calls(self, monkeypatch):
+    @pytest.mark.parametrize("m", [8, 14])
+    def test_field_calls_are_per_point(self, monkeypatch, m):
+        # each term coefficient and right-hand side once per grid point, and
+        # each distinct Volterra kernel once per (point, quadrature node):
+        # 1080 calls at m = 8 and 1890 at m = 14, never one per basis function
         calls = {"field": 0}
         field_call = Field.__call__
 
@@ -394,20 +339,15 @@ class TestOperatorTables:
             calls["field"] += 1
             return field_call(self, *args)
 
-        monkeypatch.setattr(Field, "__call__", counted_field)
         problem = load_problem("example2")
-        counts = []
-        for include_bias in (False, True):
-            config = SolverConfig(m=8, include_bias=include_bias)
-            calls["field"] = 0
-            assemble(problem, build_grid(problem, config), config)
-            counts.append(calls["field"])
-        assert counts[0] == counts[1]
-
-    def test_bias_enters_apply_op_through_column_zero(self):
-        model = solve(oscillator(), SolverConfig(m=8, gamma=1e8, include_bias=True))
-        assert model.biases[0] != 0.0
-        assert_allclose(model.apply_op(0, Identity(), 0.4), model.evaluate(0, 0.4), rtol=1e-14)
+        config = SolverConfig(m=m)
+        grid = build_grid(problem, config)
+        terms = [term for eq in problem.equations for term in eq.terms]
+        volterra = {t.op for t in terms if isinstance(t.op, VolterraIntegral)}
+        monkeypatch.setattr(Field, "__call__", counted_field)
+        assemble(problem, grid, config)
+        per_point = len(terms) + len(problem.equations) + len(volterra) * config.quadrature_nodes
+        assert calls["field"] == len(grid) * per_point
 
     def test_l1_scheme_matches_analytic_table(self):
         ctx = self.context(SolverConfig(m=8, fractional_scheme="l1", l1_grid=4000))
@@ -478,12 +418,6 @@ class TestGaussNewton:
         best = exc.value.best
         assert best.iterations == 1
         assert best.weights.shape[0] == p.unknowns
-
-    def test_rejects_bias(self):
-        p = load_problem("example1")
-        config = SolverConfig(m=6, include_bias=True)
-        with pytest.raises(ValidationError, match="linear"):
-            gauss_newton(p, build_grid(p, config), config)
 
     def test_rejects_rectangle_problems(self):
         p = load_problem("example5")
