@@ -71,7 +71,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         metavar="analytic|l1:<gridsize>",
         help="how Caputo terms are discretized (default analytic)",
     )
-    p.add_argument("--quadrature-nodes", type=int, default=None, help="Gauss nodes for integral terms")
     p.add_argument("--out", default=None, metavar="PATH", help="write the error table as CSV")
     p.add_argument("--plot-data", default=None, metavar="PATH", help="write dense absolute-error series as CSV")
 
@@ -117,8 +116,6 @@ def _config_overrides(args) -> dict:
         over["fractional_scheme"] = scheme
         if grid is not None:
             over["l1_grid"] = grid
-    if args.quadrature_nodes is not None:
-        over["quadrature_nodes"] = args.quadrature_nodes
     return over
 
 

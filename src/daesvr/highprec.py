@@ -15,20 +15,21 @@ result is the interpolant the dual solve approaches but cannot reach in
 double precision.  Only identity and derivative operators are supported;
 fractional and integral terms stay on the double precision path.
 
-The system is the regular solver's own: `schema` builds the problem from
+The pipeline is the regular solver's own, `build_grid` -> `assemble` -> a
+kernel, with `solve_square` as the kernel: `schema` builds the problem from
 its source description with the `MPF` vocabulary, so the domain, side
 points and values, constant fields and every expression (exact solutions
-included) are `mpf`; the Gauss nodes are refined to working precision, and
-the solver's grid, Legendre tables and constraint builder run unchanged on
-numpy object arrays of `mpf`.  The square matrix is then Z^T.
+included) are `mpf`; `build_grid` refines the Gauss nodes of that mpf
+domain to working precision, and `assemble` runs unchanged on numpy object
+arrays of `mpf`.  The square matrix is then Z^T.
 
 The result is the regular solver's `TrainedModel` with `mpf` weights, an
-object array of shape (k, D); `InterpolantModel` adds only the working
-precision `digits`.  Evaluation and `solver.report` then run in `mpf` at
-those digits: one operator table per batch of points, taken at `mpf`
-coordinates, and the exact solutions in `mpf` too, so the reported errors
-carry no double-precision rounding.  `errors` holds the collocation
-residual A w - y.
+object array of shape (k, D), and the mpf problem it solved as `problem`;
+`InterpolantModel` adds only the working precision `digits`.  Evaluation
+and `solver.report` then run in `mpf` at those digits: one operator table
+per batch of points, taken at `mpf` coordinates, and the exact solutions in
+`mpf` too, so the reported errors carry no double-precision rounding.
+`errors` holds the collocation residual A w - y.
 
 The direct solve (`solve_square`) runs on Python integers only: each row
 is scaled by a power of two and read once from the entries' mpf mantissas
@@ -37,11 +38,10 @@ elimination with partial pivoting updates only the rows whose multiplier is
 nonzero (about a quarter on the rectangle, where Z is sparse); and the
 residual, an exact integer product of those row-scaled integers with the
 weights, drives one correction solve through the same factors and is
-returned as `errors`.  On
-the rectangle benchmark at 40 digits (n = 144, 240, 360 for m = 6, 8, 10)
-the solve takes about 0.1, 0.4 and 1.3 s on one core of a 2 vCPU VM, and a
-whole `solve_interpolant` about 0.2, 0.6 and 1.9 s; mpmath's LU solve took
-about 8 s at m = 6.
+returned as `errors`.  On the rectangle benchmark at 40 digits (n = 144,
+240, 360 for m = 6, 8, 10) the solve takes about 0.1, 0.4 and 1.3 s on one
+core of a 2 vCPU VM, and a whole `solve_interpolant` about 0.2, 0.6 and
+1.9 s; mpmath's LU solve took about 8 s at m = 6.
 """
 
 from __future__ import annotations
@@ -56,25 +56,11 @@ import mpmath
 
 from .errors import SingularSystem, ValidationError
 from .expressions import MPF
-from .legendre import gauss_quadrature, legendre_table
 from .model import Caputo, DaeProblem, VolterraIntegral, is_linear
 from .schema import _build
-from .solver import SolverConfig, TrainedModel, _Context, _grid_from_roots
+from .solver import SolverConfig, TrainedModel, assemble, build_grid
 
 __all__ = ["InterpolantModel", "solve_interpolant", "solve_square"]
-
-
-def _gauss_nodes(m: int) -> np.ndarray:
-    """Roots of P_m refined from double precision to working precision."""
-    s = np.array([mpf(r) for r in gauss_quadrature(m).nodes], dtype=object)
-    tol = mpf(10) ** (-mp.dps)
-    for _ in range(8):
-        tab = legendre_table(m + 1, s, 1)
-        step = tab[0][m] / tab[1][m]
-        s = s - step
-        if max(abs(step)) < tol:
-            break
-    return s
 
 
 @dataclass
@@ -208,7 +194,7 @@ def solve_interpolant(
     `problem` must come from `load_problem`.  Basis counts follow the same
     rule as the regular solver, which makes the linear system square; it is
     then solved directly rather than through the regularized dual, giving
-    the gamma -> infinity limit.
+    the gamma -> infinity limit.  The model's `problem` is the mpf rebuild.
     """
     if digits < 15:
         raise ValidationError(f"digits must be at least 15, got {digits}")
@@ -225,23 +211,20 @@ def solve_interpolant(
 
     with workdps(digits):
         mp_problem = _build(problem.source, problem.name, MPF)
-        ctx = _Context(mp_problem, _grid_from_roots(mp_problem, _gauss_nodes(config.m)), config)
-        n = ctx.n_constraints
-        if n != ctx.k * ctx.D:
+        grid = build_grid(mp_problem, config)
+        Z, y = assemble(mp_problem, grid, config)
+        if Z.shape[0] != Z.shape[1]:
             raise ValidationError(
-                f"collocation system is not square ({n} constraints, {ctx.k * ctx.D} "
+                f"collocation system is not square ({Z.shape[1]} constraints, {Z.shape[0]} "
                 "coefficients); adjust degree so counts balance"
             )
-        Z, y = ctx.constraints()
-        A = Z.T
-        w, errors = solve_square(A, y)
+        w, errors = solve_square(Z.T, y)
     return InterpolantModel(
-        weights=np.array(w, dtype=object).reshape(ctx.k, ctx.D),
+        weights=np.array(w, dtype=object).reshape(mp_problem.unknowns, -1),
         alpha=None,
         errors=errors,
-        problem=problem,
-        grid=ctx.grid,
+        problem=mp_problem,
+        grid=grid,
         config=config,
-        _ctx=ctx,
         digits=digits,
     )

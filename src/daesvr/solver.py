@@ -12,7 +12,7 @@ constraint residuals e and minimizing
 gives, after eliminating w and e from the optimality system, the dual
 problem
 
-    (Omega + I/gamma) alpha = y,        Omega = Z^T Z,   w = Z alpha,
+    (Z^T Z + I/gamma) alpha = y,        w = Z alpha,
 
 where column c of the feature matrix Z holds the equation's linear operator
 applied to every basis function at collocation point c.  A constant offset
@@ -20,10 +20,14 @@ needs no term of its own: phi_0 = P_0 = 1, so it is the P_0 coefficient.
 Side conditions (initial values and derivatives) enter as extra constraint
 columns under the same regularization.
 
-Nonlinear equations keep the same objective but with residuals that are no
-longer affine in w; those are minimized by a damped Gauss-Newton iteration.
-Rectangle problems use a tensor-product basis phi_p(x) phi_q(t) and a
-tensor collocation grid.
+Every trainer runs the same three steps: `build_grid`, then `assemble`, which
+returns Z and y (the linear part of every constraint), then one kernel:
+`solve_linear` (the dual, by Cholesky), `gauss_newton` (nonlinear
+equations: the same objective with residuals no longer affine in w, started
+from `solve_linear` on the linear part), or `highprec.solve_square` on the
+square system Z^T w = y, the gamma -> infinity limit.  Each returns a
+`TrainedModel`.  Rectangle problems use a tensor-product basis
+phi_p(x) phi_q(t) and a tensor collocation grid.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from numbers import Integral
 from typing import Optional
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mp, mpf
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
@@ -65,7 +69,6 @@ from .model import (
 __all__ = [
     "SolverConfig",
     "CollocationGrid",
-    "DualSystem",
     "TrainedModel",
     "ResidualReport",
     "basis_counts",
@@ -82,6 +85,7 @@ _to_mpf = np.frompyfunc(mpf, 1, 1)
 TINY_EXACT = 1e-14
 GN_DAMPING = 1e-3  # starting Levenberg parameter of gauss_newton
 GN_OBJECTIVE_RTOL = 1e-13  # relative objective change that ends gauss_newton
+VOLTERRA_NODES = 32  # fewest Gauss nodes per Volterra integral
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,12 @@ class SolverConfig:
     gamma: float = 100.0
     fractional_scheme: str = "analytic"
     l1_grid: int = 400
-    quadrature_nodes: int = 32
     max_iters: int = 50
 
     def __post_init__(self):
         if not isinstance(self.m, Integral) or self.m < 1:
             raise ValidationError(f"collocation degree m must be an integer >= 1, got {self.m!r}")
-        for name in ("degree", "l1_grid", "quadrature_nodes", "max_iters"):
+        for name in ("degree", "l1_grid", "max_iters"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
@@ -118,8 +121,6 @@ class SolverConfig:
             raise ValidationError("fractional_scheme must be 'analytic' or 'l1'")
         if self.l1_grid < 2:
             raise ValidationError("l1_grid must be >= 2")
-        if self.quadrature_nodes < 1:
-            raise ValidationError("quadrature_nodes must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
 
@@ -154,26 +155,23 @@ class CollocationGrid:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class DualSystem:
-    """The dual data: Omega = Z^T Z, targets y, gamma."""
-
-    omega: np.ndarray
-    y: np.ndarray
-    gamma: float
-
-
 def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
-    """Mapped roots of P_m; the tensor product of per-axis roots in 2D."""
-    return _grid_from_roots(problem, gauss_quadrature(config.m).nodes)
+    """Mapped roots of P_m; the tensor product of per-axis roots in 2D.
 
-
-def _grid_from_roots(problem: DaeProblem, roots) -> CollocationGrid:
-    """Canonical `roots` mapped onto the domain, tensorized in 2D.
-
-    The points keep the number type of the roots and the domain, so mpf
-    roots on an mpf domain give an object-array grid of mpf.
+    On an mpf domain the roots are refined by Newton's method to working
+    precision, and the points are mpf in object arrays.
     """
+    m = config.m
+    roots = gauss_quadrature(m).nodes
+    if np.asarray(problem.domain).dtype == object:
+        roots = _to_mpf(roots)
+        tol = mpf(10) ** (-mp.dps)
+        for _ in range(8):
+            tab = legendre_table(m + 1, roots, 1)
+            step = tab[0][m] / tab[1][m]
+            roots = roots - step
+            if max(abs(step)) < tol:
+                break
     if problem.is_2d:
         (xlo, xhi), (tlo, thi) = problem.domain
         xs = shift_from_canonical(roots, BasisSpec(1, xlo, xhi))
@@ -185,12 +183,15 @@ def _grid_from_roots(problem: DaeProblem, roots) -> CollocationGrid:
     return CollocationGrid(points=pts)
 
 
-def _volterra_table(kernel, spec: BasisSpec, points, nodes: int) -> np.ndarray:
+def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
     """(n_points, degree_count) matrix of int_lo^point kernel(point, s) phi_j(s) ds.
 
-    Gauss-Legendre with `nodes` nodes on each [spec.lo, point]; the kernel is
-    evaluated once per (point, node).  Points at or below spec.lo give zero rows.
+    Gauss-Legendre on each [spec.lo, point] with max(VOLTERRA_NODES, d//2 + 2)
+    nodes for d basis functions, exact when the kernel is a polynomial of
+    degree <= 2 in s; the kernel is evaluated once per (point, node).  Points
+    at or below spec.lo give zero rows.
     """
+    nodes = max(VOLTERRA_NODES, spec.degree_count // 2 + 2)
     pts = np.asarray(points, dtype=float)
     out = np.zeros((pts.size, spec.degree_count))
     live = pts - spec.lo > 0.0
@@ -306,7 +307,7 @@ class _Context:
                 return caputo_table(self.spec_t, op.alpha, pts)
             return caputo_l1_table(self.spec_t, op.alpha, pts, self.config.l1_grid)
         if isinstance(op, VolterraIntegral):
-            return _volterra_table(op.kernel, self.spec_t, pts, self.config.quadrature_nodes)
+            return _volterra_table(op.kernel, self.spec_t, pts)
         raise ValidationError(f"unknown operator {op!r}")
 
     # -- constraint columns ----------------------------------------------
@@ -334,13 +335,7 @@ class _Context:
         return rows
 
     def constraints(self):
-        """The linear part of every constraint: feature matrix Z, targets y.
-
-        Column c of Z, shape (k*D, n_constraints), holds constraint c's
-        linear operator applied to every basis function; columns run
-        equation-major over the grid, then side conditions.  Entries keep
-        the number type of the grid (float, or mpf in object arrays).
-        """
+        """Feature matrix Z and targets y, as `assemble` describes them."""
         n_grid, D = self.n_grid, self.D
         dtype = self.grid.points.dtype
         Z = np.zeros((self.k * D, self.n_constraints), dtype=dtype)
@@ -360,19 +355,15 @@ class _Context:
 
 
 def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
-    """Build the feature matrix Z and the dual system for a linear problem.
+    """The linear part of every constraint, closures dropped: (Z, y).
 
-    Columns are ordered equation-major over the grid, then side conditions.
-    Returns (Z, DualSystem).
+    Column c of Z, shape (k*D, n_constraints), holds constraint c's linear
+    operator applied to every basis function; columns run equation-major
+    over the grid, then side conditions.  Entries keep the number type of
+    the grid (float, or mpf in object arrays).
     """
     problem.validate()
-    if not is_linear(problem):
-        raise ValidationError("assemble expects a linear problem; use gauss_newton")
-    ctx = _Context(problem, grid, config)
-    Z, y = ctx.constraints()
-    omega = Z.T @ Z
-    omega = 0.5 * (omega + omega.T)
-    return Z, DualSystem(omega=omega, y=y, gamma=config.gamma)
+    return _Context(problem, grid, config).constraints()
 
 
 def _refined_solver(H: np.ndarray):
@@ -401,29 +392,27 @@ def _refined_solver(H: np.ndarray):
 
 
 def solve_linear(
-    dual: DualSystem,
     Z: np.ndarray,
+    y: np.ndarray,
     problem: DaeProblem,
     grid: CollocationGrid,
     config: SolverConfig,
 ) -> "TrainedModel":
-    """Solve the dual system and reconstruct primal weights w = Z alpha."""
-    n_c = dual.y.size
-    if dual.omega.shape != (n_c, n_c) or Z.shape[1] != n_c:
-        raise ShapeError(
-            f"inconsistent dual system: omega {dual.omega.shape}, "
-            f"Z {Z.shape}, y {dual.y.shape}"
-        )
-    alpha = _refined_solver(dual.omega + np.eye(n_c) / dual.gamma)(dual.y)
-    ctx = _Context(problem, grid, config)
+    """Solve the dual (Z^T Z + I/gamma) alpha = y and reconstruct w = Z alpha.
+
+    For a problem with closures this is the model of its linear part.
+    """
+    n_c = y.size
+    if Z.shape[1] != n_c:
+        raise ShapeError(f"inconsistent dual system: Z {Z.shape}, y {y.shape}")
+    alpha = _refined_solver(Z.T @ Z + np.eye(n_c) / config.gamma)(y)
     return TrainedModel(
-        weights=(Z @ alpha).reshape(ctx.k, ctx.D),
+        weights=(Z @ alpha).reshape(problem.unknowns, -1),
         alpha=alpha,
-        errors=-alpha / dual.gamma,
+        errors=-alpha / config.gamma,
         problem=problem,
         grid=grid,
         config=config,
-        _ctx=ctx,
     )
 
 
@@ -435,8 +424,8 @@ def gauss_newton(
 ) -> "TrainedModel":
     """Minimize 1/2 ||w||^2 + gamma/2 sum_c r_c(w)^2 by damped Gauss-Newton.
 
-    Without `w0` the iteration starts from the dual solve of the linear
-    part, closures dropped: w = Z alpha with (Z^T Z + I/gamma) alpha = y.
+    Without `w0` the iteration starts from `solve_linear` on the linear
+    part that `assemble` returns, closures dropped.
     The linear operator terms contribute an exact, constant Jacobian block;
     the nonlinear closures are differentiated by forward finite differences
     in the unknown values.  A step is accepted when it lowers the objective;
@@ -452,15 +441,12 @@ def gauss_newton(
     problem.validate()
     if problem.is_2d:
         raise ValidationError("the Gauss-Newton path handles interval problems only")
-    ctx = _Context(problem, grid, config)
-    k, D, n_grid = ctx.k, ctx.D, ctx.n_grid
-    n_w = k * D
-    gamma = config.gamma
-
-    Z, y = ctx.constraints()
+    Z, y = assemble(problem, grid, config)
     A = np.ascontiguousarray(Z.T)  # constant linear part: r_lin = A w - y
-
-    value_B = ctx.operator_matrix(Identity(), grid.points)  # (n_grid, D)
+    value_B = _Context(problem, grid, config).operator_matrix(Identity(), grid.points)
+    k, n_w, n_grid = problem.unknowns, Z.shape[0], len(grid)
+    D = n_w // k
+    gamma = config.gamma
     closures = [eq.nonlinear for eq in problem.equations]
 
     def linearize(w: np.ndarray):
@@ -486,7 +472,7 @@ def gauss_newton(
         return 0.5 * (w @ w) + 0.5 * gamma * (r @ r)
 
     if w0 is None:
-        w = Z @ _refined_solver(Z.T @ Z + np.eye(Z.shape[1]) / gamma)(y)
+        w = solve_linear(Z, y, problem, grid, config).weights.ravel()
     else:
         w = np.asarray(w0, dtype=float).ravel().copy()
     if w.size != n_w:
@@ -524,7 +510,6 @@ def gauss_newton(
         grid=grid,
         config=config,
         iterations=iters,
-        _ctx=ctx,
     )
     if not converged:
         raise NonConvergence(
@@ -538,8 +523,8 @@ def solve(problem: DaeProblem, config: Optional[SolverConfig] = None) -> "Traine
     config = config or SolverConfig()
     grid = build_grid(problem, config)
     if is_linear(problem):
-        Z, dual = assemble(problem, grid, config)
-        return solve_linear(dual, Z, problem=problem, grid=grid, config=config)
+        Z, y = assemble(problem, grid, config)
+        return solve_linear(Z, y, problem, grid, config)
     return gauss_newton(problem, grid, config)
 
 
@@ -550,6 +535,7 @@ class TrainedModel:
     The weights are float, or mpf in an object array for the extended-
     precision interpolant; evaluation and `report` keep that number type.
     `errors` is the constraint residual (-alpha/gamma on the dual path).
+    The model builds its own operator context from problem, grid and config.
     """
 
     weights: np.ndarray
@@ -558,8 +544,12 @@ class TrainedModel:
     problem: DaeProblem
     grid: CollocationGrid
     config: SolverConfig
-    _ctx: _Context = field(repr=False)
+    _ctx: _Context = field(init=False, repr=False)
     iterations: int = 0
+
+    def __post_init__(self):
+        with self._arithmetic():  # mpf side values depend on the precision
+            self._ctx = _Context(self.problem, self.grid, self.config)
 
     def _arithmetic(self):
         """Context in which the model's numbers are computed."""
@@ -632,13 +622,12 @@ def report(model: TrainedModel, probes) -> ResidualReport:
     problem = model.problem
     if problem.exact is None:
         raise MissingExact("problem carries no exact solution")
-    ctx = model._ctx
     values = model._values(Identity(), probes)
     rows = []
     l2 = np.zeros(problem.unknowns)
     with model._arithmetic():
-        coords = ctx.coordinates(probes).tolist()
-        for u, exact_fn in enumerate(ctx.problem.exact):
+        coords = model._ctx.coordinates(probes).tolist()
+        for u, exact_fn in enumerate(problem.exact):
             urows = []
             for p, x, approx in zip(probes, coords, values[u]):
                 exact = exact_fn(*x) if problem.is_2d else exact_fn(x)

@@ -170,8 +170,8 @@ def test_criterion_6_solver_property_bundle(results):
     c3 = results["example3"].config
     g3 = build_grid(p3, c3)
     iterated = gauss_newton(p3, g3, c3)
-    Z, dual = assemble(p3, g3, c3)
-    direct = solve_linear(dual, Z, problem=p3, grid=g3, config=c3)
+    Z, y = assemble(p3, g3, c3)
+    direct = solve_linear(Z, y, p3, g3, c3)
     gn_gap = np.max(np.abs(iterated.weights - direct.weights))
     assert gn_gap <= 1e-9
 

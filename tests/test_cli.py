@@ -277,10 +277,16 @@ class TestParser:
         assert main(["frobnicate"]) == 2
 
     @pytest.mark.parametrize(
-        "argv", [["solve", "example1", "--bias"], ["bench", "example1", "--hard-ic"]], ids=" ".join
+        "argv",
+        [
+            ["solve", "example1", "--bias"],
+            ["bench", "example1", "--hard-ic"],
+            ["bench", "example2", "--quadrature-nodes", "8"],
+        ],
+        ids=" ".join,
     )
     def test_unknown_flag_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""  # no case ran
-        assert f"unrecognized arguments: {argv[-1]}" in err
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err

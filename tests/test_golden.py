@@ -37,8 +37,9 @@ def cli_csv(tmp_path, *args) -> bytes:
     [
         (("bench",), "bench_all.csv"),
         (("sweep", "example5", "--m", "6"), "sweep_example5_m6.csv"),
+        (("bench", "example3", "--fractional-scheme", "l1:400"), "bench_example3_l1_400.csv"),
     ],
-    ids=["bench", "sweep-example5-m6"],
+    ids=["bench", "sweep-example5-m6", "bench-example3-l1"],
 )
 def test_csv_bytes(tmp_path, args, stored):
     assert cli_csv(tmp_path, *args) == (DATA / stored).read_bytes()

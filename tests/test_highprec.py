@@ -146,6 +146,8 @@ class TestInterval:
         assert coarse.block == 7
         assert coarse.weights.shape == (2, 7)
         assert all(isinstance(w, mpf) for w in coarse.weights.ravel())
+        # the model carries the mpf problem it solved
+        assert all(isinstance(v, mpf) for v in coarse.problem.domain)
 
 
 class TestRectangle:

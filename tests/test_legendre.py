@@ -6,7 +6,7 @@ from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
 from daesvr.errors import DomainError
-from daesvr.highprec import _gauss_nodes
+from daesvr.expressions import MPF
 from daesvr.legendre import (
     BasisSpec,
     gauss_quadrature,
@@ -17,6 +17,8 @@ from daesvr.legendre import (
     shift_from_canonical,
     shift_to_canonical,
 )
+from daesvr.schema import _build
+from daesvr.solver import SolverConfig, build_grid
 
 
 def legendre_sum(n, x):
@@ -113,8 +115,13 @@ class TestExtendedPrecision:
 
     @pytest.mark.parametrize("m", [6, 10])
     def test_refined_gauss_nodes(self, m):
+        # build_grid refines the roots of P_m to working precision on an mpf
+        # domain; on [-1, 1] the grid points are the roots themselves
+        source = {"unknowns": 1, "domain": {"lo": -1, "hi": 1},
+                  "equations": [{"terms": [{"coeff": 1, "op": "identity", "target": 0}], "rhs": "t"}]}
         with workdps(40):
-            nodes = _gauss_nodes(m)
+            nodes = build_grid(_build(source, "line", MPF), SolverConfig(m=m)).points
+            assert all(isinstance(v, mpf) for v in nodes)
             assert max(abs(v) for v in legendre_table(m + 1, nodes)[0][m]) <= mpf(10) ** -38
         assert_allclose(nodes.astype(float), legendre_roots(m), rtol=0, atol=1e-14)
 

@@ -20,9 +20,10 @@ from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
 from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral
 from daesvr.schema import load_problem
 from daesvr.solver import (
+    VOLTERRA_NODES,
     SolverConfig,
-    DualSystem,
     _Context,
+    _refined_solver,
     assemble,
     basis_counts,
     build_grid,
@@ -99,7 +100,7 @@ class TestConfigValidation:
             SolverConfig(m=2.5)
         assert SolverConfig(m=np.int64(6)).m == 6
 
-    @pytest.mark.parametrize("name", ["degree", "quadrature_nodes", "max_iters", "l1_grid"])
+    @pytest.mark.parametrize("name", ["degree", "max_iters", "l1_grid"])
     def test_counts_integral(self, name):
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             SolverConfig(**{name: 100.5})
@@ -201,47 +202,47 @@ class TestDualSystem:
         self.problem = oscillator()
         self.config = SolverConfig(m=8, gamma=1e8)
         self.grid = build_grid(self.problem, self.config)
-        self.Z, self.dual = assemble(self.problem, self.grid, self.config)
+        self.Z, self.y = assemble(self.problem, self.grid, self.config)
+
+    def solve(self):
+        return solve_linear(self.Z, self.y, self.problem, self.grid, self.config)
 
     def test_gram_matrix_is_symmetric(self):
-        assert np.array_equal(self.dual.omega, self.dual.omega.T)
+        # numpy forms Z^T Z with a symmetric rank-k update, so the dual
+        # matrix needs no symmetrisation
+        omega = self.Z.T @ self.Z
+        assert np.array_equal(omega, omega.T)
 
     def test_gram_matrix_is_positive_semidefinite(self):
-        ev = np.linalg.eigvalsh(self.dual.omega)
+        ev = np.linalg.eigvalsh(self.Z.T @ self.Z)
         assert ev[0] > -1e-10 * ev[-1]
 
-    def test_gram_matrix_factors_through_z(self):
-        assert_allclose(self.dual.omega, self.Z.T @ self.Z, rtol=1e-12, atol=1e-12)
-
     def test_weights_reproduce_from_dual_coefficients(self):
-        model = solve_linear(self.dual, self.Z, problem=self.problem,
-                             grid=self.grid, config=self.config)
+        model = self.solve()
         assert_allclose(model.weights.ravel(), self.Z @ model.alpha,
                         rtol=1e-12, atol=1e-15)
 
     def test_slack_ties_to_dual_coefficients(self):
-        model = solve_linear(self.dual, self.Z, problem=self.problem,
-                             grid=self.grid, config=self.config)
+        model = self.solve()
         assert_allclose(model.errors, -model.alpha / self.config.gamma,
                         rtol=1e-13, atol=1e-18)
 
     def test_residual_inf_is_the_largest_constraint_error(self):
-        model = solve_linear(self.dual, self.Z, problem=self.problem,
-                             grid=self.grid, config=self.config)
+        model = self.solve()
         assert model.residual_inf == max(abs(model.errors))
         assert model.block == model.weights.shape[1] == 9
 
     def test_shape_mismatch_rejected(self):
-        bad = DualSystem(omega=np.eye(3), y=np.ones(2), gamma=1.0)
         with pytest.raises(ShapeError):
-            solve_linear(bad, np.eye(2), self.problem, self.grid, self.config)
+            solve_linear(np.eye(2), np.ones(3), self.problem, self.grid, self.config)
 
     def test_indefinite_matrix_rejected(self):
-        bad = DualSystem(
-            omega=np.array([[0.0, 2.0], [2.0, 0.0]]), y=np.ones(2), gamma=1e6,
-        )
         with pytest.raises(NotPositiveDefinite):
-            solve_linear(bad, np.eye(2), self.problem, self.grid, self.config)
+            _refined_solver(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # the known dual failure: example5 at m = 8 and its case gamma
+        config = dataclasses.replace(CASES["example5"].config, m=8)
+        with pytest.raises(NotPositiveDefinite):
+            solve(load_problem("example5"), config)
 
 
 class TestLinearSolve:
@@ -304,7 +305,7 @@ class TestOperatorTables:
         ctx = self.context()
         kernel = Field(lambda t, s: 1.0 + s * t)
         spec, pts = ctx.spec_t, [0.0, 0.13, 0.5, 0.97]
-        rule = gauss_quadrature(ctx.config.quadrature_nodes)
+        rule = gauss_quadrature(VOLTERRA_NODES)
         want = np.zeros((len(pts), ctx.d_t))
         for g, p in enumerate(pts[1:], start=1):
             qx, qw = rule.mapped(spec.lo, p)
@@ -327,6 +328,19 @@ class TestOperatorTables:
         for op, want in cases:
             assert_allclose(ctx.operator_matrix(op, pts)[:, 0], want, atol=1e-15)
 
+    def test_volterra_exact_beyond_the_node_floor(self):
+        # 80 basis functions need more than VOLTERRA_NODES Gauss nodes; on a
+        # constant kernel the table is int_-1^xi P_j = (P_{j+1} - P_{j-1})/(2j+1)
+        # scaled by width/2, with int_-1^xi P_0 = xi + 1
+        ctx = self.context(SolverConfig(m=8, degree=80))
+        spec, pts = ctx.spec_t, np.linspace(0.05, 1.0, 7)
+        xi = shift_to_canonical(pts, spec)
+        P = legendre_table(81, xi)[0]
+        j = np.arange(1, 80)[:, None]
+        want = np.vstack([xi + 1.0, (P[2:] - P[:-2]) / (2 * j + 1)]).T * spec.width / 2
+        got = ctx.operator_matrix(VolterraIntegral(Field.constant(1.0)), pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("m", [8, 14])
     def test_field_calls_are_per_point(self, monkeypatch, m):
         # each term coefficient and right-hand side once per grid point, and
@@ -346,7 +360,7 @@ class TestOperatorTables:
         volterra = {t.op for t in terms if isinstance(t.op, VolterraIntegral)}
         monkeypatch.setattr(Field, "__call__", counted_field)
         assemble(problem, grid, config)
-        per_point = len(terms) + len(problem.equations) + len(volterra) * config.quadrature_nodes
+        per_point = len(terms) + len(problem.equations) + len(volterra) * VOLTERRA_NODES
         assert calls["field"] == len(grid) * per_point
 
     def test_l1_scheme_matches_analytic_table(self):
@@ -397,8 +411,8 @@ class TestGaussNewton:
         config = SolverConfig(m=8, gamma=1e5)
         grid = build_grid(p, config)
         iterated = gauss_newton(p, grid, config)
-        Z, dual = assemble(p, grid, config)
-        direct = solve_linear(dual, Z, problem=p, grid=grid, config=config)
+        Z, y = assemble(p, grid, config)
+        direct = solve_linear(Z, y, p, grid, config)
         assert_allclose(iterated.weights, direct.weights, rtol=1e-9, atol=1e-9)
         # the start is the linear-part solve, so there is nothing left to do
         assert iterated.iterations <= 2
