@@ -24,7 +24,6 @@ from .errors import (
     DaeSvrError,
     DomainError,
     EvaluationError,
-    GridError,
     MissingExact,
     NonConvergence,
     NotPositiveDefinite,
@@ -33,12 +32,11 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fractional import L1Grid, caputo_l1, caputo_table, gamma_fn
+from .fractional import caputo_l1, caputo_table
 from .legendre import (
     BasisSpec,
     QuadratureRule,
     gauss_quadrature,
-    legendre_deriv,
     legendre_eval,
     legendre_roots,
     legendre_table,
@@ -93,10 +91,8 @@ __all__ = [
     "EvaluationError",
     "ExactCandidate",
     "Field",
-    "GridError",
     "Identity",
     "InterpolantModel",
-    "L1Grid",
     "MissingExact",
     "NonConvergence",
     "NotPositiveDefinite",
@@ -118,11 +114,9 @@ __all__ = [
     "builtin_names",
     "caputo_l1",
     "caputo_table",
-    "gamma_fn",
     "gauss_newton",
     "gauss_quadrature",
     "is_linear",
-    "legendre_deriv",
     "legendre_eval",
     "legendre_roots",
     "legendre_table",

@@ -21,10 +21,6 @@ class NonConvergence(DaeSvrError):
         self.best = best
 
 
-class GridError(DaeSvrError):
-    """A discretization grid is malformed (unsorted, non-uniform, too short)."""
-
-
 class ParseError(DaeSvrError):
     """Problem text could not be parsed; message carries location context."""
 

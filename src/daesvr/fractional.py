@@ -1,5 +1,5 @@
 """Caputo fractional derivatives of the shifted Legendre basis: a
-Gauss-Jacobi rule, the L1 finite-difference scheme, and the Gamma function.
+Gauss-Jacobi rule and the L1 finite-difference scheme.
 
 For 0 < a < 1 and base point lo, substituting s = lo + tau (1 + z) / 2,
 tau = x - lo, in the Caputo integral gives
@@ -13,23 +13,22 @@ any degree.  `caputo_table` evaluates the whole basis at every point with one
 Legendre table over all quadrature nodes.
 
 The L1 scheme is a piecewise-linear quadrature of the Caputo integral on a
-uniform grid; its truncation order is 2 - a.
+uniform grid of [lo, x]; its truncation order is 2 - a.  `caputo_l1_table`
+samples the basis on the grids of all points with one Legendre table, and
+`caputo_l1` contracts each point's samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GridError
+from .errors import DomainError
 from .legendre import BasisSpec, legendre_table, shift_to_canonical
 
 __all__ = [
-    "L1Grid",
-    "gamma_fn",
     "caputo_rule",
     "caputo_table",
     "caputo_l1",
@@ -37,13 +36,6 @@ __all__ = [
 ]
 
 _BASE_SLACK = 1e-12
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma(z) for z > 0; non-positive arguments raise DomainError."""
-    if not z > 0.0:
-        raise DomainError(f"gamma_fn requires z > 0, got {z}")
-    return math.gamma(z)
 
 
 @lru_cache(maxsize=64)
@@ -61,7 +53,7 @@ def caputo_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     z, w = roots_jacobi(nodes, -alpha, 0.0)
     fractions = 0.5 * (z + 1.0)
-    weights = w * 2.0 ** (alpha - 1.0) / gamma_fn(1.0 - alpha)
+    weights = w * 2.0 ** (alpha - 1.0) / math.gamma(1.0 - alpha)
     fractions.setflags(write=False)
     weights.setflags(write=False)
     return fractions, weights
@@ -88,59 +80,32 @@ def caputo_table(spec: BasisSpec, alpha: float, points) -> np.ndarray:
     return tau[:, None] ** (1.0 - alpha) * (dphi @ weights).T
 
 
-@dataclass(frozen=True)
-class L1Grid:
-    """Uniform grid x_0 < x_1 < ... < x_m for the L1 scheme."""
+def caputo_l1(samples, lo: float, x: float, alpha: float):
+    """L1 approximation of the Caputo derivative of order alpha at x.
 
-    points: np.ndarray
-    spacing: float = field(init=False)
+    The samples h_k are taken on the uniform grid lo = x_0 < ... < x_n = x
+    that their count implies, with spacing dx = x_1 - x_0.  With
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise GridError("L1 grid needs at least two points")
-        steps = np.diff(pts)
-        if np.any(steps <= 0.0):
-            raise GridError("L1 grid must be strictly increasing")
-        h = float(steps[0])
-        if np.max(np.abs(steps - h)) > 1e-12 * max(h, 1.0):
-            raise GridError("L1 grid must be equidistant")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "spacing", h)
+        g_k = ((x - x_k)^(1-a) - (x - x_{k+1})^(1-a)) / (Gamma(2-a) dx),
 
-    @classmethod
-    def uniform(cls, lo: float, hi: float, intervals: int) -> "L1Grid":
-        if intervals < 1:
-            raise GridError("need at least one interval")
-        return cls(points=np.linspace(lo, hi, intervals + 1))
-
-    def __len__(self) -> int:
-        return self.points.size
-
-
-def caputo_l1(samples, grid: L1Grid, alpha: float):
-    """L1 approximation of the Caputo derivative of order alpha at x_m.
-
-    With g_k = ((x_m - x_k)^(1-a) - (x_m - x_{k+1})^(1-a)) / (Gamma(2-a) h),
     the telescoped sum over sample values reduces to
 
-        sum_{k=0}^{m-1} g_k (h_{k+1} - h_k),
+        sum_{k=0}^{n-1} g_k (h_{k+1} - h_k),
 
     i.e. the standard L1 quadrature of the fractional integral of the
-    piecewise-linear interpolant.  Truncation error is O(h^(2-a)).  Samples
+    piecewise-linear interpolant.  Truncation error is O(dx^(2-a)).  Samples
     of several functions may be stacked along the leading axes (the last
     axis runs over the grid); the result then has the leading shape.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"L1 scheme requires 0 < alpha < 1, got {alpha}")
     h = np.asarray(samples, dtype=float)
-    if h.ndim < 1 or h.shape[-1] != len(grid):
-        raise GridError(f"expected {len(grid)} samples, got {h.shape}")
-    x = grid.points
-    xm = x[-1]
+    if h.ndim < 1 or h.shape[-1] < 2 or not x > lo:
+        raise DomainError(f"L1 scheme needs two or more samples on [{lo}, {x}], got {h.shape}")
+    grid = np.linspace(lo, x, h.shape[-1])
     beta = 1.0 - alpha
-    g = ((xm - x[:-1]) ** beta - (xm - x[1:]) ** beta) / (
-        gamma_fn(2.0 - alpha) * grid.spacing
+    g = ((x - grid[:-1]) ** beta - (x - grid[1:]) ** beta) / (
+        math.gamma(2.0 - alpha) * (grid[1] - grid[0])
     )
     out = np.diff(h) @ g
     return out if out.ndim else float(out)
@@ -149,13 +114,14 @@ def caputo_l1(samples, grid: L1Grid, alpha: float):
 def caputo_l1_table(spec: BasisSpec, alpha: float, points, intervals: int) -> np.ndarray:
     """(n_points, degree_count) matrix of the L1 approximation of D^alpha phi_j.
 
-    Each point gets its own uniform grid of `intervals` steps on [spec.lo, point].
+    Each point gets its own uniform grid of `intervals` steps on [spec.lo, point];
+    one Legendre table covers the grids of all points.
     """
     points = np.asarray(points, dtype=float)
     out = np.zeros((points.size, spec.degree_count))
-    for g, (point, tau) in enumerate(zip(points, _offsets(spec, points))):
-        if tau > 0.0:
-            grid = L1Grid.uniform(spec.lo, point, intervals)
-            samples = legendre_table(spec.degree_count, shift_to_canonical(grid.points, spec))[0]
-            out[g] = caputo_l1(samples, grid, alpha)
+    live = np.flatnonzero(_offsets(spec, points) > 0.0)
+    grids = np.linspace(spec.lo, points[live], intervals + 1, axis=1)
+    samples = legendre_table(spec.degree_count, shift_to_canonical(grids, spec))[0]
+    for row, g in enumerate(live):
+        out[g] = caputo_l1(samples[:, row], spec.lo, points[g], alpha)
     return out

@@ -58,7 +58,7 @@ from .errors import SingularSystem, ValidationError
 from .expressions import MPF
 from .model import Caputo, DaeProblem, VolterraIntegral, is_linear
 from .schema import _build
-from .solver import SolverConfig, TrainedModel, assemble, build_grid
+from .solver import SolverConfig, TrainedModel, _Context, assemble, build_grid
 
 __all__ = ["InterpolantModel", "solve_interpolant", "solve_square"]
 
@@ -212,16 +212,16 @@ def solve_interpolant(
     with workdps(digits):
         mp_problem = _build(problem.source, problem.name, MPF)
         grid = build_grid(mp_problem, config)
-        Z, y = assemble(mp_problem, grid, config)
-        if Z.shape[0] != Z.shape[1]:
+        ctx = _Context(mp_problem, grid, config)
+        if ctx.k * ctx.D != ctx.n_constraints:
             raise ValidationError(
-                f"collocation system is not square ({Z.shape[1]} constraints, {Z.shape[0]} "
-                "coefficients); adjust degree so counts balance"
+                f"collocation system is not square ({ctx.n_constraints} constraints, "
+                f"{ctx.k * ctx.D} coefficients); adjust degree so counts balance"
             )
+        Z, y = assemble(mp_problem, grid, config)
         w, errors = solve_square(Z.T, y)
     return InterpolantModel(
         weights=np.array(w, dtype=object).reshape(mp_problem.unknowns, -1),
-        alpha=None,
         errors=errors,
         problem=mp_problem,
         grid=grid,

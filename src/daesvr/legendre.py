@@ -23,7 +23,6 @@ __all__ = [
     "BasisSpec",
     "QuadratureRule",
     "legendre_eval",
-    "legendre_deriv",
     "legendre_table",
     "legendre_roots",
     "gauss_quadrature",
@@ -87,26 +86,6 @@ def legendre_eval(n: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def legendre_deriv(n: int, x, order: int = 1):
-    """Evaluate the `order`-th derivative of P_n at x.
-
-    Differentiating the recurrence `order` times (Leibniz on the x*P_n term)
-    gives, for each r,
-
-        (n+1) P_{n+1}^(r) = (2n+1) (x P_n^(r) + r P_n^(r-1)) - n P_{n-1}^(r),
-
-    so all derivative orders up to `order` are carried along together.
-    Orders above n return zero.  A scalar `x` gives a float; an array gives
-    an array of its shape.
-    """
-    if n < 0:
-        raise DomainError("degree must be non-negative")
-    if order < 0:
-        raise DomainError("derivative order must be non-negative")
-    out = legendre_table(n + 1, x, order)[order][n]
-    return out if np.ndim(x) else float(out[0])
-
-
 def legendre_table(count: int, x, order: int = 0) -> list[np.ndarray]:
     """Values of P_j^(r) for j < count and r <= order.
 
@@ -155,9 +134,7 @@ def legendre_roots(m: int) -> np.ndarray:
     k = np.arange(1, m + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * m + 2))
     for _ in range(_ROOT_MAX_ITERS):
-        p = legendre_eval(m, x)
-        dp = legendre_deriv(m, x, 1)
-        step = p / dp
+        step = legendre_eval(m, x) / legendre_table(m + 1, x, 1)[1][m]
         x = x - step
         if np.max(np.abs(step)) <= _ROOT_TOL:
             break
@@ -165,7 +142,7 @@ def legendre_roots(m: int) -> np.ndarray:
         raise NonConvergence(f"Newton iteration for P_{m} roots stalled")
     x = 0.5 * (x - x[::-1])
     x = np.sort(x)
-    resid = np.max(np.abs(legendre_eval(m, x) / legendre_deriv(m, x, 1)))
+    resid = np.max(np.abs(legendre_eval(m, x) / legendre_table(m + 1, x, 1)[1][m]))
     if resid > 1e-13:
         raise NonConvergence(f"P_{m} root residual |P_m/P_m'| {resid:.3e} exceeds 1e-13")
     return x
@@ -180,7 +157,7 @@ def gauss_quadrature(m: int) -> QuadratureRule:
     are read-only.
     """
     x = legendre_roots(m)
-    dp = legendre_deriv(m, x, 1)
+    dp = legendre_table(m + 1, x, 1)[1][m]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.setflags(write=False)
     w.setflags(write=False)

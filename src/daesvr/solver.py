@@ -382,10 +382,9 @@ def _refined_solver(H: np.ndarray):
         raise NotPositiveDefinite(f"dual matrix is not positive definite: {err}") from err
 
     def solve_fn(b: np.ndarray) -> np.ndarray:
-        scale = d if b.ndim == 1 else d[:, None]
-        x = scale * cho_solve(factor, scale * b)
+        x = d * cho_solve(factor, d * b)
         for _ in range(2):
-            x = x + scale * cho_solve(factor, scale * (b - H @ x))
+            x = x + d * cho_solve(factor, d * (b - H @ x))
         return x
 
     return solve_fn
@@ -408,7 +407,6 @@ def solve_linear(
     alpha = _refined_solver(Z.T @ Z + np.eye(n_c) / config.gamma)(y)
     return TrainedModel(
         weights=(Z @ alpha).reshape(problem.unknowns, -1),
-        alpha=alpha,
         errors=-alpha / config.gamma,
         problem=problem,
         grid=grid,
@@ -504,7 +502,6 @@ def gauss_newton(
 
     model = TrainedModel(
         weights=w.reshape(k, D),
-        alpha=-gamma * r,
         errors=r,
         problem=problem,
         grid=grid,
@@ -534,12 +531,12 @@ class TrainedModel:
 
     The weights are float, or mpf in an object array for the extended-
     precision interpolant; evaluation and `report` keep that number type.
-    `errors` is the constraint residual (-alpha/gamma on the dual path).
+    `errors` is the constraint residual; on the dual path it is -alpha/gamma,
+    so w = -gamma Z errors.
     The model builds its own operator context from problem, grid and config.
     """
 
     weights: np.ndarray
-    alpha: Optional[np.ndarray]
     errors: np.ndarray
     problem: DaeProblem
     grid: CollocationGrid

@@ -5,7 +5,6 @@ checked against."""
 import math
 
 from daesvr.errors import DomainError
-from daesvr.fractional import gamma_fn
 
 
 def caputo_monomial(k: int, alpha: float, x: float) -> float:
@@ -21,4 +20,4 @@ def caputo_monomial(k: int, alpha: float, x: float) -> float:
         raise DomainError(f"evaluation point must be >= 0, got {x}")
     if k < math.ceil(alpha):
         return 0.0
-    return gamma_fn(k + 1) / gamma_fn(k + 1 - alpha) * x ** (k - alpha)
+    return math.gamma(k + 1) / math.gamma(k + 1 - alpha) * x ** (k - alpha)

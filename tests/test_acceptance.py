@@ -13,7 +13,7 @@ import pytest
 
 from daesvr.benchmarks import case_names, run_case, self_check, sweep
 from daesvr.cli import main as cli_main
-from daesvr.fractional import L1Grid, caputo_l1
+from daesvr.fractional import caputo_l1
 from daesvr.legendre import gauss_quadrature, legendre_eval
 from daesvr.schema import load_problem
 from daesvr.solver import assemble, build_grid, gauss_newton, solve_linear
@@ -147,20 +147,21 @@ def test_criterion_6_solver_property_bundle(results):
     for name, res in results.items():
         assert res.error is None and res.report is not None, name
 
-    # on the linear systems the primal weights are the dual image w = Z alpha
+    # on the linear systems the primal weights are the dual image w = Z alpha,
+    # alpha = -gamma * errors
     for name in ("example2", "example3", "example5"):
         res = results[name]
         model = res.model
         Z, _ = assemble(res.problem, model.grid, res.config)
-        gap = np.max(np.abs(model.weights.ravel() - Z @ model.alpha))
+        gap = np.max(np.abs(model.weights.ravel() - Z @ (-res.config.gamma * model.errors)))
         assert gap <= 1e-12 * max(1.0, np.abs(model.weights).max()), name
 
     # the uniform-grid fractional scheme converges at order 2 - alpha
     for alpha in (0.25, 0.5, 0.75):
         errs = []
         for n in (100, 200, 400, 800):
-            grid = L1Grid.uniform(0.0, 1.0, n)
-            got = caputo_l1(grid.points**2, grid, alpha)
+            t = np.linspace(0.0, 1.0, n + 1)
+            got = caputo_l1(t**2, 0.0, 1.0, alpha)
             errs.append(abs(got - caputo_monomial(2, alpha, 1.0)))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert abs(float(np.mean(slopes)) - (2.0 - alpha)) <= 0.15, alpha

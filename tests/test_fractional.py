@@ -7,15 +7,9 @@ import pytest
 from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
-from daesvr.errors import DomainError, GridError
-from daesvr.fractional import (
-    L1Grid,
-    caputo_l1,
-    caputo_l1_table,
-    caputo_rule,
-    caputo_table,
-    gamma_fn,
-)
+import daesvr.fractional
+from daesvr.errors import DomainError
+from daesvr.fractional import caputo_l1, caputo_l1_table, caputo_rule, caputo_table
 from daesvr.legendre import (
     BasisSpec,
     legendre_eval,
@@ -27,25 +21,6 @@ from daesvr.legendre import (
 from caputo_reference import caputo_monomial
 
 UNIT = BasisSpec(8, 0.0, 1.0)
-
-
-class TestGamma:
-    def test_half(self):
-        assert_allclose(gamma_fn(0.5), math.sqrt(math.pi), rtol=1e-13)
-
-    def test_three_and_a_half(self):
-        # 3.5! / 3.5 ... = 2.5 * 1.5 * 0.5 * sqrt(pi)
-        assert_allclose(gamma_fn(3.5), 1.875 * math.sqrt(math.pi), rtol=1e-13)
-        assert_allclose(gamma_fn(3.5), 3.323350970447842, rtol=1e-13)
-
-    def test_factorial_consistency(self):
-        for n in range(1, 20):
-            assert_allclose(gamma_fn(n + 1), math.factorial(n), rtol=1e-13)
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
-    def test_domain(self, z):
-        with pytest.raises(DomainError):
-            gamma_fn(z)
 
 
 class TestCaputoMonomial:
@@ -172,41 +147,20 @@ class TestCaputoRule:
             caputo_rule(1.5, 4)
 
 
-class TestL1Grid:
-    def test_uniform_constructor(self):
-        g = L1Grid.uniform(0.0, 1.0, 10)
-        assert len(g) == 11
-        assert_allclose(g.spacing, 0.1, rtol=1e-15)
-
-    def test_rejects_short(self):
-        with pytest.raises(GridError):
-            L1Grid(points=np.array([0.5]))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(GridError):
-            L1Grid(points=np.array([0.0, 0.5, 0.4, 1.0]))
-
-    def test_rejects_nonuniform(self):
-        with pytest.raises(GridError):
-            L1Grid(points=np.array([0.0, 0.1, 0.25, 0.4]))
-
-
 class TestCaputoL1:
     def test_linear_function(self):
-        grid = L1Grid.uniform(0.0, 1.0, 1000)
-        got = caputo_l1(grid.points, grid, 0.5)
+        t = np.linspace(0.0, 1.0, 1001)
+        got = caputo_l1(t, 0.0, 1.0, 0.5)
         assert_allclose(got, 2.0 / math.sqrt(math.pi), atol=2e-3)
 
     def test_constant_annihilated(self):
-        grid = L1Grid.uniform(0.0, 1.0, 50)
-        assert abs(caputo_l1(np.full(51, 3.7), grid, 0.3)) <= 1e-12
+        assert abs(caputo_l1(np.full(51, 3.7), 0.0, 1.0, 0.3)) <= 1e-12
 
     def test_linearity(self):
-        grid = L1Grid.uniform(0.0, 1.0, 64)
-        t = grid.points
+        t = np.linspace(0.0, 1.0, 65)
         h1, h2 = t**2, np.sin(t)
-        lhs = caputo_l1(2.0 * h1 - 0.5 * h2, grid, 0.4)
-        rhs = 2.0 * caputo_l1(h1, grid, 0.4) - 0.5 * caputo_l1(h2, grid, 0.4)
+        lhs = caputo_l1(2.0 * h1 - 0.5 * h2, 0.0, 1.0, 0.4)
+        rhs = 2.0 * caputo_l1(h1, 0.0, 1.0, 0.4) - 0.5 * caputo_l1(h2, 0.0, 1.0, 0.4)
         assert_allclose(lhs, rhs, rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -214,8 +168,8 @@ class TestCaputoL1:
         # Richardson slope on t^2 should sit at 2 - alpha
         errs = []
         for m in (100, 200, 400, 800):
-            grid = L1Grid.uniform(0.0, 1.0, m)
-            got = caputo_l1(grid.points**2, grid, alpha)
+            t = np.linspace(0.0, 1.0, m + 1)
+            got = caputo_l1(t**2, 0.0, 1.0, alpha)
             errs.append(abs(got - caputo_monomial(2, alpha, 1.0)))
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         mean_slope = float(np.mean(slopes))
@@ -223,16 +177,16 @@ class TestCaputoL1:
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_agreement_with_analytic(self, alpha):
-        grid = L1Grid.uniform(0.0, 1.0, 2000)
-        got = caputo_l1(grid.points**3, grid, alpha)
+        t = np.linspace(0.0, 1.0, 2001)
+        got = caputo_l1(t**3, 0.0, 1.0, alpha)
         assert abs(got - caputo_monomial(3, alpha, 1.0)) <= 5e-3
 
     def test_stacked_samples(self):
-        grid = L1Grid.uniform(0.0, 1.0, 64)
-        rows = np.stack([grid.points, grid.points**2, np.sin(grid.points)])
-        got = caputo_l1(rows, grid, 0.4)
+        t = np.linspace(0.0, 1.0, 65)
+        rows = np.stack([t, t**2, np.sin(t)])
+        got = caputo_l1(rows, 0.0, 1.0, 0.4)
         assert got.shape == (3,)
-        assert_allclose(got, [caputo_l1(r, grid, 0.4) for r in rows], rtol=1e-14)
+        assert_allclose(got, [caputo_l1(r, 0.0, 1.0, 0.4) for r in rows], rtol=1e-14)
 
     def test_table_matches_per_function_loop(self):
         # the loop over basis functions the table replaced, kept as reference
@@ -241,19 +195,36 @@ class TestCaputoL1:
         got = caputo_l1_table(spec, alpha, pts, intervals)
         want = np.zeros((len(pts), spec.degree_count))
         for g, p in enumerate(pts[1:], start=1):
-            grid = L1Grid.uniform(spec.lo, p, intervals)
-            s = shift_to_canonical(grid.points, spec)
+            s = shift_to_canonical(np.linspace(spec.lo, p, intervals + 1), spec)
             for j in range(spec.degree_count):
-                want[g, j] = caputo_l1(legendre_eval(j, s), grid, alpha)
+                want[g, j] = caputo_l1(legendre_eval(j, s), spec.lo, p, alpha)
         assert np.all(got[0] == 0.0)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_table_makes_one_legendre_table_call(self, monkeypatch):
+        # the grids of all points share one table, not one table per point
+        calls = []
+        table = daesvr.fractional.legendre_table
+
+        def counted_table(*args, **kwargs):
+            calls.append(args[0])
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(daesvr.fractional, "legendre_table", counted_table)
+        spec = BasisSpec(11, 0.0, 1.0)
+        pts = shift_from_canonical(legendre_roots(10), spec)
+        got = caputo_l1_table(spec, 0.5, pts, 400)
+        assert calls == [11]
+        assert got.shape == (10, 11) and np.all(got[:, 1:] != 0.0)
+
     def test_sample_count_guard(self):
-        grid = L1Grid.uniform(0.0, 1.0, 10)
-        with pytest.raises(GridError):
-            caputo_l1(np.zeros(10), grid, 0.5)
+        with pytest.raises(DomainError):
+            caputo_l1(np.zeros(1), 0.0, 1.0, 0.5)
+
+    def test_empty_interval_guard(self):
+        with pytest.raises(DomainError):
+            caputo_l1(np.zeros(11), 1.0, 1.0, 0.5)
 
     def test_order_guard(self):
-        grid = L1Grid.uniform(0.0, 1.0, 10)
         with pytest.raises(DomainError):
-            caputo_l1(np.zeros(11), grid, 1.5)
+            caputo_l1(np.zeros(11), 0.0, 1.0, 1.5)

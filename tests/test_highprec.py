@@ -314,6 +314,15 @@ class TestRejections:
         with pytest.raises(ValidationError, match="counts balance"):
             solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6, degree=9))
 
+    def test_unbalanced_degree_rejected_before_assembly(self, monkeypatch):
+        # the counts are checked before the mpf assembly, which costs the most
+        def refuse(*args):
+            raise AssertionError("assemble ran on a system that is not square")
+
+        monkeypatch.setattr(highprec, "assemble", refuse)
+        with pytest.raises(ValidationError, match="not square"):
+            solve_interpolant(load_problem("example5"), SolverConfig(m=10, degree=11))
+
     def test_missing_exact_reported_at_error_time(self):
         bare = json.loads(OSCILLATOR)
         del bare["exact"]

@@ -10,7 +10,6 @@ from daesvr.expressions import MPF
 from daesvr.legendre import (
     BasisSpec,
     gauss_quadrature,
-    legendre_deriv,
     legendre_eval,
     legendre_roots,
     legendre_table,
@@ -60,45 +59,47 @@ class TestEval:
 
 
 class TestDeriv:
+    """Derivative rows of `legendre_table`: P_n^(r) is table[r][n]."""
+
     def test_first_derivative(self):
         # P_5'(x) = (315 x^4 - 210 x^2 + 15) / 8
         x = 0.3
         want = (315 * x**4 - 210 * x**2 + 15) / 8
-        assert_allclose(legendre_deriv(5, x), want, rtol=1e-13)
+        assert_allclose(legendre_table(6, x, 1)[1][5], [want], rtol=1e-13)
 
     def test_second_derivative_quadratic(self):
         # P_2 = (3x^2 - 1)/2, so P_2'' = 3 everywhere
-        assert_allclose(legendre_deriv(2, 0.7, order=2), 3.0, rtol=1e-14)
+        assert_allclose(legendre_table(3, 0.7, order=2)[2][2], [3.0], rtol=1e-14)
 
     def test_order_above_degree_vanishes(self):
-        assert legendre_deriv(3, 0.2, order=4) == 0.0
+        assert np.all(legendre_table(4, 0.2, order=4)[4][3] == 0.0)
 
     def test_matches_expansion_derivative(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-1.0, 1.0, 20)
+        table = legendre_table(13, pts, 1)[1]
         for n in range(2, 13):
             dc = np.polynomial.legendre.legder(np.eye(n + 1)[n])
             want = np.polynomial.legendre.legval(pts, dc)
-            assert_allclose(legendre_deriv(n, pts), want, atol=1e-10)
+            assert_allclose(table[n], want, atol=1e-10)
 
-    def test_scalar_gives_float(self):
-        got = legendre_deriv(5, 0.3)
-        assert type(got) is float
-        assert_allclose(got, -0.1685625, rtol=1e-14)
-        assert type(legendre_deriv(2, 0.7, order=2)) is float
+    def test_scalar_gives_one_column(self):
+        got = legendre_table(6, 0.3, 1)
+        assert [rows.shape for rows in got] == [(6, 1), (6, 1)]
+        assert_allclose(got[1][5], [-0.1685625], rtol=1e-14)
 
     def test_array_keeps_shape(self):
         x = np.array([[0.1, -0.5, 0.3], [0.9, 0.0, -1.0]])
-        got = legendre_deriv(4, x, order=2)
+        got = legendre_table(5, x, order=2)[2][4]
         assert got.shape == (2, 3)
-        assert_allclose(got[0, 2], legendre_deriv(4, 0.3, order=2), rtol=1e-14)
-        assert legendre_deriv(3, np.array([0.2])).shape == (1,)
+        assert_allclose(got[0, 2], legendre_table(5, 0.3, order=2)[2][4][0], rtol=1e-14)
 
     def test_table_layout(self):
         t = legendre_table(4, np.array([0.1, -0.5]), order=1)
         assert t[0].shape == (4, 2)
         assert_allclose(t[0][2], legendre_eval(2, np.array([0.1, -0.5])))
-        assert_allclose(t[1][3], legendre_deriv(3, np.array([0.1, -0.5])))
+        # P_3' = (15 x^2 - 3) / 2
+        assert_allclose(t[1][3], [(15 * 0.01 - 3) / 2, (15 * 0.25 - 3) / 2], rtol=1e-14)
 
 
 class TestExtendedPrecision:

@@ -218,14 +218,16 @@ class TestDualSystem:
         assert ev[0] > -1e-10 * ev[-1]
 
     def test_weights_reproduce_from_dual_coefficients(self):
+        # w = Z alpha with alpha = -gamma * errors
         model = self.solve()
-        assert_allclose(model.weights.ravel(), self.Z @ model.alpha,
+        assert_allclose(model.weights.ravel(), self.Z @ (-self.config.gamma * model.errors),
                         rtol=1e-12, atol=1e-15)
 
     def test_slack_ties_to_dual_coefficients(self):
+        # alpha = -gamma * errors solves the dual (Z^T Z + I/gamma) alpha = y
         model = self.solve()
-        assert_allclose(model.errors, -model.alpha / self.config.gamma,
-                        rtol=1e-13, atol=1e-18)
+        dual = self.Z.T @ self.Z + np.eye(self.y.size) / self.config.gamma
+        assert_allclose(dual @ (-self.config.gamma * model.errors), self.y, rtol=0, atol=1e-12)
 
     def test_residual_inf_is_the_largest_constraint_error(self):
         model = self.solve()
