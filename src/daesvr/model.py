@@ -49,19 +49,26 @@ MAX_DERIVATIVE_ORDER = 4
 
 
 class Field:
-    """A scalar coefficient field: a callable plus its source text."""
+    """A coefficient field: a callable plus its source text.  The callable
+    takes scalars, or arrays, which broadcast to the shape of its value."""
 
     def __init__(self, fn: Callable, tag: Optional[str] = None):
         self.fn = fn
         self.tag = tag
 
-    def __call__(self, *args) -> float:
+    def __call__(self, *args):
         return self.fn(*args)
 
     @classmethod
-    def constant(cls, value: float) -> "Field":
-        v = float(value)
-        return cls(lambda *args: v, tag=repr(v))
+    def constant(cls, value, result: Callable = float) -> "Field":
+        """The field that is `result(value)` everywhere, in that number type."""
+        v = result(value)
+
+        def fn(*args):
+            arrays = [a for a in args if isinstance(a, np.ndarray)]
+            return np.full(np.broadcast(*arrays).shape, v) if arrays else v
+
+        return cls(fn, tag=str(v))
 
     def __repr__(self):
         return f"Field({self.tag or self.fn!r})"
@@ -271,8 +278,7 @@ class ExactCandidate:
         if tau == 0.0:
             return 0.0
         sigma, weights = caputo_rule(alpha, 32)
-        du = self._derivative(u, "t", 1)
-        slopes = [du(lo + tau * si * si) for si in sigma]
+        slopes = self._derivative(u, "t", 1)(lo + tau * sigma * sigma)
         return tau ** (1.0 - alpha) * float(np.dot(weights * (1.0 + sigma) ** -alpha * 2.0 * sigma, slopes))
 
     def _volterra(self, u: int, kernel: Field, point: float) -> float:
@@ -282,6 +288,5 @@ class ExactCandidate:
             return 0.0
         sigma, w = gauss_quadrature(64).mapped(0.0, 1.0)
         s = lo + length * sigma**2
-        exact = self.problem.exact[u]
-        vals = np.array([kernel(point, si) * exact(si) for si in s])
+        vals = kernel(point, s) * self.problem.exact[u](s)
         return float(np.sum(w * vals * 2.0 * length * sigma))

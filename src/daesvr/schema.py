@@ -78,8 +78,8 @@ def _list(value, where: str) -> list:
 def _field(value, variables: tuple, where: str, vocabulary: Vocabulary) -> Field:
     if isinstance(value, str):
         return Field(compile_expression(value, variables, vocabulary), tag=value)
-    v = _real(value, where, vocabulary, "a number or expression string")
-    return Field(lambda *args: v, tag=str(v))
+    return Field.constant(_real(value, where, vocabulary, "a number or expression string"),
+                          vocabulary.result)
 
 
 def _require(d: dict, key: str, where: str):

@@ -107,22 +107,16 @@ class SolverConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if not isinstance(self.m, Integral) or self.m < 1:
-            raise ValidationError(f"collocation degree m must be an integer >= 1, got {self.m!r}")
-        for name in ("degree", "l1_grid", "max_iters"):
+        for name, low in (("m", 1), ("degree", 1), ("l1_grid", 2), ("max_iters", 1)):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.degree is not None and self.degree < 1:
-            raise ValidationError("basis degree must be >= 1")
+            if name == "degree" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValidationError(f"regularization gamma must be finite and > 0, got {self.gamma}")
         if self.fractional_scheme not in ("analytic", "l1"):
             raise ValidationError("fractional_scheme must be 'analytic' or 'l1'")
-        if self.l1_grid < 2:
-            raise ValidationError("l1_grid must be >= 2")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
 
 
 def _conditions_per_unknown(problem: DaeProblem) -> int:
@@ -176,7 +170,7 @@ def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
         (xlo, xhi), (tlo, thi) = problem.domain
         xs = shift_from_canonical(roots, BasisSpec(1, xlo, xhi))
         ts = shift_from_canonical(roots, BasisSpec(1, tlo, thi))
-        pts = np.array([(x, t) for x in xs for t in ts])
+        pts = np.column_stack([np.repeat(xs, len(ts)), np.tile(ts, len(xs))])
         return CollocationGrid(points=pts, x_nodes=xs, t_nodes=ts)
     lo, hi = problem.domain
     pts = shift_from_canonical(roots, BasisSpec(1, lo, hi))
@@ -188,8 +182,8 @@ def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
 
     Gauss-Legendre on each [spec.lo, point] with max(VOLTERRA_NODES, d//2 + 2)
     nodes for d basis functions, exact when the kernel is a polynomial of
-    degree <= 2 in s; the kernel is evaluated once per (point, node).  Points
-    at or below spec.lo give zero rows.
+    degree <= 2 in s; the kernel is called once, on the (point, node) array.
+    Points at or below spec.lo give zero rows.
     """
     nodes = max(VOLTERRA_NODES, spec.degree_count // 2 + 2)
     pts = np.asarray(points, dtype=float)
@@ -198,9 +192,8 @@ def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
     if not live.any():
         return out
     qx, qw = gauss_quadrature(nodes).mapped(spec.lo, pts[live, None])  # row g: [lo, point g]
-    kv = np.array([[kernel(p, s) for s in row] for p, row in zip(pts[live], qx)])
     tab = legendre_table(spec.degree_count, shift_to_canonical(qx, spec))[0]
-    out[live] = np.sum((qw * kv) * tab, axis=2).T
+    out[live] = np.sum((qw * kernel(pts[live, None], qx)) * tab, axis=2).T
     return out
 
 
@@ -222,9 +215,7 @@ class _Context:
         self.grid = grid
         self.config = config
         self.k = problem.unknowns
-        d_x, d_t = basis_counts(problem, config)
-        self.d_x = d_x
-        self.d_t = d_t
+        self.d_x, self.d_t = d_x, d_t = basis_counts(problem, config)
         if problem.is_2d:
             (xlo, xhi), (tlo, thi) = problem.domain
             self.spec_x = BasisSpec(d_x, xlo, xhi)
@@ -247,10 +238,9 @@ class _Context:
         for sc in self.problem.side_conditions:
             if self.problem.is_2d:
                 x, t = sc.point
-                xs = self.grid.x_nodes if x is None else [x]
-                for xi in xs:
-                    value = sc.value(xi) if callable(sc.value) else sc.value
-                    out.append(_Side(sc.target, (xi, t), sc.order, value))
+                xs = self.grid.x_nodes if x is None else np.array([x])
+                values = sc.value(xs) if callable(sc.value) else [sc.value] * len(xs)
+                out.extend(_Side(sc.target, (xi, t), sc.order, v) for xi, v in zip(xs, values))
             else:
                 out.append(_Side(sc.target, sc.point, sc.order, sc.value))
         return out
@@ -282,26 +272,17 @@ class _Context:
         Column 0 is (L 1)(point), since phi_0 = P_0 = 1 on every axis.
         """
         pts = np.asarray(points)
-        if self.problem.is_2d:
-            x, t = pts[:, 0], pts[:, 1]
-            if isinstance(op, Identity):
-                bx = self._axis_values(self.spec_x, x, 0)
-                bt = self._axis_values(self.spec_t, t, 0)
-            elif isinstance(op, Derivative):
-                if op.var == "x":
-                    bx = self._axis_values(self.spec_x, x, op.order)
-                    bt = self._axis_values(self.spec_t, t, 0)
-                else:
-                    bx = self._axis_values(self.spec_x, x, 0)
-                    bt = self._axis_values(self.spec_t, t, op.order)
-            else:
-                raise ValidationError(f"operator {op!r} is interval-only")
+        if isinstance(op, (Identity, Derivative)):
+            order = op.order if isinstance(op, Derivative) else 0
+            if not self.problem.is_2d:
+                return self._axis_values(self.spec_t, pts, order).T
+            on_x = isinstance(op, Derivative) and op.var == "x"
+            bx = self._axis_values(self.spec_x, pts[:, 0], order if on_x else 0)
+            bt = self._axis_values(self.spec_t, pts[:, 1], 0 if on_x else order)
             # row g, column p*d_t + q  <->  phi_p(x_g) phi_q(t_g)
             return (bx[:, None, :] * bt[None, :, :]).reshape(self.D, -1).T
-        if isinstance(op, Identity):
-            return self._axis_values(self.spec_t, pts, 0).T
-        if isinstance(op, Derivative):
-            return self._axis_values(self.spec_t, pts, op.order).T
+        if self.problem.is_2d:
+            raise ValidationError(f"operator {op!r} is interval-only")
         if isinstance(op, Caputo):
             if self.config.fractional_scheme == "analytic":
                 return caputo_table(self.spec_t, op.alpha, pts)
@@ -312,11 +293,9 @@ class _Context:
 
     # -- constraint columns ----------------------------------------------
 
-    def grid_values(self, fn) -> np.ndarray:
-        """fn evaluated at every collocation point."""
-        if self.problem.is_2d:
-            return np.array([fn(x, t) for x, t in self.grid.points])
-        return np.array([fn(t) for t in self.grid.points])
+    def field_values(self, fn, points) -> np.ndarray:
+        """fn at every point (an array of them), in one call."""
+        return fn(points[:, 0], points[:, 1]) if self.problem.is_2d else fn(points)
 
     def grid_matrix(self, op) -> np.ndarray:
         """operator_matrix over the grid, built once per distinct operator."""
@@ -343,10 +322,10 @@ class _Context:
         for i, eq in enumerate(self.problem.equations):
             cols = slice(i * n_grid, (i + 1) * n_grid)
             for term in eq.terms:
-                coeffs = self.grid_values(term.coeff)
+                coeffs = self.field_values(term.coeff, self.grid.points)
                 rows = slice(term.target * D, (term.target + 1) * D)
                 Z[rows, cols] += (coeffs[:, None] * self.grid_matrix(term.op)).T
-            y[cols] = self.grid_values(eq.rhs)
+            y[cols] = self.field_values(eq.rhs, self.grid.points)
         for s_idx, (side, row) in enumerate(zip(self.sides, self.side_rows())):
             c = self.k * n_grid + s_idx
             Z[side.target * D : (side.target + 1) * D, c] = row
@@ -424,17 +403,18 @@ def gauss_newton(
 
     Without `w0` the iteration starts from `solve_linear` on the linear
     part that `assemble` returns, closures dropped.
-    The linear operator terms contribute an exact, constant Jacobian block;
-    the nonlinear closures are differentiated by forward finite differences
-    in the unknown values.  A step is accepted when it lowers the objective;
-    the Levenberg parameter then halves, and otherwise it quadruples.  The
-    iteration stops when a step changes the objective by at most
-    GN_OBJECTIVE_RTOL of its value.  A step that lowers the objective counts
-    only while the Levenberg parameter is at or below its starting value
+    The linear operator terms contribute an exact, constant Jacobian block; the
+    nonlinear closures are differentiated by forward finite differences in the
+    unknown values; one call of each closure, on the values stacked with their
+    k bumped copies, serves r and the differences.  A step is accepted when it
+    lowers the objective; the Levenberg parameter then halves, and otherwise it
+    quadruples.  The iteration stops when a step changes the objective by at
+    most GN_OBJECTIVE_RTOL of its value.  A step that lowers the objective
+    counts only while the Levenberg parameter is at or below its starting value
     GN_DAMPING, so that a step shrunk by heavy damping does not pass for
-    convergence; a step that fails to lower it shows that no step does at
-    this precision.  Raises NonConvergence (with the last iterate, the best
-    one seen, attached) when the budget runs out.
+    convergence; a step that fails to lower it shows that no step does at this
+    precision.  Raises NonConvergence (with the last iterate, the best one
+    seen, attached) when the budget runs out.
     """
     problem.validate()
     if problem.is_2d:
@@ -446,24 +426,26 @@ def gauss_newton(
     D = n_w // k
     gamma = config.gamma
     closures = [eq.nonlinear for eq in problem.equations]
+    ts = np.tile(grid.points, k + 1)
 
     def linearize(w: np.ndarray):
-        """Residual r(w) and its Jacobian J, one pass over the closures."""
+        """Residual r(w) and its Jacobian J, one call per closure."""
         r = A @ w - y
         J = A.copy()
         uv = value_B @ w.reshape(k, D).T  # (n_grid, k)
+        h = 1e-7 * np.maximum(1.0, np.abs(uv))
+        # the unknowns' values, then k copies with unknown u bumped by h[:, u]
+        stacked = np.repeat(uv[None], k + 1, axis=0)
+        for u in range(k):
+            stacked[u + 1, :, u] += h[:, u]
         for i, cl in enumerate(closures):
             if cl is None:
                 continue
             rows = slice(i * n_grid, (i + 1) * n_grid)
-            f0 = np.array([cl(t, *vals) for t, vals in zip(grid.points, uv)])
+            f0, *f1 = cl(ts, *stacked.reshape(-1, k).T).reshape(k + 1, n_grid)
             r[rows] += f0
             for u in range(k):
-                h = 1e-7 * np.maximum(1.0, np.abs(uv[:, u]))
-                bumped = uv.copy()
-                bumped[:, u] += h
-                f1 = np.array([cl(t, *vals) for t, vals in zip(grid.points, bumped)])
-                J[rows, u * D : (u + 1) * D] += ((f1 - f0) / h)[:, None] * value_B
+                J[rows, u * D : (u + 1) * D] += ((f1[u] - f0) / h[:, u])[:, None] * value_B
         return r, J
 
     def objective(w: np.ndarray, r: np.ndarray) -> float:
@@ -623,11 +605,11 @@ def report(model: TrainedModel, probes) -> ResidualReport:
     rows = []
     l2 = np.zeros(problem.unknowns)
     with model._arithmetic():
-        coords = model._ctx.coordinates(probes).tolist()
+        coords = model._ctx.coordinates(probes)
         for u, exact_fn in enumerate(problem.exact):
             urows = []
-            for p, x, approx in zip(probes, coords, values[u]):
-                exact = exact_fn(*x) if problem.is_2d else exact_fn(x)
+            exact_values = model._ctx.field_values(exact_fn, coords).tolist()
+            for p, exact, approx in zip(probes, exact_values, values[u]):
                 abs_err = abs(exact - approx)
                 near_zero = abs(exact) < TINY_EXACT
                 rel = abs_err if near_zero else abs_err / abs(exact)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -36,6 +37,15 @@ class TestField:
         f = Field.constant(3)
         assert f(0.7) == 3.0
         assert f.tag == "3.0"
+
+    def test_constant_broadcasts_in_its_number_type(self):
+        f = Field.constant(2, mpmath.mpf)
+        assert type(f(0.5)) is mpmath.mpf and f.tag == "2.0"
+        got = f(np.zeros((3, 1)), np.zeros(4))
+        assert got.shape == (3, 4) and got.dtype == object
+        assert all(type(v) is mpmath.mpf and v == 2 for v in got.flat)
+        got = Field.constant(2.5)(np.zeros(3))
+        assert got.dtype == np.float64 and got.tolist() == [2.5] * 3
 
     def test_callable_with_tag(self):
         f = Field(lambda t: 2 * t, tag="2*t")

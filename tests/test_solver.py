@@ -106,6 +106,18 @@ class TestConfigValidation:
             SolverConfig(**{name: 100.5})
         assert getattr(SolverConfig(**{name: np.int64(12)}), name) == 12
 
+    @pytest.mark.parametrize("name", ["m", "degree", "max_iters", "l1_grid"])
+    def test_counts_refuse_bools(self, name):
+        # bool is an Integral, but True is no count
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: True})
+
+    @pytest.mark.parametrize("name", ["m", "max_iters", "l1_grid"])
+    def test_only_degree_may_be_none(self, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: None})
+        assert SolverConfig(degree=None).degree is None
+
     def test_degree_positive_when_given(self):
         with pytest.raises(ValidationError):
             SolverConfig(degree=0)
@@ -344,26 +356,27 @@ class TestOperatorTables:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("m", [8, 14])
-    def test_field_calls_are_per_point(self, monkeypatch, m):
-        # each term coefficient and right-hand side once per grid point, and
-        # each distinct Volterra kernel once per (point, quadrature node):
-        # 1080 calls at m = 8 and 1890 at m = 14, never one per basis function
-        calls = {"field": 0}
+    def test_each_field_is_called_once_per_grid(self, monkeypatch, m):
+        # every term coefficient, right-hand side and distinct Volterra
+        # kernel is called once per assemble, on the whole grid (on the
+        # (point, node) array for a kernel), whatever the grid size
+        calls = []
         field_call = Field.__call__
 
         def counted_field(self, *args):
-            calls["field"] += 1
+            calls.append(self)
             return field_call(self, *args)
 
         problem = load_problem("example2")
         config = SolverConfig(m=m)
         grid = build_grid(problem, config)
         terms = [term for eq in problem.equations for term in eq.terms]
-        volterra = {t.op for t in terms if isinstance(t.op, VolterraIntegral)}
+        kernels = {t.op.kernel for t in terms if isinstance(t.op, VolterraIntegral)}
+        fields = [t.coeff for t in terms] + [eq.rhs for eq in problem.equations] + list(kernels)
         monkeypatch.setattr(Field, "__call__", counted_field)
         assemble(problem, grid, config)
-        per_point = len(terms) + len(problem.equations) + len(volterra) * VOLTERRA_NODES
-        assert calls["field"] == len(grid) * per_point
+        assert len(calls) == len(fields) == 11
+        assert {id(f) for f in calls} == {id(f) for f in fields}
 
     def test_l1_scheme_matches_analytic_table(self):
         ctx = self.context(SolverConfig(m=8, fractional_scheme="l1", l1_grid=4000))
@@ -397,6 +410,26 @@ class TestOperatorTables:
 
 
 class TestGaussNewton:
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    def test_each_closure_is_called_once_per_linearize(self, monkeypatch, name):
+        # one call per closure serves the residual and the k forward
+        # differences; linearize runs once at the start and once per step
+        calls = []
+        field_call = Field.__call__
+
+        def counted_field(self, *args):
+            calls.append(self)
+            return field_call(self, *args)
+
+        problem = load_problem(name)
+        config = CASES[name].config
+        grid = build_grid(problem, config)
+        monkeypatch.setattr(Field, "__call__", counted_field)
+        model = gauss_newton(problem, grid, config)
+        for eq in problem.equations:
+            want = 0 if eq.nonlinear is None else model.iterations + 1
+            assert sum(f is eq.nonlinear for f in calls) == want
+
     def test_scalar_square_root(self):
         # pure closure equation u^2 = 4; from a positive start the
         # iteration must land on the u = 2 branch everywhere
