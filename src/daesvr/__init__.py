@@ -55,7 +55,7 @@ from .model import (
     SideCondition,
     VolterraIntegral,
     is_linear,
-    residual_at,
+    residuals,
 )
 from .highprec import InterpolantModel, solve_interpolant
 from .schema import BUILTIN_PROBLEMS, builtin_names, load_problem, serialize_problem
@@ -124,7 +124,7 @@ __all__ = [
     "plot_rows",
     "render_result",
     "report",
-    "residual_at",
+    "residuals",
     "run_case",
     "self_check",
     "serialize_problem",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import SelfCheckError, ValidationError
 from .highprec import _unsupported, solve_interpolant
-from .model import DaeProblem, ExactCandidate, residual_at
+from .model import DaeProblem, ExactCandidate, residuals
 from .schema import load_problem
 from .solver import ResidualReport, SolverConfig, report, solve
 
@@ -216,17 +216,13 @@ def self_check(name: str, problem: DaeProblem, probes: Sequence) -> float:
     SELF_CHECK_TOL naming the equation and point, and MissingExact when
     the problem states no exact solution.
     """
-    candidate = ExactCandidate(problem)
-    worst, where = 0.0, None
-    for i in range(problem.unknowns):
-        for pt in probes:
-            r = abs(residual_at(problem, i, candidate, pt))
-            if r > worst:
-                worst, where = r, (i, pt)
+    r = np.abs(residuals(problem, ExactCandidate(problem), probes))
+    eq, j = np.unravel_index(np.argmax(r), r.shape)  # the first worst (equation, probe)
+    worst = float(r[eq, j])
     if worst > SELF_CHECK_TOL:
         raise SelfCheckError(
-            f"{name}: exact solution violates equation {where[0]} at "
-            f"{where[1]} with residual {worst:.3e} (tolerance {SELF_CHECK_TOL:g}); "
+            f"{name}: exact solution violates equation {eq} at "
+            f"{probes[j]} with residual {worst:.3e} (tolerance {SELF_CHECK_TOL:g}); "
             "the encoded system and its exact solution disagree"
         )
     return worst

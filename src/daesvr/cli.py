@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import benchmarks
 from .errors import DaeSvrError, ParseError, ValidationError
-from .model import DaeProblem
+from .model import DaeProblem, Identity
 from .schema import builtin_names, load_problem
 from .solver import SolverConfig, report, solve
 
@@ -175,10 +175,10 @@ def _cmd_solve(args) -> int:
             print(f"{name}: trained (m={config.m}, gamma={config.gamma:g}, "
                   f"iterations={model.iterations})")
             print(f"  sum of squared collocation errors: {model.squared_error_sum:.3e}")
-            for pt in _default_probes(problem):
-                vals = " ".join(
-                    f"u{u + 1}={model.evaluate(u, pt):.9g}" for u in range(problem.unknowns)
-                )
+            probes = _default_probes(problem)
+            values = model.values(Identity(), probes)
+            for pt, column in zip(probes, values.T):
+                vals = " ".join(f"u{u + 1}={v:.9g}" for u, v in enumerate(column))
                 print(f"  at {pt}: {vals}")
         return 0
     except DaeSvrError as err:

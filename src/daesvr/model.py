@@ -11,16 +11,17 @@ Supported linear operators: the identity, integer-order derivatives, Caputo
 fractional derivatives (interval problems only), and Volterra integrals from
 the left endpoint.  Side conditions pin values or derivatives at points.
 
-`residual_at` evaluates one equation's residual against any candidate object
-that can report values and operator-applied values of the unknowns; both
-trained models and `ExactCandidate`, which reads the exact solutions from
-their source text, implement that interface.
+`residuals` evaluates every equation's residual at a batch of points against
+a candidate: any object whose `values(op, points)` gives the (k, n_points)
+values of an operator applied to every unknown.  Trained models and
+`ExactCandidate`, which reads the exact solutions from their source text,
+implement it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -42,7 +43,7 @@ __all__ = [
     "ExactCandidate",
     "Field",
     "is_linear",
-    "residual_at",
+    "residuals",
 ]
 
 MAX_DERIVATIVE_ORDER = 4
@@ -198,26 +199,36 @@ def is_linear(problem: DaeProblem) -> bool:
     return all(eq.nonlinear is None for eq in problem.equations)
 
 
-def residual_at(problem: DaeProblem, eq_index: int, candidate, point) -> float:
-    """Collocated residual of equation `eq_index` at `point`.
+def residuals(problem: DaeProblem, candidate, points) -> np.ndarray:
+    """(n_equations, n_points) array: row i is equation i's residual
+    sum_j c_j (L_j u)(p) + g(p, u(p)) - f(p) at every point p.
 
-    `candidate` must provide value(u, point) and apply_op(u, op, point).
-    Non-finite results raise EvaluationError.
+    `candidate.values(op, points)` gives the (k, n_points) values of `op`
+    applied to every unknown.  It is asked once per distinct operator, and
+    every coefficient, closure and right-hand side is called once on the
+    whole batch.  A non-finite residual raises EvaluationError naming its
+    equation and the first such point.
     """
-    eq = problem.equations[eq_index]
-    args = tuple(point) if problem.is_2d else (point,)
-    total = 0.0
-    for term in eq.terms:
-        total += term.coeff(*args) * candidate.apply_op(term.target, term.op, point)
-    if eq.nonlinear is not None:
-        values = [candidate.value(u, point) for u in range(problem.unknowns)]
-        total += eq.nonlinear(point, *values)
-    total -= eq.rhs(*args)
-    if not math.isfinite(total):
-        raise EvaluationError(
-            f"equation {eq_index} residual at {point} is not finite"
-        )
-    return total
+    pts = np.asarray(points, dtype=float).reshape((-1, 2) if problem.is_2d else -1)
+    args = tuple(pts.T) if problem.is_2d else (pts,)
+    ops = [term.op for eq in problem.equations for term in eq.terms]
+    if not is_linear(problem):
+        ops.append(Identity())  # closures read every unknown's value
+    values = {op: candidate.values(op, pts) for op in dict.fromkeys(ops)}
+    out = []
+    for i, eq in enumerate(problem.equations):
+        total = np.zeros(len(pts))
+        for term in eq.terms:
+            total = total + term.coeff(*args) * values[term.op][term.target]
+        if eq.nonlinear is not None:
+            total = total + eq.nonlinear(pts, *values[Identity()])
+        total = total - eq.rhs(*args)
+        bad = np.flatnonzero(~np.isfinite(np.asarray(total, dtype=float)))
+        if bad.size:
+            point = tuple(pts[bad[0]].tolist()) if problem.is_2d else pts[bad[0]].item()
+            raise EvaluationError(f"equation {i} residual at {point} is not finite")
+        out.append(total)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +240,8 @@ class ExactCandidate:
     Derivatives are the text's symbolic derivatives, compiled once per
     (unknown, variable, order).  Caputo derivatives and Volterra integrals
     are Gauss rules in sigma after s = lo + tau sigma^2, tau = point - lo,
-    which makes half-integer powers at the left endpoint polynomials.
+    which makes half-integer powers at the left endpoint polynomials; each
+    is one (points x nodes) array.
     """
 
     def __init__(self, problem: DaeProblem):
@@ -240,53 +252,55 @@ class ExactCandidate:
         if any(f.tag is None for f in problem.exact):
             raise ValidationError("exact solutions need their source text; build with load_problem")
         self.problem = problem
-        self._variables = ("x", "t") if problem.is_2d else ("t",)
-        self._derivatives = {}
+        variables = ("x", "t") if problem.is_2d else ("t",)
+        self._derivative = cache(  # (unknown, variable, order) -> compiled derivative
+            lambda u, var, order: derivative(problem.exact[u].tag, variables, var, order)
+        )
+        self._applied = {(term.op, term.target) for eq in problem.equations for term in eq.terms}
 
-    def _args(self, point) -> tuple:
-        return tuple(point) if self.problem.is_2d else (point,)
+    def values(self, op: LinearOp, points) -> np.ndarray:
+        """(k, n_points) float array of `op` applied to the unknowns.
 
-    def value(self, u: int, point) -> float:
-        return float(self.problem.exact[u](*self._args(point)))
+        Only the rows of the unknowns that some term applies `op` to are
+        computed, and every row of the identity, which closures read; the
+        others are NaN.  So an unknown that no term differentiates may have
+        a text such as `pow(2,t)`, which has no symbolic derivative.
+        """
+        pts = np.asarray(points, dtype=float)
+        args = tuple(pts.reshape(-1, 2).T) if self.problem.is_2d else (pts.reshape(-1),)
+        out = np.full((self.problem.unknowns, args[0].size), np.nan)
+        for u in range(self.problem.unknowns):
+            if isinstance(op, Identity):
+                out[u] = self.problem.exact[u](*args)
+            elif (op, u) not in self._applied:
+                continue
+            elif isinstance(op, Derivative):
+                out[u] = self._derivative(u, op.var, op.order)(*args)
+            else:
+                out[u] = self._memory(u, op, *args)
+        return out
 
-    def apply_op(self, u: int, op: LinearOp, point) -> float:
-        if isinstance(op, Identity):
-            return self.value(u, point)
-        if isinstance(op, Derivative):
-            return self._derivative(u, op.var, op.order)(*self._args(point))
+    def _memory(self, u: int, op: LinearOp, t: np.ndarray) -> np.ndarray:
+        """A Caputo derivative or Volterra integral at the points t: zero at
+        lo, refused below it."""
+        lo = self.problem.interval[0]
+        if (t < lo).any():
+            raise DomainError(f"{type(op).__name__} evaluation below base point")
+        live = t > lo
+        tau, out = t[live, None] - lo, np.zeros(t.size)
         if isinstance(op, Caputo):
-            return self._caputo(u, op.alpha, point)
-        if isinstance(op, VolterraIntegral):
-            return self._volterra(u, op.kernel, point)
-        raise ValidationError(f"unknown operator {op!r}")
-
-    def _derivative(self, u: int, var: str, order: int):
-        key = (u, var, order)
-        if key not in self._derivatives:
-            text = self.problem.exact[u].tag
-            self._derivatives[key] = derivative(text, self._variables, var, order)
-        return self._derivatives[key]
-
-    def _caputo(self, u: int, alpha: float, point: float) -> float:
-        # D^a u(x) = tau^(1-a) int_0^1 (1-sigma)^(-a) (1+sigma)^(-a) 2 sigma
-        # u'(lo + tau sigma^2) dsigma / Gamma(1-a), the Gauss-Jacobi rule
-        # carrying (1-sigma)^(-a) / Gamma(1-a)
-        lo = self.problem.interval[0]
-        tau = point - lo
-        if tau < 0:
-            raise DomainError("Caputo evaluation below base point")
-        if tau == 0.0:
-            return 0.0
-        sigma, weights = caputo_rule(alpha, 32)
-        slopes = self._derivative(u, "t", 1)(lo + tau * sigma * sigma)
-        return tau ** (1.0 - alpha) * float(np.dot(weights * (1.0 + sigma) ** -alpha * 2.0 * sigma, slopes))
-
-    def _volterra(self, u: int, kernel: Field, point: float) -> float:
-        lo = self.problem.interval[0]
-        length = point - lo
-        if length <= 0.0:
-            return 0.0
-        sigma, w = gauss_quadrature(64).mapped(0.0, 1.0)
-        s = lo + length * sigma**2
-        vals = kernel(point, s) * self.problem.exact[u](s)
-        return float(np.sum(w * vals * 2.0 * length * sigma))
+            # D^a u(t) = tau^(1-a) int_0^1 (1-sigma)^(-a) (1+sigma)^(-a) 2 sigma
+            # u'(lo + tau sigma^2) dsigma / Gamma(1-a), the Gauss-Jacobi rule
+            # carrying (1-sigma)^(-a) / Gamma(1-a)
+            sigma, weights = caputo_rule(op.alpha, 32)
+            slopes = self._derivative(u, "t", 1)(lo + tau * sigma * sigma)
+            rule = weights * (1.0 + sigma) ** -op.alpha * 2.0 * sigma
+            out[live] = tau[:, 0] ** (1.0 - op.alpha) * np.vecdot(slopes, rule)
+        elif isinstance(op, VolterraIntegral):
+            sigma, w = gauss_quadrature(64).mapped(0.0, 1.0)
+            s = lo + tau * sigma**2
+            vals = op.kernel(t[live, None], s) * self.problem.exact[u](s)
+            out[live] = np.sum(w * vals * 2.0 * tau * sigma, axis=1)
+        else:
+            raise ValidationError(f"unknown operator {op!r}")
+        return out

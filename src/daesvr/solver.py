@@ -509,10 +509,10 @@ def solve(problem: DaeProblem, config: Optional[SolverConfig] = None) -> "Traine
 
 @dataclass
 class TrainedModel:
-    """A trained approximation; also a residual candidate (value/apply_op).
+    """A trained approximation; also a residual candidate (`values`).
 
     The weights are float, or mpf in an object array for the extended-
-    precision interpolant; evaluation and `report` keep that number type.
+    precision interpolant; `values` and `report` keep that number type.
     `errors` is the constraint residual; on the dual path it is -alpha/gamma,
     so w = -gamma Z errors.
     The model builds its own operator context from problem, grid and config.
@@ -548,29 +548,18 @@ class TrainedModel:
     def squared_error_sum(self) -> float:
         return float(self.errors @ self.errors)
 
-    def _values(self, op, points) -> np.ndarray:
+    def values(self, op, points) -> np.ndarray:
         """(k, n_points) array of op applied to every unknown at the points,
-        in the model's number type, from one operator table.
+        in the model's number type (float, or mpf), from one operator table.
 
-        Each value is one table row dotted with the unknown's weights; a
-        row-by-row dot keeps a value independent of the other points.
+        Each value is one table row dotted with the unknown's weights
+        (`vecdot`, not a matrix product), so a value does not depend on the
+        other points of the batch.
         """
         ctx = self._ctx
         with self._arithmetic():
             M = np.ascontiguousarray(ctx.operator_matrix(op, ctx.coordinates(points)))
-            return np.array([[row @ w for row in M] for w in self.weights])
-
-    def evaluate(self, unknown: int, point) -> float:
-        """Value of one unknown at one point."""
-        return self.apply_op(unknown, Identity(), point)
-
-    # candidate interface --------------------------------------------------
-
-    def value(self, unknown: int, point) -> float:
-        return self.evaluate(unknown, point)
-
-    def apply_op(self, unknown: int, op, point) -> float:
-        return float(self._values(op, [point])[unknown, 0])
+            return np.vecdot(M[None], self.weights[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -601,7 +590,7 @@ def report(model: TrainedModel, probes) -> ResidualReport:
     problem = model.problem
     if problem.exact is None:
         raise MissingExact("problem carries no exact solution")
-    values = model._values(Identity(), probes)
+    values = model.values(Identity(), probes)
     rows = []
     l2 = np.zeros(problem.unknowns)
     with model._arithmetic():

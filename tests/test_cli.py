@@ -2,8 +2,14 @@ import json
 
 import pytest
 
+import daesvr.cli as cli
+import daesvr.solver
 from daesvr.benchmarks import CSV_COLUMNS, PLOT_COLUMNS
 from daesvr.cli import main
+from daesvr.legendre import legendre_table
+from daesvr.model import Identity
+from daesvr.schema import load_problem
+from daesvr.solver import SolverConfig, solve
 
 OSCILLATOR = {
     "unknowns": 2,
@@ -131,14 +137,29 @@ class TestSolve:
         code = main(["solve", "example3", "--fractional-scheme", "l1:600", "--m", "8"])
         assert code == 0
 
-    def test_without_exact_prints_summary(self, tmp_path, capsys):
+    def test_without_exact_prints_summary(self, tmp_path, capsys, monkeypatch):
         data = dict(OSCILLATOR)
         data = json.loads(json.dumps(data))
         del data["exact"]
         path = problem_file(tmp_path, data)
-        assert main(["solve", "--file", path, "--m", "8", "--gamma", "1e8"]) == 0
+        argv = ["solve", "--file", path, "--m", "8", "--gamma", "1e8"]
+        model = solve(load_problem(json.dumps(data)), SolverConfig(m=8, gamma=1e8))
+        probes = (0.2, 0.4, 0.6, 0.8, 1.0)
+        values = model.values(Identity(), probes)
+        # the solve is taken as trained, so every table counted is printing's
+        monkeypatch.setattr(cli, "solve", lambda problem, config: model)
+        tables = []
+        monkeypatch.setattr(
+            daesvr.solver, "legendre_table",
+            lambda *a: tables.append(a) or legendre_table(*a),
+        )
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "trained" in out
+        for pt, column in zip(probes, values.T):
+            want = " ".join(f"u{u + 1}={v:.9g}" for u, v in enumerate(column))
+            assert f"  at {pt}: {want}\n" in out
+        assert len(tables) == 1
 
     def test_undefined_expression_value_is_named(self, tmp_path, capsys):
         data = json.loads(json.dumps(OSCILLATOR))

@@ -13,7 +13,7 @@ from daesvr.errors import DaeSvrError, MissingExact, SingularSystem, ValidationE
 from daesvr.highprec import solve_interpolant, solve_square
 from daesvr.expressions import MPF
 from daesvr.legendre import legendre_table
-from daesvr.model import DaeProblem
+from daesvr.model import DaeProblem, Identity
 from daesvr.schema import _build, load_problem
 from daesvr.solver import SolverConfig, TrainedModel, report
 
@@ -129,13 +129,15 @@ class TestInterval:
         # far below anything double arithmetic could represent as nonzero
         assert coarse.residual_inf <= 1e-35
 
-    def test_evaluate_is_float_of_mp(self, coarse):
-        # the value is summed in working precision and rounded once; on [0, 1]
-        # the canonical coordinate of t is 2t - 1
+    def test_values_are_mp(self, coarse):
+        # values stay mpf, summed in working precision; on [0, 1] the
+        # canonical coordinate of t is 2t - 1
         with workdps(40):
             s = np.array([2 * mpf(0.4) - 1], dtype=object)
             want = mpmath.fdot(coarse.weights[0], legendre_table(coarse.block, s)[0][:, 0])
-        assert coarse.evaluate(0, 0.4) == float(want)
+        got = coarse.values(Identity(), [0.4])
+        assert got.shape == (2, 1) and type(got[0, 0]) is mpf
+        assert float(got[0, 0]) == float(want)
 
     def test_errors_are_consistent(self, fine):
         row = report(fine, [0.6]).rows[0][0]
@@ -327,7 +329,7 @@ class TestRejections:
         bare = json.loads(OSCILLATOR)
         del bare["exact"]
         model = solve_interpolant(load_problem(json.dumps(bare)), SolverConfig(m=6))
-        assert model.evaluate(0, 0.5) == pytest.approx(0.479425538604, abs=1e-6)
+        assert float(model.values(Identity(), [0.5])[0, 0]) == pytest.approx(0.479425538604, abs=1e-6)
         with pytest.raises(MissingExact, match="exact"):
             report(model, [0.5])
 

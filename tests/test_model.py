@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from daesvr.errors import DomainError, EvaluationError, MissingExact, ValidationError
-from daesvr.expressions import compile_expression
+from daesvr.benchmarks import self_check
+from daesvr.errors import DomainError, EvaluationError, MissingExact, ParseError, ValidationError
+from daesvr.expressions import compile_expression, derivative
 from daesvr.model import (
     Caputo,
     DaeProblem,
@@ -19,7 +21,7 @@ from daesvr.model import (
     SideCondition,
     VolterraIntegral,
     is_linear,
-    residual_at,
+    residuals,
 )
 from daesvr.schema import load_problem
 
@@ -171,29 +173,39 @@ def exact_problem(equations, texts, unknowns=1):
 
 
 class StubCandidate:
-    """The candidate interface with fixed values."""
+    """The candidate interface with one fixed value everywhere."""
 
     def __init__(self, value):
         self._value = value
 
-    def value(self, u, point):
-        return self._value
-
-    def apply_op(self, u, op, point):
-        return self._value
+    def values(self, op, points):
+        return np.full((1, len(points)), self._value)
 
 
 class TestResidualAt:
+    """`residuals` at a batch of points: one row per equation."""
+
     def test_constant_satisfies_flat_equation(self):
         # u' = 0 and any constant candidate give a zero residual
         eq = Equation(terms=(OperatorTerm(ONE, Derivative(1), 0),), rhs=Field.constant(0.0))
         p = exact_problem([eq], ["3.0"])
-        assert residual_at(p, 0, ExactCandidate(p), 0.4) == 0.0
+        got = residuals(p, ExactCandidate(p), [0.0, 0.4, 1.0])
+        assert got.shape == (1, 3) and got.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_rhs_enters_with_minus_sign(self):
         eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=Field.constant(5.0))
         p = exact_problem([eq], ["2"])
-        assert_allclose(residual_at(p, 0, ExactCandidate(p), 0.4), -3.0, rtol=1e-15)
+        assert_allclose(residuals(p, ExactCandidate(p), [0.4, 0.9]), [[-3.0, -3.0]], rtol=1e-15)
+
+    def test_rows_follow_the_equations(self):
+        # u1 = t, u2 = 2 against u1 = 1, u2 = 0: residuals t - 1 and 2
+        eqs = [
+            Equation(terms=(OperatorTerm(ONE, Identity(), u),), rhs=Field.constant(v))
+            for u, v in ((0, 1.0), (1, 0.0))
+        ]
+        p = exact_problem(eqs, ["t", "2"], unknowns=2)
+        got = residuals(p, ExactCandidate(p), [0.25, 0.5])
+        assert got.tolist() == [[-0.75, -0.5], [2.0, 2.0]]
 
     def test_nonlinear_closure_contributes(self):
         eq = Equation(
@@ -202,13 +214,62 @@ class TestResidualAt:
             nonlinear=Field(lambda t, u1: u1 * u1),
         )
         p = exact_problem([eq], ["2"])
-        assert_allclose(residual_at(p, 0, ExactCandidate(p), 0.5), 0.0, atol=1e-15)
+        assert_allclose(residuals(p, ExactCandidate(p), [0.5, 0.75]), [[0.0, 0.0]], atol=1e-15)
 
     def test_nonfinite_residual_raises(self):
         eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=ONE)
         p = interval_problem([eq])
         with pytest.raises(EvaluationError):
-            residual_at(p, 0, StubCandidate(float("inf")), 0.5)
+            residuals(p, StubCandidate(float("inf")), [0.5])
+
+    def test_nonfinite_residual_names_equation_and_first_point(self):
+        # equation 1 is finite at 0.2 only; equation 0 is finite everywhere
+        eqs = (
+            Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=ONE),
+            Equation(
+                terms=(OperatorTerm(ONE, Identity(), 1),),
+                rhs=Field(lambda t: np.where(t < 0.3, 1.0, np.nan)),
+            ),
+        )
+        p = interval_problem(eqs, unknowns=2)
+
+        class Finite:
+            def values(self, op, points):
+                return np.ones((2, len(points)))
+
+        with pytest.raises(EvaluationError, match=r"^equation 1 residual at 0\.4 is not finite$"):
+            residuals(p, Finite(), [0.2, 0.4, 0.6])
+
+    def test_rectangle_point_is_named_as_a_pair(self):
+        eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=ONE)
+        p = DaeProblem(unknowns=1, domain=((0.0, 1.0), (0.0, 1.0)), equations=(eq,))
+        with pytest.raises(EvaluationError, match=r"equation 0 residual at \(0\.5, 0\.25\)"):
+            residuals(p, StubCandidate(float("nan")), [(0.5, 0.25)])
+
+    def test_candidate_is_asked_once_per_operator(self):
+        # two equations share d/dt and the identity; the closure reads every value
+        eqs = (
+            Equation(
+                terms=(OperatorTerm(ONE, Derivative(1), 0), OperatorTerm(ONE, Identity(), 1)),
+                rhs=ONE,
+            ),
+            Equation(
+                terms=(OperatorTerm(ONE, Derivative(1), 1),),
+                rhs=ONE,
+                nonlinear=Field(lambda t, u1, u2: u1 * u2),
+            ),
+        )
+        p = interval_problem(eqs, unknowns=2)
+        asked = []
+
+        class Recording:
+            def values(self, op, points):
+                asked.append(op)
+                return np.ones((2, len(points)))
+
+        got = residuals(p, Recording(), [0.1, 0.2, 0.3, 0.4])
+        assert asked == [Derivative(1), Identity()]
+        assert got.tolist() == [[1.0] * 4, [1.0] * 4]
 
     def test_candidate_count_must_match(self):
         eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=ONE)
@@ -228,40 +289,49 @@ class TestResidualAt:
             ExactCandidate(interval_problem([eq]))
 
 
-class TestExactCandidateOperators:
-    def cand(self, text):
-        eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=ONE)
-        return ExactCandidate(exact_problem([eq], [text]))
+def op_values(text, op, points, domain=(0.0, 1.0)):
+    """`ExactCandidate.values(op, points)` of one unknown with exact text
+    `text`, in a problem whose one term applies `op` to it."""
+    eq = Equation(terms=(OperatorTerm(ONE, op, 0),), rhs=ONE)
+    exact = (Field(compile_expression(text, ("t",)), tag=text),)
+    p = DaeProblem(unknowns=1, domain=domain, equations=(eq,), exact=exact)
+    got = ExactCandidate(p).values(op, points)
+    assert got.shape == (1, len(points)) and got.dtype == np.float64
+    return got[0]
 
+
+class TestExactCandidateOperators:
     def test_analytic_derivative_preferred(self):
-        c = self.cand("sin(t)")
-        assert c.apply_op(0, Derivative(1), 0.3) == math.cos(0.3)
+        got = op_values("sin(t)", Derivative(1), [0.3, 0.7])
+        assert got.tolist() == [math.cos(0.3), math.cos(0.7)]
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_derivative_orders(self, order):
         # d^k/dt^k sin(t) cycles through cos, -sin, -cos, sin
-        c = self.cand("sin(t)")
-        cycle = [math.cos(0.6), -math.sin(0.6), -math.cos(0.6), math.sin(0.6)]
-        got = c.apply_op(0, Derivative(order), 0.6)
-        assert_allclose(got, cycle[order - 1], rtol=1e-13)
+        def cycle(t):
+            return [math.cos(t), -math.sin(t), -math.cos(t), math.sin(t)][order - 1]
+
+        got = op_values("sin(t)", Derivative(order), [0.2, 0.6])
+        assert_allclose(got, [cycle(0.2), cycle(0.6)], rtol=1e-13)
 
     def test_derivatives_are_compiled_once(self):
-        c = self.cand("t*sin(t)")
+        eq = Equation(terms=(OperatorTerm(ONE, Derivative(2), 0),), rhs=ONE)
+        c = ExactCandidate(exact_problem([eq], ["t*sin(t)"]))
         first = c._derivative(0, "t", 2)
-        c.apply_op(0, Derivative(2), 0.5)
+        c.values(Derivative(2), [0.5, 0.6])
         assert c._derivative(0, "t", 2) is first
 
     def test_power_sum_derivative(self):
-        c = self.cand("pow(t,2.5)")
-        assert_allclose(c.apply_op(0, Derivative(1), 0.49), 2.5 * 0.49**1.5, rtol=1e-14)
+        got = op_values("pow(t,2.5)", Derivative(1), [0.49, 0.81])
+        assert_allclose(got, [2.5 * 0.49**1.5, 2.5 * 0.81**1.5], rtol=1e-14)
 
     def test_power_sum_derivative_at_base_point(self):
-        c = self.cand("sqrt(t)")
         with pytest.raises(EvaluationError, match="sqrt"):
-            c.apply_op(0, Derivative(1), 0.0)
+            op_values("sqrt(t)", Derivative(1), [0.5, 0.0])
 
     def test_rectangle_derivatives_in_both_variables(self):
-        eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=ONE)
+        dt, dxx = Derivative(1, "t"), Derivative(2, "x")
+        eq = Equation(terms=(OperatorTerm(ONE, dt, 0), OperatorTerm(ONE, dxx, 0)), rhs=ONE)
         text = "pow(x,2)*exp(-t/2)"
         p = DaeProblem(
             unknowns=1,
@@ -270,78 +340,84 @@ class TestExactCandidateOperators:
             exact=(Field(compile_expression(text, ("x", "t")), tag=text),),
         )
         c = ExactCandidate(p)
-        x, t = 0.3, 0.4
-        assert_allclose(c.apply_op(0, Derivative(1, "t"), (x, t)), -x * x * math.exp(-t / 2) / 2, rtol=1e-15)
-        assert_allclose(c.apply_op(0, Derivative(2, "x"), (x, t)), 2 * math.exp(-t / 2), rtol=1e-15)
+        pts = [(0.3, 0.4), (-0.2, 0.9)]
+        assert_allclose(
+            c.values(dt, pts)[0], [-x * x * math.exp(-t / 2) / 2 for x, t in pts], rtol=1e-15
+        )
+        assert_allclose(c.values(dxx, pts)[0], [2 * math.exp(-t / 2) for _, t in pts], rtol=1e-15)
+
+    def test_rows_of_other_operators_are_not_computed(self):
+        # u2's text has no symbolic derivative; no term differentiates it
+        eqs = (
+            Equation(terms=(OperatorTerm(ONE, Derivative(1), 0),), rhs=ONE),
+            Equation(terms=(OperatorTerm(ONE, Identity(), 1),), rhs=ONE),
+        )
+        c = ExactCandidate(exact_problem(eqs, ["t", "pow(2,t)"], unknowns=2))
+        got = c.values(Derivative(1), [0.5])
+        assert got[0].tolist() == [1.0] and np.isnan(got[1]).all()
+        assert c.values(Identity(), [0.5]).tolist() == [[0.5], [2**0.5]]
 
     def test_caputo_power_rule(self):
-        c = self.cand("pow(t,3)")
-        got = c.apply_op(0, Caputo(0.5), 0.7)
-        assert_allclose(got, caputo_monomial(3, 0.5, 0.7), rtol=1e-13)
+        got = op_values("pow(t,3)", Caputo(0.5), [0.7, 0.3])
+        assert_allclose(got, [caputo_monomial(3, 0.5, x) for x in (0.7, 0.3)], rtol=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 1.5, 2.5, 3.5])
     def test_caputo_substitution_matches_power_rule(self, k, alpha):
         # the rule in sigma after s = tau sigma^2 on t^k and t^(k+1/2)
-        c = self.cand(f"pow(t,{k})")
-        for x in (0.05, 0.7, 1.0):
-            got = c.apply_op(0, Caputo(alpha), x)
-            assert_allclose(got, caputo_monomial(k, alpha, x), rtol=1e-12)
+        xs = (0.05, 0.7, 1.0)
+        got = op_values(f"pow(t,{k})", Caputo(alpha), xs)
+        assert_allclose(got, [caputo_monomial(k, alpha, x) for x in xs], rtol=1e-12)
 
     def test_caputo_quadrature_matches_power_rule(self):
         # a sum of powers, and a base point away from 0
-        eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0),), rhs=ONE)
-        text = "2*(t-1) + pow(t-1,4)"
-        p = DaeProblem(
-            unknowns=1,
-            domain=(1.0, 2.0),
-            equations=(eq,),
-            exact=(Field(compile_expression(text, ("t",)), tag=text),),
-        )
-        got = ExactCandidate(p).apply_op(0, Caputo(0.5), 1.7)
+        got = op_values("2*(t-1) + pow(t-1,4)", Caputo(0.5), [1.7], domain=(1.0, 2.0))
         want = 2 * caputo_monomial(1, 0.5, 0.7) + caputo_monomial(4, 0.5, 0.7)
-        assert_allclose(got, want, rtol=1e-13)
+        assert_allclose(got, [want], rtol=1e-13)
 
     def test_caputo_of_a_smooth_function(self):
         # D^(1/2) sin(t) = int_0^x (x-s)^(-1/2) cos(s) ds / Gamma(1/2)
-        mpmath = pytest.importorskip("mpmath")
         x = 0.8
         with mpmath.workdps(30):
             want = mpmath.quad(lambda s: (x - s) ** -0.5 * mpmath.cos(s), [0, x]) / mpmath.gamma(0.5)
-        got = self.cand("sin(t)").apply_op(0, Caputo(0.5), x)
-        assert_allclose(got, float(want), rtol=1e-13)
+        assert_allclose(op_values("sin(t)", Caputo(0.5), [x]), [float(want)], rtol=1e-13)
 
     def test_caputo_at_base_point_vanishes(self):
-        c = self.cand("pow(t,2)")
-        assert c.apply_op(0, Caputo(0.5), 0.0) == 0.0
+        # the entry at lo is zero and its neighbours are untouched; sqrt(t)
+        # has no derivative at lo, so the rule must not evaluate it there
+        got = op_values("pow(t,2)", Caputo(0.5), [0.5, 0.0, 0.7])
+        assert got[1] == 0.0
+        assert_allclose(got[[0, 2]], [caputo_monomial(2, 0.5, x) for x in (0.5, 0.7)], rtol=1e-13)
+        assert op_values("sqrt(t)", Caputo(0.5), [0.0]).tolist() == [0.0]
 
     def test_caputo_below_base_point(self):
-        c = self.cand("pow(t,2)")
-        with pytest.raises(DomainError):
-            c.apply_op(0, Caputo(0.5), -0.1)
+        with pytest.raises(DomainError, match="Caputo"):
+            op_values("pow(t,2)", Caputo(0.5), [0.5, -0.1])
 
     def test_volterra_constant_kernel(self):
         # int_0^t s ds = t^2 / 2
-        c = self.cand("t")
-        got = c.apply_op(0, VolterraIntegral(Field.constant(1.0)), 0.8)
-        assert_allclose(got, 0.32, rtol=1e-12)
+        got = op_values("t", VolterraIntegral(Field.constant(1.0)), [0.8, 0.4])
+        assert_allclose(got, [0.32, 0.08], rtol=1e-12)
 
     def test_volterra_sqrt_behaviour(self):
         # int_0^t sqrt(s) ds = (2/3) t^(3/2); exercises the substitution
-        c = self.cand("sqrt(t)")
-        got = c.apply_op(0, VolterraIntegral(Field.constant(1.0)), 0.9)
-        assert_allclose(got, 2.0 / 3.0 * 0.9**1.5, rtol=1e-12)
+        got = op_values("sqrt(t)", VolterraIntegral(Field.constant(1.0)), [0.9, 0.25])
+        assert_allclose(got, [2.0 / 3.0 * x**1.5 for x in (0.9, 0.25)], rtol=1e-12)
 
     def test_volterra_bivariate_kernel(self):
         # int_0^t (t + s) s^2 ds = t^4/3 + t^4/4
-        c = self.cand("t**2")
         kernel = Field(lambda t, s: t + s, tag="t+s")
-        got = c.apply_op(0, VolterraIntegral(kernel), 0.6)
-        assert_allclose(got, 0.6**4 * (1.0 / 3.0 + 1.0 / 4.0), rtol=1e-12)
+        got = op_values("t**2", VolterraIntegral(kernel), [0.6, 0.9])
+        assert_allclose(got, [x**4 * (1.0 / 3.0 + 1.0 / 4.0) for x in (0.6, 0.9)], rtol=1e-12)
 
     def test_volterra_at_base_point(self):
-        c = self.cand("t**2")
-        assert c.apply_op(0, VolterraIntegral(Field.constant(1.0)), 0.0) == 0.0
+        got = op_values("t**2", VolterraIntegral(Field.constant(1.0)), [0.6, 0.0])
+        assert got[1] == 0.0
+        assert_allclose(got[0], 0.6**3 / 3, rtol=1e-12)
+
+    def test_volterra_below_base_point(self):
+        with pytest.raises(DomainError, match="Volterra"):
+            op_values("t**2", VolterraIntegral(Field.constant(1.0)), [0.6, -0.1])
 
 
 class TestBuiltinExactness:
@@ -349,22 +425,54 @@ class TestBuiltinExactness:
 
     def test_first_system_residuals(self):
         p = load_problem("example1")
-        cand = ExactCandidate(p)
-        for i in range(p.unknowns):
-            assert abs(residual_at(p, i, cand, 0.5)) <= 1e-13
+        assert np.abs(residuals(p, ExactCandidate(p), [0.5])).max() <= 1e-13
 
     def test_algebraic_equation_is_exact(self):
         # third equation of the mixed-index system: identity couplings only,
         # so the residual carries no differentiation error at all
         p = load_problem("example3")
-        cand = ExactCandidate(p)
-        assert abs(residual_at(p, 2, cand, 1.0)) <= 1e-12
+        assert abs(residuals(p, ExactCandidate(p), [1.0])[2, 0]) <= 1e-12
 
     def test_rectangle_system_residuals(self):
         rng = np.random.default_rng(11)
         p = load_problem("example5")
-        cand = ExactCandidate(p)
-        for _ in range(4):
-            pt = (rng.uniform(-0.4, 0.4), rng.uniform(0.1, 0.9))
-            for i in range(p.unknowns):
-                assert abs(residual_at(p, i, cand, pt)) <= 1e-13
+        pts = [(rng.uniform(-0.4, 0.4), rng.uniform(0.1, 0.9)) for _ in range(4)]
+        got = residuals(p, ExactCandidate(p), pts)
+        assert got.shape == (p.unknowns, 4) and np.abs(got).max() <= 1e-13
+
+    def test_undifferentiated_unknown_needs_no_derivative(self):
+        # u2 = pow(2,t) appears under the identity only, so its text, which
+        # has no symbolic derivative, is never differentiated
+        p = load_problem(json.dumps({
+            "unknowns": 2,
+            "domain": {"lo": 0.0, "hi": 1.0},
+            "equations": [
+                {
+                    "terms": [
+                        {"op": "deriv", "order": 1, "coeff": 1, "target": 0},
+                        {"op": "identity", "coeff": -1, "target": 0},
+                    ],
+                    "rhs": 0,
+                },
+                {"terms": [{"op": "identity", "coeff": 1, "target": 1}], "rhs": "pow(2,t)"},
+            ],
+            "side_conditions": [{"target": 0, "point": 0.0, "value": 1.0}],
+            "exact": ["exp(t)", "pow(2,t)"],
+        }))
+        with pytest.raises(ParseError):
+            derivative("pow(2,t)", ("t",), "t")
+        assert self_check("pow2", p, [0.2, 0.6, 1.0]) <= 1e-15
+
+    def test_self_check_calls_each_field_once(self, monkeypatch):
+        # every coefficient, right-hand side and Volterra kernel once per
+        # self_check, on the whole batch of probes
+        p = load_problem("example2")
+        fields = [term.coeff for eq in p.equations for term in eq.terms]
+        fields += [term.op.kernel for eq in p.equations for term in eq.terms
+                   if isinstance(term.op, VolterraIntegral)]
+        fields += [eq.rhs for eq in p.equations]
+        calls = []
+        real = Field.__call__
+        monkeypatch.setattr(Field, "__call__", lambda self, *a: calls.append(self) or real(self, *a))
+        self_check("example2", p, (0.2, 0.4, 0.6, 0.8, 1.0))
+        assert [sum(c is f for c in calls) for f in fields] == [1] * len(fields)

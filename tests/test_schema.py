@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from daesvr.errors import ParseError, ValidationError
-from daesvr.model import ExactCandidate, residual_at
+from daesvr.model import ExactCandidate, residuals
 from daesvr.schema import (
     BUILTIN_PROBLEMS,
     builtin_names,
@@ -144,18 +144,15 @@ class TestRoundTrip:
         # produce identical residuals
         p = load_problem(name)
         q = load_problem(serialize_problem(p))
-        cand_p = ExactCandidate(p)
-        cand_q = ExactCandidate(q)
         rng = np.random.default_rng(5)
-        for _ in range(3):
-            if p.is_2d:
-                pt = (rng.uniform(-0.4, 0.4), rng.uniform(0.1, 0.9))
-            else:
-                pt = rng.uniform(0.1, 0.9)
-            for i in range(p.unknowns):
-                a = residual_at(p, i, cand_p, pt)
-                b = residual_at(q, i, cand_q, pt)
-                assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+        if p.is_2d:
+            pts = [(rng.uniform(-0.4, 0.4), rng.uniform(0.1, 0.9)) for _ in range(3)]
+        else:
+            pts = [rng.uniform(0.1, 0.9) for _ in range(3)]
+        a = residuals(p, ExactCandidate(p), pts)
+        b = residuals(q, ExactCandidate(q), pts)
+        assert a.shape == (p.unknowns, 3)
+        assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     def test_requires_source(self):
         p = load_problem("example1")

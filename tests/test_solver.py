@@ -17,7 +17,7 @@ import daesvr.legendre
 import daesvr.solver
 from daesvr.benchmarks import CASES
 from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
-from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral
+from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral, is_linear, residuals
 from daesvr.schema import load_problem
 from daesvr.solver import (
     VOLTERRA_NODES,
@@ -262,9 +262,8 @@ class TestDualSystem:
 class TestLinearSolve:
     def test_oscillator_accuracy(self):
         model = solve(oscillator(), SolverConfig(m=8, gamma=1e8))
-        for t in (0.1, 0.5, 0.9):
-            assert_allclose(model.evaluate(0, t), math.sin(t), atol=1e-7)
-            assert_allclose(model.evaluate(1, t), math.cos(t), atol=1e-7)
+        ts = np.array([0.1, 0.5, 0.9])
+        assert_allclose(model.values(Identity(), ts), [np.sin(ts), np.cos(ts)], atol=1e-7)
 
     def test_linear_path_reports_zero_iterations(self):
         model = solve(load_problem("example3"), SolverConfig(m=8, gamma=1e5))
@@ -294,15 +293,33 @@ class TestLinearSolve:
 
     def test_trained_model_applies_operators(self):
         model = solve(oscillator(), SolverConfig(m=8, gamma=1e8))
-        got = model.apply_op(0, Derivative(1), 0.3)
-        assert_allclose(got, math.cos(0.3), atol=1e-6)
+        got = model.values(Derivative(1), [0.3, 0.7])
+        assert got.shape == (2, 2)
+        assert_allclose(got[0], [math.cos(0.3), math.cos(0.7)], atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example5"])
+    def test_grid_residuals_are_the_constraint_rows(self, name):
+        # a trained model is a residual candidate; on its own grid the
+        # residuals are the collocation rows of the constraint residual
+        # (Gauss-Newton's `errors` include the closures; on the dual path
+        # `errors` is -alpha/gamma, so take Z^T w - y there)
+        p = load_problem(name)
+        config = CASES[name].config
+        model = solve(p, config)
+        got = residuals(p, model, model.grid.points)
+        if is_linear(p):
+            Z, y = assemble(p, model.grid, config)
+            want = Z.T @ model.weights.ravel() - y
+        else:
+            want = model.errors
+        assert_allclose(got, want[: got.size].reshape(got.shape), rtol=0, atol=1e-14)
 
     def test_rectangle_solve(self):
         p = load_problem("example5")
         model = solve(p, SolverConfig(m=4, gamma=1e9))
-        got = model.evaluate(0, (0.05, 0.1))
-        want = p.exact[0](0.05, 0.1)
-        assert_allclose(got, want, rtol=1e-5)
+        got = model.values(Identity(), [(0.05, 0.1), (-0.2, 0.7)])
+        want = [p.exact[0](0.05, 0.1), p.exact[0](-0.2, 0.7)]
+        assert_allclose(got[0], want, rtol=1e-5)
 
 
 class TestOperatorTables:
@@ -437,8 +454,7 @@ class TestGaussNewton:
         config = SolverConfig(m=4, gamma=1e10)
         grid = build_grid(p, config)
         model = gauss_newton(p, grid, config, w0=np.full(4, 1.0))
-        for t in (0.2, 0.5, 0.8):
-            assert_allclose(model.evaluate(0, t), 2.0, atol=1e-10)
+        assert_allclose(model.values(Identity(), [0.2, 0.5, 0.8]), [[2.0] * 3], atol=1e-10)
         assert model.iterations >= 1
 
     def test_matches_dual_solver_on_linear_problem(self):
@@ -513,10 +529,11 @@ class TestReport:
     )
     def test_batch_matches_one_point_evaluation(self, name, extra):
         # report evaluates all probes from one table; each value must be the
-        # bits that evaluate() gives for its point alone
+        # bits that values() gives for its point alone
         case = CASES[name]
         model = solve(load_problem(name), case.config)
         rep = report(model, case.probes + extra)
         for u, rows in enumerate(rep.rows):
             for row in rows:
-                assert row.approx.hex() == model.evaluate(u, row.point).hex()
+                alone = model.values(Identity(), [row.point])
+                assert row.approx.hex() == float(alone[u, 0]).hex()
