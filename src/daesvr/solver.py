@@ -561,6 +561,10 @@ class TrainedModel:
             M = np.ascontiguousarray(ctx.operator_matrix(op, ctx.coordinates(points)))
             return np.vecdot(M[None], self.weights[:, None, :])
 
+    def evaluate(self, unknown: int, point) -> float:
+        """Value of one unknown at one point, as a float (`values` at one point)."""
+        return float(self.values(Identity(), [point])[unknown, 0])
+
 
 @dataclass(frozen=True)
 class ReportRow:

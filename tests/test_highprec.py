@@ -129,6 +129,14 @@ class TestInterval:
         # far below anything double arithmetic could represent as nonzero
         assert coarse.residual_inf <= 1e-35
 
+    def test_evaluate_is_float_of_mp(self, coarse):
+        # the value is summed in working precision and rounded once; on [0, 1]
+        # the canonical coordinate of t is 2t - 1
+        with workdps(40):
+            s = np.array([2 * mpf(0.4) - 1], dtype=object)
+            want = mpmath.fdot(coarse.weights[0], legendre_table(coarse.block, s)[0][:, 0])
+        assert coarse.evaluate(0, 0.4) == float(want)
+
     def test_values_are_mp(self, coarse):
         # values stay mpf, summed in working precision; on [0, 1] the
         # canonical coordinate of t is 2t - 1
