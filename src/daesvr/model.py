@@ -167,14 +167,9 @@ class DaeProblem:
                 f"square system required: {self.unknowns} unknowns, "
                 f"{len(self.equations)} equations"
             )
-        if self.is_2d:
-            (xlo, xhi), (tlo, thi) = self.domain
-            if not (xhi > xlo and thi > tlo):
-                raise ValidationError("domain rectangle is empty")
-        else:
-            lo, hi = self.domain
-            if not hi > lo:
-                raise ValidationError("domain interval is empty")
+        spans = self.domain if self.is_2d else (self.domain,)
+        if not all(hi > lo for lo, hi in spans):
+            raise ValidationError(f"domain {'rectangle' if self.is_2d else 'interval'} is empty")
         for eq in self.equations:
             for term in eq.terms:
                 if not 0 <= term.target < self.unknowns:

@@ -93,14 +93,21 @@ class TestValidate:
             interval_problem([self.eq(), self.eq()], unknowns=1).validate()
 
     def test_empty_interval(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="domain interval is empty"):
             DaeProblem(unknowns=1, domain=(1.0, 1.0), equations=(self.eq(),)).validate()
 
     def test_empty_rectangle(self):
         p = DaeProblem(
             unknowns=1, domain=((0.0, 0.0), (0.0, 1.0)), equations=(self.eq(),)
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="domain rectangle is empty"):
+            p.validate()
+
+    def test_reversed_time_axis_is_empty(self):
+        p = DaeProblem(
+            unknowns=1, domain=((0.0, 1.0), (1.0, 0.5)), equations=(self.eq(),)
+        )
+        with pytest.raises(ValidationError, match="domain rectangle is empty"):
             p.validate()
 
     def test_target_out_of_range(self):
