@@ -213,9 +213,11 @@ def self_check(name: str, problem: DaeProblem, probes: Sequence) -> float:
     satisfies every equation at probes; `name` labels the diagnostic.
 
     Returns the worst absolute residual; raises SelfCheckError above
-    SELF_CHECK_TOL naming the equation and point, and MissingExact when
-    the problem states no exact solution.
+    SELF_CHECK_TOL naming the equation and point, MissingExact when the
+    problem states no exact solution, and ValidationError without probes.
     """
+    if len(probes) == 0:
+        raise ValidationError(f"{name}: self-check needs at least one probe point")
     r = np.abs(residuals(problem, ExactCandidate(problem), probes))
     eq, j = np.unravel_index(np.argmax(r), r.shape)  # the first worst (equation, probe)
     worst = float(r[eq, j])

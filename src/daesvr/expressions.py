@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import mpmath
@@ -284,11 +284,14 @@ def _diff(node: ast.AST, var: str, text: str) -> ast.AST:
     return _mul(_mul(exponent, _call("pow", base, lowered)), _diff(base, var, text))
 
 
+@lru_cache(maxsize=256)
 def derivative(text: str, variables: tuple, var: str, order: int = 1):
     """Compile the `order`-th partial derivative of `text` by `var`, taken on
     the checked syntax tree and compiled like `compile_expression` (a float
     result; EvaluationError naming the text where it is undefined).  An
     exponent or a `gamma` argument that depends on `var` raises ParseError.
+    The result depends on the strings alone, so the most recent derivatives
+    are kept and returned again without compiling.
     """
     body = _parse(text, variables, FLOAT).body
     if var not in variables:

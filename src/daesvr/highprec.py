@@ -15,17 +15,18 @@ result is the interpolant the dual solve approaches but cannot reach in
 double precision.  Only identity and derivative operators are supported;
 fractional and integral terms stay on the double precision path.
 
-The pipeline is the regular solver's own, `build_grid` -> `assemble` -> a
-kernel, with `solve_square` as the kernel: `schema` builds the problem from
-its source description with the `MPF` vocabulary, so the domain, side
-points and values, constant fields and every expression (exact solutions
-included) are `mpf`; `build_grid` refines the Gauss nodes of that mpf
-domain to working precision, and `assemble` runs unchanged on numpy object
-arrays of `mpf`.  The square matrix is then Z^T.
+The pipeline is the regular solver's own, `build_grid(problem, config)` ->
+`assemble(grid)` -> a kernel, with `solve_square` as the kernel: `schema`
+builds the problem from its source description with the `MPF` vocabulary,
+so the domain, side points and values, constant fields and every expression
+(exact solutions included) are `mpf`; `build_grid` refines the Gauss nodes
+of that mpf domain to working precision, and `assemble` runs unchanged on
+numpy object arrays of `mpf`.  The square matrix is then Z^T.
 
 The result is the regular solver's `TrainedModel` with `mpf` weights, an
-object array of shape (k, D), and the mpf problem it solved as `problem`;
-`InterpolantModel` adds only the working precision `digits`.  Evaluation
+object array of shape (k, D), and the mpf grid it was solved on as `grid`
+(so `problem` is the mpf problem); `InterpolantModel` adds only the working
+precision `digits`.  Evaluation
 and `solver.report` then run in `mpf` at those digits: one operator table
 per batch of points, taken at `mpf` coordinates, and the exact solutions in
 `mpf` too, so the reported errors carry no double-precision rounding.
@@ -58,7 +59,7 @@ from .errors import SingularSystem, ValidationError
 from .expressions import MPF
 from .model import Caputo, DaeProblem, VolterraIntegral, is_linear
 from .schema import _build
-from .solver import SolverConfig, TrainedModel, _Context, assemble, build_grid
+from .solver import SolverConfig, TrainedModel, assemble, build_grid
 
 __all__ = ["InterpolantModel", "solve_interpolant", "solve_square"]
 
@@ -198,7 +199,6 @@ def solve_interpolant(
     """
     if digits < 15:
         raise ValidationError(f"digits must be at least 15, got {digits}")
-    config = config or SolverConfig()
     problem.validate()
     if problem.source is None:
         raise ValidationError(
@@ -211,20 +211,13 @@ def solve_interpolant(
 
     with workdps(digits):
         mp_problem = _build(problem.source, problem.name, MPF)
-        grid = build_grid(mp_problem, config)
-        ctx = _Context(mp_problem, grid, config)
-        if ctx.k * ctx.D != ctx.n_constraints:
+        grid = build_grid(mp_problem, config or SolverConfig())
+        if grid.k * grid.D != grid.n_constraints:
             raise ValidationError(
-                f"collocation system is not square ({ctx.n_constraints} constraints, "
-                f"{ctx.k * ctx.D} coefficients); adjust degree so counts balance"
+                f"collocation system is not square ({grid.n_constraints} constraints, "
+                f"{grid.k * grid.D} coefficients); adjust degree so counts balance"
             )
-        Z, y = assemble(mp_problem, grid, config)
+        Z, y = assemble(grid)
         w, errors = solve_square(Z.T, y)
-    return InterpolantModel(
-        weights=np.array(w, dtype=object).reshape(mp_problem.unknowns, -1),
-        errors=errors,
-        problem=mp_problem,
-        grid=grid,
-        config=config,
-        digits=digits,
-    )
+    weights = np.array(w, dtype=object).reshape(grid.k, -1)
+    return InterpolantModel(weights=weights, errors=errors, grid=grid, digits=digits)

@@ -21,7 +21,6 @@ implement it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -232,8 +231,8 @@ def residuals(problem: DaeProblem, candidate, points) -> np.ndarray:
 class ExactCandidate:
     """The problem's exact solutions, read from their text alone, as a candidate.
 
-    Derivatives are the text's symbolic derivatives, compiled once per
-    (unknown, variable, order).  Caputo derivatives and Volterra integrals
+    Derivatives are the text's symbolic derivatives (`derivative`, which
+    keeps what it compiled).  Caputo derivatives and Volterra integrals
     are Gauss rules in sigma after s = lo + tau sigma^2, tau = point - lo,
     which makes half-integer powers at the left endpoint polynomials; each
     is one (points x nodes) array.
@@ -247,10 +246,7 @@ class ExactCandidate:
         if any(f.tag is None for f in problem.exact):
             raise ValidationError("exact solutions need their source text; build with load_problem")
         self.problem = problem
-        variables = ("x", "t") if problem.is_2d else ("t",)
-        self._derivative = cache(  # (unknown, variable, order) -> compiled derivative
-            lambda u, var, order: derivative(problem.exact[u].tag, variables, var, order)
-        )
+        self._variables = ("x", "t") if problem.is_2d else ("t",)
         self._applied = {(term.op, term.target) for eq in problem.equations for term in eq.terms}
 
     def values(self, op: LinearOp, points) -> np.ndarray:
@@ -270,7 +266,8 @@ class ExactCandidate:
             elif (op, u) not in self._applied:
                 continue
             elif isinstance(op, Derivative):
-                out[u] = self._derivative(u, op.var, op.order)(*args)
+                text = self.problem.exact[u].tag
+                out[u] = derivative(text, self._variables, op.var, op.order)(*args)
             else:
                 out[u] = self._memory(u, op, *args)
         return out
@@ -288,7 +285,8 @@ class ExactCandidate:
             # u'(lo + tau sigma^2) dsigma / Gamma(1-a), the Gauss-Jacobi rule
             # carrying (1-sigma)^(-a) / Gamma(1-a)
             sigma, weights = caputo_rule(op.alpha, 32)
-            slopes = self._derivative(u, "t", 1)(lo + tau * sigma * sigma)
+            slope = derivative(self.problem.exact[u].tag, self._variables, "t", 1)
+            slopes = slope(lo + tau * sigma * sigma)
             rule = weights * (1.0 + sigma) ** -op.alpha * 2.0 * sigma
             out[live] = tau[:, 0] ** (1.0 - op.alpha) * np.vecdot(slopes, rule)
         elif isinstance(op, VolterraIntegral):

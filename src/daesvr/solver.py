@@ -20,27 +20,29 @@ needs no term of its own: phi_0 = P_0 = 1, so it is the P_0 coefficient.
 Side conditions (initial values and derivatives) enter as extra constraint
 columns under the same regularization.
 
-Every trainer runs the same three steps: `build_grid`, then `assemble`, which
-returns Z and y (the linear part of every constraint), then one kernel:
-`solve_linear` (the dual, by Cholesky), `gauss_newton` (nonlinear
-equations: the same objective with residuals no longer affine in w, started
-from `solve_linear` on the linear part), or `highprec.solve_square` on the
-square system Z^T w = y, the gamma -> infinity limit.  Each returns a
-`TrainedModel`.  Rectangle problems use a tensor-product basis
-phi_p(x) phi_q(t) and a tensor collocation grid.
+Every trainer runs the same three steps on one discretization:
+`build_grid(problem, config)` validates the problem and returns the
+`CollocationGrid` (points, basis, side conditions, operator tables), then
+`assemble(grid)` returns Z and y (the linear part of every constraint), then
+one kernel: `solve_linear(Z, y, grid)` (the dual, by Cholesky),
+`gauss_newton(grid)` (nonlinear equations: the same objective with residuals
+no longer affine in w, started from `solve_linear` on the linear part), or
+`highprec.solve_square` on the square system Z^T w = y, the gamma ->
+infinity limit.  Each returns a `TrainedModel` that carries the grid.
+Rectangle problems use a tensor-product basis phi_p(x) phi_q(t) and a
+tensor collocation grid.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from numbers import Integral
+from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     MissingExact,
@@ -113,8 +115,10 @@ class SolverConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValidationError(f"regularization gamma must be finite and > 0, got {self.gamma}")
+        gamma = self.gamma
+        number = isinstance(gamma, Real) and not isinstance(gamma, bool)
+        if not (number and math.isfinite(gamma) and gamma > 0.0):
+            raise ValidationError(f"regularization gamma must be a finite number > 0, got {gamma!r}")
         if self.fractional_scheme not in ("analytic", "l1"):
             raise ValidationError("fractional_scheme must be 'analytic' or 'l1'")
 
@@ -135,46 +139,6 @@ def basis_counts(problem: DaeProblem, config: SolverConfig) -> tuple:
     if problem.is_2d:
         return (config.m, config.m + extra)
     return (None, config.m + extra)
-
-
-@dataclass(frozen=True)
-class CollocationGrid:
-    """Interior collocation points: mapped Legendre roots (tensorized in 2D)."""
-
-    points: np.ndarray
-    x_nodes: Optional[np.ndarray] = None
-    t_nodes: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
-    """Mapped roots of P_m; the tensor product of per-axis roots in 2D.
-
-    On an mpf domain the roots are refined by Newton's method to working
-    precision, and the points are mpf in object arrays.
-    """
-    m = config.m
-    roots = gauss_quadrature(m).nodes
-    if np.asarray(problem.domain).dtype == object:
-        roots = _to_mpf(roots)
-        tol = mpf(10) ** (-mp.dps)
-        for _ in range(8):
-            tab = legendre_table(m + 1, roots, 1)
-            step = tab[0][m] / tab[1][m]
-            roots = roots - step
-            if max(abs(step)) < tol:
-                break
-    if problem.is_2d:
-        (xlo, xhi), (tlo, thi) = problem.domain
-        xs = shift_from_canonical(roots, BasisSpec(1, xlo, xhi))
-        ts = shift_from_canonical(roots, BasisSpec(1, tlo, thi))
-        pts = np.column_stack([np.repeat(xs, len(ts)), np.tile(ts, len(xs))])
-        return CollocationGrid(points=pts, x_nodes=xs, t_nodes=ts)
-    lo, hi = problem.domain
-    pts = shift_from_canonical(roots, BasisSpec(1, lo, hi))
-    return CollocationGrid(points=pts)
 
 
 def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
@@ -207,13 +171,24 @@ class _Side:
     value: float
 
 
-class _Context:
-    """Precomputed basis geometry shared by assembly and evaluation."""
+class CollocationGrid:
+    """One discretization of a problem, shared by assembly, every trainer and
+    the trained model.
 
-    def __init__(self, problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
+    It holds the interior collocation points (mapped Legendre roots,
+    tensorized in 2D, t varying fastest) and the per-axis nodes, the problem
+    and config it discretizes, the basis specs and D (basis functions per
+    unknown), the side conditions expanded to points, and the operator
+    tables over the grid, built once per distinct operator.  Points are
+    float, or mpf in object arrays on an mpf domain.
+    """
+
+    def __init__(self, problem: DaeProblem, config: SolverConfig, points, x_nodes=None, t_nodes=None):
         self.problem = problem
-        self.grid = grid
         self.config = config
+        self.points = points
+        self.x_nodes = x_nodes
+        self.t_nodes = t_nodes
         self.k = problem.unknowns
         self.d_x, self.d_t = d_x, d_t = basis_counts(problem, config)
         if problem.is_2d:
@@ -227,9 +202,11 @@ class _Context:
             self.spec_x = None
             self.D = d_t
         self.sides = self._expand_side_conditions()
-        self.n_grid = len(grid)
+        self.n_constraints = self.k * len(self) + len(self.sides)
         self._grid_matrices = {}
-        self.n_constraints = self.k * self.n_grid + len(self.sides)
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
 
     # -- side conditions ------------------------------------------------
 
@@ -238,7 +215,7 @@ class _Context:
         for sc in self.problem.side_conditions:
             if self.problem.is_2d:
                 x, t = sc.point
-                xs = self.grid.x_nodes if x is None else np.array([x])
+                xs = self.x_nodes if x is None else np.array([x])
                 values = sc.value(xs) if callable(sc.value) else [sc.value] * len(xs)
                 out.extend(_Side(sc.target, (xi, t), sc.order, v) for xi, v in zip(xs, values))
             else:
@@ -264,7 +241,7 @@ class _Context:
         pts = np.asarray(points, dtype=float)
         if self.problem.is_2d:
             pts = pts.reshape(-1, 2)
-        return _to_mpf(pts) if self.grid.points.dtype == object else pts
+        return _to_mpf(pts) if self.points.dtype == object else pts
 
     def operator_matrix(self, op, points) -> np.ndarray:
         """(n_points, D) matrix of (L phi_j)(point), one table per operator.
@@ -298,42 +275,56 @@ class _Context:
         return fn(points[:, 0], points[:, 1]) if self.problem.is_2d else fn(points)
 
     def grid_matrix(self, op) -> np.ndarray:
-        """operator_matrix over the grid, built once per distinct operator."""
+        """operator_matrix over the grid, built once per distinct operator
+        and shared read-only by every caller."""
         if op not in self._grid_matrices:
-            self._grid_matrices[op] = self.operator_matrix(op, self.grid.points)
+            table = self.operator_matrix(op, self.points)
+            table.flags.writeable = False
+            self._grid_matrices[op] = table
         return self._grid_matrices[op]
 
     def side_rows(self) -> np.ndarray:
         """(n_sides, D): each side condition's operator row, which fills its
         target unknown's block of the constraint column."""
-        rows = np.zeros((len(self.sides), self.D), dtype=self.grid.points.dtype)
+        rows = np.zeros((len(self.sides), self.D), dtype=self.points.dtype)
         for order in sorted({s.order for s in self.sides}):
             op = Identity() if order == 0 else Derivative(order, "t")
             idx = [i for i, s in enumerate(self.sides) if s.order == order]
             rows[idx] = self.operator_matrix(op, [self.sides[i].point for i in idx])
         return rows
 
-    def constraints(self):
-        """Feature matrix Z and targets y, as `assemble` describes them."""
-        n_grid, D = self.n_grid, self.D
-        dtype = self.grid.points.dtype
-        Z = np.zeros((self.k * D, self.n_constraints), dtype=dtype)
-        y = np.zeros(self.n_constraints, dtype=dtype)
-        for i, eq in enumerate(self.problem.equations):
-            cols = slice(i * n_grid, (i + 1) * n_grid)
-            for term in eq.terms:
-                coeffs = self.field_values(term.coeff, self.grid.points)
-                rows = slice(term.target * D, (term.target + 1) * D)
-                Z[rows, cols] += (coeffs[:, None] * self.grid_matrix(term.op)).T
-            y[cols] = self.field_values(eq.rhs, self.grid.points)
-        for s_idx, (side, row) in enumerate(zip(self.sides, self.side_rows())):
-            c = self.k * n_grid + s_idx
-            Z[side.target * D : (side.target + 1) * D, c] = row
-            y[c] = side.value
-        return Z, y
+
+def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
+    """Validate the problem and discretize it: the mapped roots of P_m, the
+    tensor product of per-axis roots in 2D.
+
+    On an mpf domain the roots are refined by Newton's method to working
+    precision, and the points are mpf in object arrays; mpf side values are
+    computed at the working precision of this call.
+    """
+    problem.validate()
+    m = config.m
+    roots = gauss_quadrature(m).nodes
+    if np.asarray(problem.domain).dtype == object:
+        roots = _to_mpf(roots)
+        tol = mpf(10) ** (-mp.dps)
+        for _ in range(8):
+            tab = legendre_table(m + 1, roots, 1)
+            step = tab[0][m] / tab[1][m]
+            roots = roots - step
+            if max(abs(step)) < tol:
+                break
+    if problem.is_2d:
+        (xlo, xhi), (tlo, thi) = problem.domain
+        xs = shift_from_canonical(roots, BasisSpec(1, xlo, xhi))
+        ts = shift_from_canonical(roots, BasisSpec(1, tlo, thi))
+        pts = np.column_stack([np.repeat(xs, len(ts)), np.tile(ts, len(xs))])
+        return CollocationGrid(problem, config, pts, x_nodes=xs, t_nodes=ts)
+    lo, hi = problem.domain
+    return CollocationGrid(problem, config, shift_from_canonical(roots, BasisSpec(1, lo, hi)))
 
 
-def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
+def assemble(grid: CollocationGrid):
     """The linear part of every constraint, closures dropped: (Z, y).
 
     Column c of Z, shape (k*D, n_constraints), holds constraint c's linear
@@ -341,8 +332,21 @@ def assemble(problem: DaeProblem, grid: CollocationGrid, config: SolverConfig):
     over the grid, then side conditions.  Entries keep the number type of
     the grid (float, or mpf in object arrays).
     """
-    problem.validate()
-    return _Context(problem, grid, config).constraints()
+    n_grid, D = len(grid), grid.D
+    Z = np.zeros((grid.k * D, grid.n_constraints), dtype=grid.points.dtype)
+    y = np.zeros(grid.n_constraints, dtype=grid.points.dtype)
+    for i, eq in enumerate(grid.problem.equations):
+        cols = slice(i * n_grid, (i + 1) * n_grid)
+        for term in eq.terms:
+            coeffs = grid.field_values(term.coeff, grid.points)
+            rows = slice(term.target * D, (term.target + 1) * D)
+            Z[rows, cols] += (coeffs[:, None] * grid.grid_matrix(term.op)).T
+        y[cols] = grid.field_values(eq.rhs, grid.points)
+    for s_idx, (side, row) in enumerate(zip(grid.sides, grid.side_rows())):
+        c = grid.k * n_grid + s_idx
+        Z[side.target * D : (side.target + 1) * D, c] = row
+        y[c] = side.value
+    return Z, y
 
 
 def _refined_solver(H: np.ndarray):
@@ -353,6 +357,8 @@ def _refined_solver(H: np.ndarray):
     different magnitudes, which is the norm for systems mixing second
     derivatives with plain point evaluations.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # here, so import skips scipy
+
     d = 1.0 / np.sqrt(np.diag(H))
     Hs = H * d[:, None] * d[None, :]
     try:
@@ -369,13 +375,7 @@ def _refined_solver(H: np.ndarray):
     return solve_fn
 
 
-def solve_linear(
-    Z: np.ndarray,
-    y: np.ndarray,
-    problem: DaeProblem,
-    grid: CollocationGrid,
-    config: SolverConfig,
-) -> "TrainedModel":
+def solve_linear(Z: np.ndarray, y: np.ndarray, grid: CollocationGrid) -> "TrainedModel":
     """Solve the dual (Z^T Z + I/gamma) alpha = y and reconstruct w = Z alpha.
 
     For a problem with closures this is the model of its linear part.
@@ -383,22 +383,12 @@ def solve_linear(
     n_c = y.size
     if Z.shape[1] != n_c:
         raise ShapeError(f"inconsistent dual system: Z {Z.shape}, y {y.shape}")
-    alpha = _refined_solver(Z.T @ Z + np.eye(n_c) / config.gamma)(y)
-    return TrainedModel(
-        weights=(Z @ alpha).reshape(problem.unknowns, -1),
-        errors=-alpha / config.gamma,
-        problem=problem,
-        grid=grid,
-        config=config,
-    )
+    gamma = grid.config.gamma
+    alpha = _refined_solver(Z.T @ Z + np.eye(n_c) / gamma)(y)
+    return TrainedModel(weights=(Z @ alpha).reshape(grid.k, -1), errors=-alpha / gamma, grid=grid)
 
 
-def gauss_newton(
-    problem: DaeProblem,
-    grid: CollocationGrid,
-    config: SolverConfig,
-    w0: Optional[np.ndarray] = None,
-) -> "TrainedModel":
+def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "TrainedModel":
     """Minimize 1/2 ||w||^2 + gamma/2 sum_c r_c(w)^2 by damped Gauss-Newton.
 
     Without `w0` the iteration starts from `solve_linear` on the linear
@@ -416,16 +406,17 @@ def gauss_newton(
     precision.  Raises NonConvergence (with the last iterate, the best one
     seen, attached) when the budget runs out.
     """
-    problem.validate()
-    if problem.is_2d:
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # here, so import skips scipy
+
+    if grid.problem.is_2d:
         raise ValidationError("the Gauss-Newton path handles interval problems only")
-    Z, y = assemble(problem, grid, config)
+    Z, y = assemble(grid)
     A = np.ascontiguousarray(Z.T)  # constant linear part: r_lin = A w - y
-    value_B = _Context(problem, grid, config).operator_matrix(Identity(), grid.points)
-    k, n_w, n_grid = problem.unknowns, Z.shape[0], len(grid)
-    D = n_w // k
-    gamma = config.gamma
-    closures = [eq.nonlinear for eq in problem.equations]
+    value_B = grid.grid_matrix(Identity())
+    k, D, n_grid = grid.k, grid.D, len(grid)
+    n_w = k * D
+    gamma = grid.config.gamma
+    closures = [eq.nonlinear for eq in grid.problem.equations]
     ts = np.tile(grid.points, k + 1)
 
     def linearize(w: np.ndarray):
@@ -452,7 +443,7 @@ def gauss_newton(
         return 0.5 * (w @ w) + 0.5 * gamma * (r @ r)
 
     if w0 is None:
-        w = solve_linear(Z, y, problem, grid, config).weights.ravel()
+        w = solve_linear(Z, y, grid).weights.ravel()
     else:
         w = np.asarray(w0, dtype=float).ravel().copy()
     if w.size != n_w:
@@ -460,7 +451,7 @@ def gauss_newton(
     lam = GN_DAMPING
     r, J = linearize(w)
     obj = objective(w, r)
-    for iters in range(1, config.max_iters + 1):
+    for iters in range(1, grid.config.max_iters + 1):
         grad = gamma * (J.T @ r) + w
         M = gamma * (J.T @ J) + (1.0 + lam) * np.eye(n_w)
         try:
@@ -482,29 +473,21 @@ def gauss_newton(
         if converged:
             break
 
-    model = TrainedModel(
-        weights=w.reshape(k, D),
-        errors=r,
-        problem=problem,
-        grid=grid,
-        config=config,
-        iterations=iters,
-    )
+    model = TrainedModel(weights=w.reshape(k, D), errors=r, grid=grid, iterations=iters)
     if not converged:
         raise NonConvergence(
-            f"Gauss-Newton did not converge in {config.max_iters} iterations", best=model
+            f"Gauss-Newton did not converge in {grid.config.max_iters} iterations", best=model
         )
     return model
 
 
 def solve(problem: DaeProblem, config: Optional[SolverConfig] = None) -> "TrainedModel":
     """Train a model: dual linear solve when possible, Gauss-Newton otherwise."""
-    config = config or SolverConfig()
-    grid = build_grid(problem, config)
+    grid = build_grid(problem, config or SolverConfig())
     if is_linear(problem):
-        Z, y = assemble(problem, grid, config)
-        return solve_linear(Z, y, problem, grid, config)
-    return gauss_newton(problem, grid, config)
+        Z, y = assemble(grid)
+        return solve_linear(Z, y, grid)
+    return gauss_newton(grid)
 
 
 @dataclass
@@ -515,20 +498,22 @@ class TrainedModel:
     precision interpolant; `values` and `report` keep that number type.
     `errors` is the constraint residual; on the dual path it is -alpha/gamma,
     so w = -gamma Z errors.
-    The model builds its own operator context from problem, grid and config.
+    `grid` is the discretization the model was trained on; its problem and
+    config are the model's.
     """
 
     weights: np.ndarray
     errors: np.ndarray
-    problem: DaeProblem
     grid: CollocationGrid
-    config: SolverConfig
-    _ctx: _Context = field(init=False, repr=False)
     iterations: int = 0
 
-    def __post_init__(self):
-        with self._arithmetic():  # mpf side values depend on the precision
-            self._ctx = _Context(self.problem, self.grid, self.config)
+    @property
+    def problem(self) -> DaeProblem:
+        return self.grid.problem
+
+    @property
+    def config(self) -> SolverConfig:
+        return self.grid.config
 
     def _arithmetic(self):
         """Context in which the model's numbers are computed."""
@@ -556,9 +541,9 @@ class TrainedModel:
         (`vecdot`, not a matrix product), so a value does not depend on the
         other points of the batch.
         """
-        ctx = self._ctx
+        grid = self.grid
         with self._arithmetic():
-            M = np.ascontiguousarray(ctx.operator_matrix(op, ctx.coordinates(points)))
+            M = np.ascontiguousarray(grid.operator_matrix(op, grid.coordinates(points)))
             return np.vecdot(M[None], self.weights[:, None, :])
 
     def evaluate(self, unknown: int, point) -> float:
@@ -598,10 +583,10 @@ def report(model: TrainedModel, probes) -> ResidualReport:
     rows = []
     l2 = np.zeros(problem.unknowns)
     with model._arithmetic():
-        coords = model._ctx.coordinates(probes)
+        coords = model.grid.coordinates(probes)
         for u, exact_fn in enumerate(problem.exact):
             urows = []
-            exact_values = model._ctx.field_values(exact_fn, coords).tolist()
+            exact_values = model.grid.field_values(exact_fn, coords).tolist()
             for p, exact, approx in zip(probes, exact_values, values[u]):
                 abs_err = abs(exact - approx)
                 near_zero = abs(exact) < TINY_EXACT

@@ -152,7 +152,7 @@ def test_criterion_6_solver_property_bundle(results):
     for name in ("example2", "example3", "example5"):
         res = results[name]
         model = res.model
-        Z, _ = assemble(res.problem, model.grid, res.config)
+        Z, _ = assemble(model.grid)
         gap = np.max(np.abs(model.weights.ravel() - Z @ (-res.config.gamma * model.errors)))
         assert gap <= 1e-12 * max(1.0, np.abs(model.weights).max()), name
 
@@ -170,9 +170,9 @@ def test_criterion_6_solver_property_bundle(results):
     p3 = results["example3"].problem
     c3 = results["example3"].config
     g3 = build_grid(p3, c3)
-    iterated = gauss_newton(p3, g3, c3)
-    Z, y = assemble(p3, g3, c3)
-    direct = solve_linear(Z, y, p3, g3, c3)
+    iterated = gauss_newton(g3)
+    Z, y = assemble(g3)
+    direct = solve_linear(Z, y, g3)
     gn_gap = np.max(np.abs(iterated.weights - direct.weights))
     assert gn_gap <= 1e-9
 

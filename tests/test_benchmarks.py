@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import daesvr.expressions
 from daesvr.benchmarks import (
     CASES,
     CSV_COLUMNS,
@@ -90,6 +91,27 @@ class TestSelfCheck:
         broken = load_problem(json.dumps(data))
         with pytest.raises(SelfCheckError, match="equation 1"):
             self_check("example5", broken, CASES["example5"].probes)
+
+    @pytest.mark.parametrize("name", ["example1", "example5"])
+    def test_second_check_compiles_no_derivative(self, monkeypatch, name):
+        # a compiled derivative depends on the exact solution's text alone
+        compiled = []
+        function = daesvr.expressions._function
+
+        def counted(*args):
+            compiled.append(args[-1])
+            return function(*args)
+
+        monkeypatch.setattr(daesvr.expressions, "_function", counted)
+        problem = load_problem(name)
+        self_check(name, problem, CASES[name].probes)
+        compiled.clear()
+        self_check(name, problem, CASES[name].probes)
+        assert compiled == []
+
+    def test_needs_a_probe(self):
+        with pytest.raises(ValidationError, match="at least one probe"):
+            self_check("example1", load_problem("example1"), [])
 
     def test_needs_an_exact_solution(self):
         data = load_problem("example1").source

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +315,15 @@ class TestParser:
         out, err = capsys.readouterr()
         assert out == ""  # no case ran
         assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
+
+
+def test_import_leaves_scipy_linalg_out():
+    # scipy.linalg is most of the import time and only the solves need it,
+    # so `daesvr list`, `--help` and usage errors run without loading it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, daesvr, daesvr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"

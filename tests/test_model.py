@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import daesvr.expressions
 from daesvr.benchmarks import self_check
 from daesvr.errors import DomainError, EvaluationError, MissingExact, ParseError, ValidationError
 from daesvr.expressions import compile_expression, derivative
@@ -321,12 +322,15 @@ class TestExactCandidateOperators:
         got = op_values("sin(t)", Derivative(order), [0.2, 0.6])
         assert_allclose(got, [cycle(0.2), cycle(0.6)], rtol=1e-13)
 
-    def test_derivatives_are_compiled_once(self):
+    def test_derivatives_are_compiled_once(self, monkeypatch):
         eq = Equation(terms=(OperatorTerm(ONE, Derivative(2), 0),), rhs=ONE)
         c = ExactCandidate(exact_problem([eq], ["t*sin(t)"]))
-        first = c._derivative(0, "t", 2)
+        first = derivative("t*sin(t)", ("t",), "t", 2)
+        compiled = []
+        monkeypatch.setattr(daesvr.expressions, "_function", lambda *args: compiled.append(args))
         c.values(Derivative(2), [0.5, 0.6])
-        assert c._derivative(0, "t", 2) is first
+        assert compiled == []
+        assert derivative("t*sin(t)", ("t",), "t", 2) is first
 
     def test_power_sum_derivative(self):
         got = op_values("pow(t,2.5)", Derivative(1), [0.49, 0.81])

@@ -13,16 +13,17 @@ from daesvr.errors import (
     ValidationError,
 )
 import daesvr.fractional
+import daesvr.highprec
 import daesvr.legendre
 import daesvr.solver
 from daesvr.benchmarks import CASES
+from daesvr.highprec import solve_interpolant
 from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
 from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral, is_linear, residuals
 from daesvr.schema import load_problem
 from daesvr.solver import (
     VOLTERRA_NODES,
     SolverConfig,
-    _Context,
     _refined_solver,
     assemble,
     basis_counts,
@@ -90,6 +91,13 @@ class TestConfigValidation:
         # the objective 1/2 ||w||^2 + gamma/2 ||e||^2 needs a finite gamma
         with pytest.raises(ValidationError, match="finite"):
             SolverConfig(gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [None, "1", True])
+    def test_gamma_is_a_number(self, gamma):
+        # bool is a Real, but True is no weight
+        with pytest.raises(ValidationError, match="gamma must be a finite number"):
+            SolverConfig(gamma=gamma)
+        assert SolverConfig(gamma=np.float64(2.0)).gamma == SolverConfig(gamma=2).gamma == 2.0
 
     def test_m_at_least_one(self):
         with pytest.raises(ValidationError):
@@ -187,6 +195,75 @@ class TestGrid:
         assert_allclose(g.t_nodes[1], 0.5, atol=1e-15)
 
 
+class TestOneDiscretization:
+    """build_grid discretizes a problem once; assembly, the trainers and the
+    model share that grid."""
+
+    @pytest.mark.parametrize("name, digits", [("example3", None), ("example1", None), ("example5", 40)])
+    def test_model_carries_the_grid_assemble_used(self, monkeypatch, name, digits):
+        # the dual, Gauss-Newton and extended-precision paths
+        built, assembled = [], []
+        grid_fn, assemble_fn = daesvr.solver.build_grid, daesvr.solver.assemble
+
+        def recording_grid(*args):
+            built.append(grid_fn(*args))
+            return built[-1]
+
+        def recording_assemble(*args):
+            assembled.append(args)
+            return assemble_fn(*args)
+
+        for module in (daesvr.solver, daesvr.highprec):
+            monkeypatch.setattr(module, "build_grid", recording_grid)
+            monkeypatch.setattr(module, "assemble", recording_assemble)
+        problem, config = load_problem(name), CASES[name].config
+        if digits is None:
+            model = solve(problem, config)
+        else:
+            model = solve_interpolant(problem, config, digits=digits)
+        assert built == [model.grid]
+        assert assembled == [(model.grid,)]
+        assert model.problem is model.grid.problem and model.config is config
+
+    def test_side_fields_are_called_once_per_solve(self, monkeypatch):
+        calls = []
+        field_call = Field.__call__
+
+        def counted_field(self, *args):
+            calls.append(self)
+            return field_call(self, *args)
+
+        problem = load_problem("example5")
+        sides = [sc.value for sc in problem.side_conditions if callable(sc.value)]
+        monkeypatch.setattr(Field, "__call__", counted_field)
+        solve(problem, CASES["example5"].config)
+        assert len(sides) == 5
+        assert [sum(f is side for f in calls) for side in sides] == [1] * 5
+
+    def test_gauss_newton_builds_the_identity_grid_table_once(self, monkeypatch):
+        # example1 has identity terms, so assembly's table serves the
+        # closures' unknown values too
+        config = CASES["example1"].config
+        grid = build_grid(load_problem("example1"), config)
+        orders = []
+        table = daesvr.solver.legendre_table
+
+        def counted_table(count, x, order=0):
+            if np.size(x) == config.m:
+                orders.append(order)
+            return table(count, x, order)
+
+        monkeypatch.setattr(daesvr.solver, "legendre_table", counted_table)
+        gauss_newton(grid)
+        assert sorted(orders) == [0, 1]
+
+    def test_grid_tables_are_read_only(self):
+        grid = build_grid(oscillator(), SolverConfig(m=4))
+        assert grid.grid_matrix(Identity()) is grid.grid_matrix(Identity())
+        with pytest.raises(ValueError):
+            grid.grid_matrix(Identity())[0, 0] = 1.0
+
+
 class TestBasisCounts:
     def test_interval_adds_condition_slots(self):
         # one initial condition per unknown: one extra basis function
@@ -214,10 +291,10 @@ class TestDualSystem:
         self.problem = oscillator()
         self.config = SolverConfig(m=8, gamma=1e8)
         self.grid = build_grid(self.problem, self.config)
-        self.Z, self.y = assemble(self.problem, self.grid, self.config)
+        self.Z, self.y = assemble(self.grid)
 
     def solve(self):
-        return solve_linear(self.Z, self.y, self.problem, self.grid, self.config)
+        return solve_linear(self.Z, self.y, self.grid)
 
     def test_gram_matrix_is_symmetric(self):
         # numpy forms Z^T Z with a symmetric rank-k update, so the dual
@@ -248,7 +325,7 @@ class TestDualSystem:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            solve_linear(np.eye(2), np.ones(3), self.problem, self.grid, self.config)
+            solve_linear(np.eye(2), np.ones(3), self.grid)
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(NotPositiveDefinite):
@@ -308,7 +385,7 @@ class TestLinearSolve:
         model = solve(p, config)
         got = residuals(p, model, model.grid.points)
         if is_linear(p):
-            Z, y = assemble(p, model.grid, config)
+            Z, y = assemble(model.grid)
             want = Z.T @ model.weights.ravel() - y
         else:
             want = model.errors
@@ -328,7 +405,7 @@ class TestOperatorTables:
     def context(self, config=None):
         problem = load_problem("example2")
         config = config or SolverConfig(m=8)
-        return _Context(problem, build_grid(problem, config), config)
+        return build_grid(problem, config)
 
     def test_volterra_matches_per_function_loop(self):
         # the scalar loop the table replaced, kept as reference: same
@@ -391,14 +468,14 @@ class TestOperatorTables:
         kernels = {t.op.kernel for t in terms if isinstance(t.op, VolterraIntegral)}
         fields = [t.coeff for t in terms] + [eq.rhs for eq in problem.equations] + list(kernels)
         monkeypatch.setattr(Field, "__call__", counted_field)
-        assemble(problem, grid, config)
+        assemble(grid)
         assert len(calls) == len(fields) == 11
         assert {id(f) for f in calls} == {id(f) for f in fields}
 
     def test_l1_scheme_matches_analytic_table(self):
         ctx = self.context(SolverConfig(m=8, fractional_scheme="l1", l1_grid=4000))
-        exact = self.context().operator_matrix(Caputo(0.5), ctx.grid.points)
-        got = ctx.operator_matrix(Caputo(0.5), ctx.grid.points)
+        exact = self.context().operator_matrix(Caputo(0.5), ctx.points)
+        got = ctx.operator_matrix(Caputo(0.5), ctx.points)
         assert np.max(np.abs(got - exact)) <= 5e-3 * np.max(np.abs(exact))
 
     def test_assembly_cost_is_per_operator(self, monkeypatch):
@@ -421,7 +498,7 @@ class TestOperatorTables:
         monkeypatch.setattr(Field, "__call__", counted_field)
         for module in (daesvr.legendre, daesvr.fractional, daesvr.solver):
             monkeypatch.setattr(module, "legendre_table", counted_table)
-        assemble(problem, grid, config)
+        assemble(grid)
         assert calls["field"] <= 2000
         assert calls["table"] <= 60
 
@@ -442,7 +519,7 @@ class TestGaussNewton:
         config = CASES[name].config
         grid = build_grid(problem, config)
         monkeypatch.setattr(Field, "__call__", counted_field)
-        model = gauss_newton(problem, grid, config)
+        model = gauss_newton(grid)
         for eq in problem.equations:
             want = 0 if eq.nonlinear is None else model.iterations + 1
             assert sum(f is eq.nonlinear for f in calls) == want
@@ -453,7 +530,7 @@ class TestGaussNewton:
         p = load_problem(FLAT_SQUARE)
         config = SolverConfig(m=4, gamma=1e10)
         grid = build_grid(p, config)
-        model = gauss_newton(p, grid, config, w0=np.full(4, 1.0))
+        model = gauss_newton(grid, w0=np.full(4, 1.0))
         assert_allclose(model.values(Identity(), [0.2, 0.5, 0.8]), [[2.0] * 3], atol=1e-10)
         assert model.iterations >= 1
 
@@ -461,9 +538,9 @@ class TestGaussNewton:
         p = load_problem("example3")
         config = SolverConfig(m=8, gamma=1e5)
         grid = build_grid(p, config)
-        iterated = gauss_newton(p, grid, config)
-        Z, y = assemble(p, grid, config)
-        direct = solve_linear(Z, y, p, grid, config)
+        iterated = gauss_newton(grid)
+        Z, y = assemble(grid)
+        direct = solve_linear(Z, y, grid)
         assert_allclose(iterated.weights, direct.weights, rtol=1e-9, atol=1e-9)
         # the start is the linear-part solve, so there is nothing left to do
         assert iterated.iterations <= 2
@@ -479,7 +556,7 @@ class TestGaussNewton:
         p = load_problem("example1")
         config = SolverConfig(m=6, gamma=1e6, max_iters=1)
         with pytest.raises(NonConvergence) as exc:
-            gauss_newton(p, build_grid(p, config), config)
+            gauss_newton(build_grid(p, config))
         best = exc.value.best
         assert best.iterations == 1
         assert best.weights.shape[0] == p.unknowns
@@ -488,13 +565,13 @@ class TestGaussNewton:
         p = load_problem("example5")
         config = SolverConfig(m=4)
         with pytest.raises(ValidationError, match="interval"):
-            gauss_newton(p, build_grid(p, config), config)
+            gauss_newton(build_grid(p, config))
 
     def test_rejects_wrong_start_length(self):
         p = load_problem(FLAT_SQUARE)
         config = SolverConfig(m=4)
         with pytest.raises(ShapeError):
-            gauss_newton(p, build_grid(p, config), config, w0=np.ones(3))
+            gauss_newton(build_grid(p, config), w0=np.ones(3))
 
     def test_dispatch_routes_closures_here(self):
         model = solve(load_problem("example1"), SolverConfig(m=8, gamma=1e6))
