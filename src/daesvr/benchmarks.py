@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -371,10 +372,10 @@ def sweep(
 CSV_COLUMNS = ("case", "unknown", "point_x", "point_t", "exact", "approx", "rel_err", "abs_err")
 
 
-def _point_xt(problem_is_2d: bool, point) -> tuple:
-    if problem_is_2d:
-        return repr(float(point[0])), repr(float(point[1]))
-    return "", repr(float(point))
+def _point_xt(problem: DaeProblem, point) -> tuple:
+    """The point_x and point_t fields: blank for an axis the domain lacks."""
+    coords = dict(zip(problem.variables, np.atleast_1d(point).tolist()))
+    return tuple(repr(float(coords[v])) if v in coords else "" for v in ("x", "t"))
 
 
 def _reported(results) -> list:
@@ -407,19 +408,9 @@ def csv_rows(results, label_with_config: bool = False) -> list:
         case_label = res.label if label_with_config else res.name
         for u, urows in enumerate(res.report.rows):
             for row in urows:
-                px, pt = _point_xt(res.problem.is_2d, row.point)
-                rows.append(
-                    [
-                        case_label,
-                        f"u{u + 1}",
-                        px,
-                        pt,
-                        repr(float(row.exact)),
-                        repr(float(row.approx)),
-                        repr(float(row.rel_err)),
-                        repr(float(row.abs_err)),
-                    ]
-                )
+                numbers = (row.exact, row.approx, row.rel_err, row.abs_err)
+                rows.append([case_label, f"u{u + 1}", *_point_xt(res.problem, row.point)]
+                            + [repr(float(v)) for v in numbers])
     return rows
 
 
@@ -440,18 +431,13 @@ def plot_rows(result: BenchmarkResult, points_1d: int = 201, points_2d: int = 21
     if problem.exact is None:
         raise ValidationError("plot data needs a problem with an exact solution")
     rows = []
-    if problem.is_2d:
-        (xlo, xhi), (tlo, thi) = problem.domain
-        xs = np.linspace(xlo, xhi, points_2d)
-        ts = np.linspace(tlo, thi, points_2d)
-        points = [(float(x), float(t)) for x in xs for t in ts]
-    else:
-        lo, hi = problem.domain
-        points = [float(t) for t in np.linspace(lo, hi, points_1d)]
+    count = points_1d if len(problem.axes) == 1 else points_2d
+    axes = [np.linspace(lo, hi, count).tolist() for _, lo, hi in problem.axes]
+    points = list(itertools.product(*axes))
     rep = report(model, points)
     for u, urows in enumerate(rep.rows):
         for row in urows:
-            px, pt = _point_xt(problem.is_2d, row.point)
+            px, pt = _point_xt(problem, row.point)
             rows.append([result.name, f"u{u + 1}", px, pt, repr(row.abs_err)])
     return rows
 
@@ -472,19 +458,12 @@ def render_result(result: BenchmarkResult) -> str:
         out.write(f"  failed: {result.error}\n")
         return out.getvalue()
     rep = result.report
-    is_2d = result.problem.is_2d
+    header = " ".join(f"{v:>6}" for v in result.problem.variables)
     for u, urows in enumerate(rep.rows):
         out.write(f"\n  u{u + 1}\n")
-        if is_2d:
-            out.write(f"    {'x':>6} {'t':>6} {'exact':>16} {'approx':>16} {'rel_err':>10}\n")
-        else:
-            out.write(f"    {'t':>6} {'exact':>16} {'approx':>16} {'rel_err':>10}\n")
+        out.write(f"    {header} {'exact':>16} {'approx':>16} {'rel_err':>10}\n")
         for row in urows:
-            if is_2d:
-                x, t = row.point
-                head = f"{x:>6g} {t:>6g}"
-            else:
-                head = f"{row.point:>6g}"
+            head = " ".join(f"{c:>6g}" for c in np.atleast_1d(row.point).tolist())
             out.write(
                 f"    {head} {row.exact:>16.9g} {row.approx:>16.9g} {row.rel_err:>10.2e}\n"
             )

@@ -120,15 +120,12 @@ def _config_overrides(args) -> dict:
 
 
 def _default_probes(problem: DaeProblem):
+    """The case's probes, or five points on the diagonal of the domain:
+    numbers on an interval, (x, t) pairs on a rectangle."""
     if problem.name in benchmarks.CASES:
         return benchmarks.CASES[problem.name].probes
-    if problem.is_2d:
-        (xlo, xhi), (tlo, thi) = problem.domain
-        return tuple(
-            (xlo + k * (xhi - xlo) / 5.0, tlo + k * (thi - tlo) / 5.0) for k in range(1, 6)
-        )
-    lo, hi = problem.domain
-    return tuple(lo + k * (hi - lo) / 5.0 for k in range(1, 6))
+    axes = [[lo + k * (hi - lo) / 5.0 for k in range(1, 6)] for _, lo, hi in problem.axes]
+    return tuple(zip(*axes)) if len(axes) > 1 else tuple(axes[0])
 
 
 def _cmd_solve(args) -> int:

@@ -48,6 +48,7 @@ core of a 2 vCPU VM, and a whole `solve_interpolant` about 0.2, 0.6 and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -197,8 +198,8 @@ def solve_interpolant(
     then solved directly rather than through the regularized dual, giving
     the gamma -> infinity limit.  The model's `problem` is the mpf rebuild.
     """
-    if digits < 15:
-        raise ValidationError(f"digits must be at least 15, got {digits}")
+    if isinstance(digits, bool) or not isinstance(digits, Integral) or digits < 15:
+        raise ValidationError(f"digits must be an integer at least 15, got {digits!r}")
     problem.validate()
     if problem.source is None:
         raise ValidationError(

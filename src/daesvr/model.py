@@ -11,6 +11,9 @@ Supported linear operators: the identity, integer-order derivatives, Caputo
 fractional derivatives (interval problems only), and Volterra integrals from
 the left endpoint.  Side conditions pin values or derivatives at points.
 
+The domain is a list of axes, `DaeProblem.axes` (t, or x then t), and a
+batch of points is an (n, n_axes) array, which `DaeProblem.points` parses.
+
 `residuals` evaluates every equation's residual at a batch of points against
 a candidate: any object whose `values(op, points)` gives the (k, n_points)
 values of an operator applied to every unknown.  Trained models and
@@ -150,13 +153,41 @@ class DaeProblem:
     source: Optional[dict] = field(default=None, repr=False)
 
     @property
+    def axes(self) -> tuple:
+        """(("t", lo, hi),) on an interval, (("x", xlo, xhi), ("t", tlo, thi))
+        on a rectangle."""
+        if isinstance(self.domain[0], tuple):
+            (xlo, xhi), (tlo, thi) = self.domain
+            return (("x", xlo, xhi), ("t", tlo, thi))
+        lo, hi = self.domain
+        return (("t", lo, hi),)
+
+    @property
+    def variables(self) -> tuple:
+        return tuple(name for name, _, _ in self.axes)
+
+    @property
     def is_2d(self) -> bool:
-        return isinstance(self.domain[0], tuple)
+        return len(self.axes) == 2
 
     @property
     def interval(self) -> tuple:
-        """The t-interval: the whole domain in 1D, the second axis in 2D."""
-        return self.domain[1] if self.is_2d else self.domain
+        """The t-interval, the last axis."""
+        return self.axes[-1][1:]
+
+    def points(self, points) -> np.ndarray:
+        """Points as an (n, n_axes) float array: numbers (or 1-tuples) on an
+        interval, (x, t) pairs on a rectangle; ValidationError otherwise."""
+        try:
+            pts = np.asarray(points, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"points must be numbers or tuples of numbers: {err}") from err
+        if pts.ndim == 1 and (len(self.axes) == 1 or pts.size == 0):
+            pts = pts.reshape(-1, len(self.axes))
+        if pts.ndim != 2 or pts.shape[1] != len(self.axes):
+            raise ValidationError(f"each point needs the coordinates {self.variables}, "
+                                  f"got an array of shape {pts.shape}")
+        return pts
 
     def validate(self) -> None:
         if self.unknowns < 1:
@@ -166,18 +197,23 @@ class DaeProblem:
                 f"square system required: {self.unknowns} unknowns, "
                 f"{len(self.equations)} equations"
             )
-        spans = self.domain if self.is_2d else (self.domain,)
-        if not all(hi > lo for lo, hi in spans):
-            raise ValidationError(f"domain {'rectangle' if self.is_2d else 'interval'} is empty")
-        for eq in self.equations:
-            for term in eq.terms:
+        is_2d, variables = self.is_2d, self.variables
+        if not all(hi > lo for _, lo, hi in self.axes):
+            raise ValidationError(f"domain {'rectangle' if is_2d else 'interval'} is empty")
+        for i, eq in enumerate(self.equations):
+            for j, term in enumerate(eq.terms):
                 if not 0 <= term.target < self.unknowns:
                     raise ValidationError(f"term target {term.target} out of range")
-                if self.is_2d and isinstance(term.op, (Caputo, VolterraIntegral)):
+                if isinstance(term.op, Derivative) and term.op.var not in variables:
+                    raise ValidationError(
+                        f"equations[{i}].terms[{j}]: derivative by {term.op.var!r}, "
+                        f"which is not an axis of the domain {variables}"
+                    )
+                if is_2d and isinstance(term.op, (Caputo, VolterraIntegral)):
                     raise ValidationError(
                         "Caputo and Volterra operators are interval-only"
                     )
-            if self.is_2d and eq.nonlinear is not None:
+            if is_2d and eq.nonlinear is not None:
                 raise ValidationError("nonlinear closures are interval-only")
         for sc in self.side_conditions:
             if not 0 <= sc.target < self.unknowns:
@@ -203,8 +239,8 @@ def residuals(problem: DaeProblem, candidate, points) -> np.ndarray:
     whole batch.  A non-finite residual raises EvaluationError naming its
     equation and the first such point.
     """
-    pts = np.asarray(points, dtype=float).reshape((-1, 2) if problem.is_2d else -1)
-    args = tuple(pts.T) if problem.is_2d else (pts,)
+    pts = problem.points(points)
+    args = tuple(pts.T)
     ops = [term.op for eq in problem.equations for term in eq.terms]
     if not is_linear(problem):
         ops.append(Identity())  # closures read every unknown's value
@@ -215,11 +251,12 @@ def residuals(problem: DaeProblem, candidate, points) -> np.ndarray:
         for term in eq.terms:
             total = total + term.coeff(*args) * values[term.op][term.target]
         if eq.nonlinear is not None:
-            total = total + eq.nonlinear(pts, *values[Identity()])
+            total = total + eq.nonlinear(pts[:, -1], *values[Identity()])
         total = total - eq.rhs(*args)
         bad = np.flatnonzero(~np.isfinite(np.asarray(total, dtype=float)))
         if bad.size:
-            point = tuple(pts[bad[0]].tolist()) if problem.is_2d else pts[bad[0]].item()
+            point = tuple(pts[bad[0]].tolist())
+            point = point if len(point) > 1 else point[0]
             raise EvaluationError(f"equation {i} residual at {point} is not finite")
         out.append(total)
     return np.array(out)
@@ -246,7 +283,6 @@ class ExactCandidate:
         if any(f.tag is None for f in problem.exact):
             raise ValidationError("exact solutions need their source text; build with load_problem")
         self.problem = problem
-        self._variables = ("x", "t") if problem.is_2d else ("t",)
         self._applied = {(term.op, term.target) for eq in problem.equations for term in eq.terms}
 
     def values(self, op: LinearOp, points) -> np.ndarray:
@@ -257,8 +293,7 @@ class ExactCandidate:
         others are NaN.  So an unknown that no term differentiates may have
         a text such as `pow(2,t)`, which has no symbolic derivative.
         """
-        pts = np.asarray(points, dtype=float)
-        args = tuple(pts.reshape(-1, 2).T) if self.problem.is_2d else (pts.reshape(-1),)
+        args = tuple(self.problem.points(points).T)
         out = np.full((self.problem.unknowns, args[0].size), np.nan)
         for u in range(self.problem.unknowns):
             if isinstance(op, Identity):
@@ -267,7 +302,7 @@ class ExactCandidate:
                 continue
             elif isinstance(op, Derivative):
                 text = self.problem.exact[u].tag
-                out[u] = derivative(text, self._variables, op.var, op.order)(*args)
+                out[u] = derivative(text, self.problem.variables, op.var, op.order)(*args)
             else:
                 out[u] = self._memory(u, op, *args)
         return out
@@ -285,7 +320,7 @@ class ExactCandidate:
             # u'(lo + tau sigma^2) dsigma / Gamma(1-a), the Gauss-Jacobi rule
             # carrying (1-sigma)^(-a) / Gamma(1-a)
             sigma, weights = caputo_rule(op.alpha, 32)
-            slope = derivative(self.problem.exact[u].tag, self._variables, "t", 1)
+            slope = derivative(self.problem.exact[u].tag, self.problem.variables, "t", 1)
             slopes = slope(lo + tau * sigma * sigma)
             rule = weights * (1.0 + sigma) ** -op.alpha * 2.0 * sigma
             out[live] = tau[:, 0] ** (1.0 - op.alpha) * np.vecdot(slopes, rule)

@@ -29,15 +29,17 @@ one kernel: `solve_linear(Z, y, grid)` (the dual, by Cholesky),
 no longer affine in w, started from `solve_linear` on the linear part), or
 `highprec.solve_square` on the square system Z^T w = y, the gamma ->
 infinity limit.  Each returns a `TrainedModel` that carries the grid.
-Rectangle problems use a tensor-product basis phi_p(x) phi_q(t) and a
-tensor collocation grid.
+The grid works per axis of `DaeProblem.axes` (t, or x then t): a Legendre
+basis and collocation nodes on each axis, tensorized on the rectangle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import reduce
 from numbers import Integral, Real
 from typing import Optional
 
@@ -97,8 +99,8 @@ class SolverConfig:
     `degree` is the number of basis functions per axis.  Left unset, it is
     matched to the constraint structure so that coefficients and constraints
     balance: m plus the number of side conditions carried by each unknown
-    (applied to the time axis in 2D, with m functions on the space axis).
-    An explicit value is used on every axis as given.
+    on the t-axis, and m on the x-axis of a rectangle.  An explicit value is
+    used on every axis as given.
     """
 
     m: int = 10
@@ -131,14 +133,11 @@ def _conditions_per_unknown(problem: DaeProblem) -> int:
 
 
 def basis_counts(problem: DaeProblem, config: SolverConfig) -> tuple:
-    """Basis-function counts (d_x, d_t); d_x is None for interval problems."""
+    """Basis-function counts, one per axis of `problem.axes`."""
+    n_axes = len(problem.axes)
     if config.degree is not None:
-        d = config.degree
-        return (d if problem.is_2d else None, d)
-    extra = _conditions_per_unknown(problem)
-    if problem.is_2d:
-        return (config.m, config.m + extra)
-    return (None, config.m + extra)
+        return (config.degree,) * n_axes
+    return (config.m,) * (n_axes - 1) + (config.m + _conditions_per_unknown(problem),)
 
 
 def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
@@ -166,7 +165,7 @@ class _Side:
     """A side condition instantiated at a concrete point."""
 
     target: int
-    point: object
+    point: tuple  # one coordinate per axis
     order: int
     value: float
 
@@ -175,32 +174,27 @@ class CollocationGrid:
     """One discretization of a problem, shared by assembly, every trainer and
     the trained model.
 
-    It holds the interior collocation points (mapped Legendre roots,
-    tensorized in 2D, t varying fastest) and the per-axis nodes, the problem
-    and config it discretizes, the basis specs and D (basis functions per
-    unknown), the side conditions expanded to points, and the operator
-    tables over the grid, built once per distinct operator.  Points are
-    float, or mpf in object arrays on an mpf domain.
+    It holds, per axis of `problem.axes`, the collocation `nodes` (mapped
+    Legendre roots) and the basis `specs`; the interior collocation
+    `points`, the tensor product of the nodes as an (n, n_axes) array with
+    t varying fastest; the problem and config it discretizes; D, the basis
+    functions per unknown (the product of the per-axis counts); the side
+    conditions expanded to points; and the operator tables over the grid,
+    built once per distinct operator.  Points are float, or mpf in object
+    arrays on an mpf domain.
     """
 
-    def __init__(self, problem: DaeProblem, config: SolverConfig, points, x_nodes=None, t_nodes=None):
+    def __init__(self, problem: DaeProblem, config: SolverConfig, nodes):
         self.problem = problem
         self.config = config
-        self.points = points
-        self.x_nodes = x_nodes
-        self.t_nodes = t_nodes
+        self.nodes = tuple(nodes)
+        mesh = np.meshgrid(*self.nodes, indexing="ij")
+        self.points = np.column_stack([axis.ravel() for axis in mesh])
         self.k = problem.unknowns
-        self.d_x, self.d_t = d_x, d_t = basis_counts(problem, config)
-        if problem.is_2d:
-            (xlo, xhi), (tlo, thi) = problem.domain
-            self.spec_x = BasisSpec(d_x, xlo, xhi)
-            self.spec_t = BasisSpec(d_t, tlo, thi)
-            self.D = d_x * d_t
-        else:
-            lo, hi = problem.domain
-            self.spec_t = BasisSpec(d_t, lo, hi)
-            self.spec_x = None
-            self.D = d_t
+        counts = basis_counts(problem, config)
+        self.specs = tuple(BasisSpec(d, lo, hi) for d, (_, lo, hi) in zip(counts, problem.axes))
+        self.spec_t = self.specs[-1]  # the t-axis basis, all an interval problem has
+        self.D = math.prod(counts)
         self.sides = self._expand_side_conditions()
         self.n_constraints = self.k * len(self) + len(self.sides)
         self._grid_matrices = {}
@@ -211,15 +205,18 @@ class CollocationGrid:
     # -- side conditions ------------------------------------------------
 
     def _expand_side_conditions(self):
+        """One _Side per point a condition pins: a coordinate None stands
+        for every node of its axis, and a callable value is a field of the
+        coordinates before t, called once on all of them."""
         out = []
         for sc in self.problem.side_conditions:
-            if self.problem.is_2d:
-                x, t = sc.point
-                xs = self.x_nodes if x is None else np.array([x])
-                values = sc.value(xs) if callable(sc.value) else [sc.value] * len(xs)
-                out.extend(_Side(sc.target, (xi, t), sc.order, v) for xi, v in zip(xs, values))
-            else:
-                out.append(_Side(sc.target, sc.point, sc.order, sc.value))
+            coords = sc.point if isinstance(sc.point, tuple) else (sc.point,)
+            axes = [nodes if c is None else [c] for c, nodes in zip(coords, self.nodes)]
+            points = list(itertools.product(*axes))
+            values = [sc.value] * len(points)
+            if callable(sc.value):
+                values = sc.value(*np.array(points)[:, :-1].T)
+            out.extend(_Side(sc.target, p, sc.order, v) for p, v in zip(points, values))
         return out
 
     # -- basis rows -----------------------------------------------------
@@ -237,42 +234,35 @@ class CollocationGrid:
         return np.take(tab, where, axis=1)  # C-ordered, unlike tab[:, where]
 
     def coordinates(self, points) -> np.ndarray:
-        """Points as an array in the grid's number type: float, or mpf."""
-        pts = np.asarray(points, dtype=float)
-        if self.problem.is_2d:
-            pts = pts.reshape(-1, 2)
+        """`problem.points` in the grid's number type: float, or mpf."""
+        pts = self.problem.points(points)
         return _to_mpf(pts) if self.points.dtype == object else pts
 
     def operator_matrix(self, op, points) -> np.ndarray:
-        """(n_points, D) matrix of (L phi_j)(point), one table per operator.
+        """(n_points, D) matrix of (L phi_j)(point), one table per operator,
+        at an (n_points, n_axes) array of points.
 
         Column 0 is (L 1)(point), since phi_0 = P_0 = 1 on every axis.
         """
         pts = np.asarray(points)
         if isinstance(op, (Identity, Derivative)):
-            order = op.order if isinstance(op, Derivative) else 0
-            if not self.problem.is_2d:
-                return self._axis_values(self.spec_t, pts, order).T
-            on_x = isinstance(op, Derivative) and op.var == "x"
-            bx = self._axis_values(self.spec_x, pts[:, 0], order if on_x else 0)
-            bt = self._axis_values(self.spec_t, pts[:, 1], 0 if on_x else order)
+            var, order = (op.var, op.order) if isinstance(op, Derivative) else ("t", 0)
+            tables = [self._axis_values(spec, column, order if name == var else 0)
+                      for spec, (name, _, _), column in zip(self.specs, self.problem.axes, pts.T)]
             # row g, column p*d_t + q  <->  phi_p(x_g) phi_q(t_g)
-            return (bx[:, None, :] * bt[None, :, :]).reshape(self.D, -1).T
-        if self.problem.is_2d:
+            return reduce(lambda B, T: (B[:, None] * T[None]).reshape(len(B) * len(T), -1), tables).T
+        if len(self.specs) > 1:
             raise ValidationError(f"operator {op!r} is interval-only")
+        t = pts[:, -1]
         if isinstance(op, Caputo):
             if self.config.fractional_scheme == "analytic":
-                return caputo_table(self.spec_t, op.alpha, pts)
-            return caputo_l1_table(self.spec_t, op.alpha, pts, self.config.l1_grid)
+                return caputo_table(self.spec_t, op.alpha, t)
+            return caputo_l1_table(self.spec_t, op.alpha, t, self.config.l1_grid)
         if isinstance(op, VolterraIntegral):
-            return _volterra_table(op.kernel, self.spec_t, pts)
+            return _volterra_table(op.kernel, self.spec_t, t)
         raise ValidationError(f"unknown operator {op!r}")
 
     # -- constraint columns ----------------------------------------------
-
-    def field_values(self, fn, points) -> np.ndarray:
-        """fn at every point (an array of them), in one call."""
-        return fn(points[:, 0], points[:, 1]) if self.problem.is_2d else fn(points)
 
     def grid_matrix(self, op) -> np.ndarray:
         """operator_matrix over the grid, built once per distinct operator
@@ -295,8 +285,8 @@ class CollocationGrid:
 
 
 def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
-    """Validate the problem and discretize it: the mapped roots of P_m, the
-    tensor product of per-axis roots in 2D.
+    """Validate the problem and discretize it: the roots of P_m mapped onto
+    each axis, and their tensor product.
 
     On an mpf domain the roots are refined by Newton's method to working
     precision, and the points are mpf in object arrays; mpf side values are
@@ -305,7 +295,7 @@ def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
     problem.validate()
     m = config.m
     roots = gauss_quadrature(m).nodes
-    if np.asarray(problem.domain).dtype == object:
+    if isinstance(problem.axes[0][1], mpf):
         roots = _to_mpf(roots)
         tol = mpf(10) ** (-mp.dps)
         for _ in range(8):
@@ -314,14 +304,8 @@ def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
             roots = roots - step
             if max(abs(step)) < tol:
                 break
-    if problem.is_2d:
-        (xlo, xhi), (tlo, thi) = problem.domain
-        xs = shift_from_canonical(roots, BasisSpec(1, xlo, xhi))
-        ts = shift_from_canonical(roots, BasisSpec(1, tlo, thi))
-        pts = np.column_stack([np.repeat(xs, len(ts)), np.tile(ts, len(xs))])
-        return CollocationGrid(problem, config, pts, x_nodes=xs, t_nodes=ts)
-    lo, hi = problem.domain
-    return CollocationGrid(problem, config, shift_from_canonical(roots, BasisSpec(1, lo, hi)))
+    nodes = [shift_from_canonical(roots, BasisSpec(1, lo, hi)) for _, lo, hi in problem.axes]
+    return CollocationGrid(problem, config, nodes)
 
 
 def assemble(grid: CollocationGrid):
@@ -338,10 +322,10 @@ def assemble(grid: CollocationGrid):
     for i, eq in enumerate(grid.problem.equations):
         cols = slice(i * n_grid, (i + 1) * n_grid)
         for term in eq.terms:
-            coeffs = grid.field_values(term.coeff, grid.points)
+            coeffs = term.coeff(*grid.points.T)
             rows = slice(term.target * D, (term.target + 1) * D)
             Z[rows, cols] += (coeffs[:, None] * grid.grid_matrix(term.op)).T
-        y[cols] = grid.field_values(eq.rhs, grid.points)
+        y[cols] = eq.rhs(*grid.points.T)
     for s_idx, (side, row) in enumerate(zip(grid.sides, grid.side_rows())):
         c = grid.k * n_grid + s_idx
         Z[side.target * D : (side.target + 1) * D, c] = row
@@ -417,7 +401,7 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     n_w = k * D
     gamma = grid.config.gamma
     closures = [eq.nonlinear for eq in grid.problem.equations]
-    ts = np.tile(grid.points, k + 1)
+    ts = np.tile(grid.points[:, -1], k + 1)
 
     def linearize(w: np.ndarray):
         """Residual r(w) and its Jacobian J, one call per closure."""
@@ -586,7 +570,7 @@ def report(model: TrainedModel, probes) -> ResidualReport:
         coords = model.grid.coordinates(probes)
         for u, exact_fn in enumerate(problem.exact):
             urows = []
-            exact_values = model.grid.field_values(exact_fn, coords).tolist()
+            exact_values = exact_fn(*coords.T).tolist()
             for p, exact, approx in zip(probes, exact_values, values[u]):
                 abs_err = abs(exact - approx)
                 near_zero = abs(exact) < TINY_EXACT

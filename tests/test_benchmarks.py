@@ -76,6 +76,11 @@ class TestSelfCheck:
             worst = self_check(name, p, CASES[name].probes)
             assert worst <= 1e-10
 
+    def test_interval_refuses_a_pair(self):
+        # one point with two coordinates, not the two points 0.2 and 0.9
+        with pytest.raises(ValidationError, match="each point needs the coordinates"):
+            self_check("example1", load_problem("example1"), [(0.2, 0.9)])
+
     def test_detects_broken_transcription(self):
         data = load_problem("example1").source
         data["equations"][0]["rhs"] = "sin(t)"

@@ -165,6 +165,25 @@ class TestSolve:
             assert f"  at {pt}: {want}\n" in out
         assert len(tables) == 1
 
+    def test_rectangle_without_exact_prints_default_probes(self, tmp_path, capsys):
+        # a rectangle problem with no case of its own is probed at five
+        # points on the diagonal of its domain, (x, t) each
+        data = load_problem("example5").source
+        del data["exact"]
+        path = problem_file(tmp_path, data)
+        assert main(["solve", "--file", path, "--m", "6", "--gamma", "1e8"]) == 0
+        out = capsys.readouterr().out
+        probes = [(-0.3, 0.2), (-0.09999999999999998, 0.4), (0.09999999999999998, 0.6),
+                  (0.30000000000000004, 0.8), (0.5, 1.0)]
+        model = solve(load_problem(json.dumps(data)), SolverConfig(m=6, gamma=1e8))
+        values = model.values(Identity(), probes)
+        lines = [line for line in out.splitlines() if line.startswith("  at ")]
+        want = [
+            f"  at {pt}: " + " ".join(f"u{u + 1}={v:.9g}" for u, v in enumerate(column))
+            for pt, column in zip(probes, values.T)
+        ]
+        assert lines == want
+
     def test_undefined_expression_value_is_named(self, tmp_path, capsys):
         data = json.loads(json.dumps(OSCILLATOR))
         data["equations"][0]["rhs"] = "sqrt(t-0.5)"

@@ -1,7 +1,7 @@
-"""Byte-for-byte checks of the CLI's CSV output against stored files.
+"""Byte-for-byte checks of the CLI's output against stored files.
 
 A change that alters any of these bytes must replace the file under
-tests/data and say why in CHANGES.md.
+tests/data (or the digest below) and say why in CHANGES.md.
 
 The double-precision results depend on the BLAS library and its thread
 count (example5 at its default gamma is ill-conditioned, so a threaded
@@ -9,6 +9,7 @@ BLAS sums in another order and moves the last digits).  The CLI therefore
 runs in a child process with one BLAS thread.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,15 +21,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def cli_csv(tmp_path, *args) -> bytes:
-    out = tmp_path / "out.csv"
+# sha256 of the --plot-data file of `bench example1 example5` (100 KB)
+PLOT_DATA_EXAMPLE1_EXAMPLE5 = "a7bcb94b7ee5d46fee5774e77c979b464c85da8143ec3d4d2c4c9c757126947e"
+
+
+def run_cli(tmp_path, *args) -> bytes:
+    """The CLI's stdout bytes, run with one BLAS thread in `tmp_path`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    subprocess.run(
-        [sys.executable, "-m", "daesvr.cli", *args, "--out", str(out)],
+    done = subprocess.run(
+        [sys.executable, "-m", "daesvr.cli", *args],
         env=env, cwd=tmp_path, capture_output=True, timeout=300, check=False,
     )
+    return done.stdout
+
+
+def cli_csv(tmp_path, *args) -> bytes:
+    out = tmp_path / "out.csv"
+    run_cli(tmp_path, *args, "--out", str(out))
     return out.read_bytes()
 
 
@@ -43,3 +54,13 @@ def cli_csv(tmp_path, *args) -> bytes:
 )
 def test_csv_bytes(tmp_path, args, stored):
     assert cli_csv(tmp_path, *args) == (DATA / stored).read_bytes()
+
+
+def test_bench_stdout_bytes(tmp_path):
+    assert run_cli(tmp_path, "bench") == (DATA / "bench_stdout.txt").read_bytes()
+
+
+def test_plot_data_digest(tmp_path):
+    run_cli(tmp_path, "bench", "example1", "example5", "--plot-data", "plot.csv")
+    digest = hashlib.sha256((tmp_path / "plot.csv").read_bytes()).hexdigest()
+    assert digest == PLOT_DATA_EXAMPLE1_EXAMPLE5

@@ -319,6 +319,11 @@ class TestRejections:
         with pytest.raises(ValidationError, match="at least 15"):
             solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6), digits=10)
 
+    @pytest.mark.parametrize("digits", ["40", None, 40.5, True])
+    def test_digits_must_be_an_integer(self, digits):
+        with pytest.raises(ValidationError, match="digits must be an integer"):
+            solve_interpolant(load_problem(OSCILLATOR), SolverConfig(m=6), digits=digits)
+
     def test_unbalanced_degree_rejected(self):
         # forcing extra basis functions breaks the square count
         with pytest.raises(ValidationError, match="counts balance"):

@@ -121,7 +121,7 @@ class TestExtendedPrecision:
         source = {"unknowns": 1, "domain": {"lo": -1, "hi": 1},
                   "equations": [{"terms": [{"coeff": 1, "op": "identity", "target": 0}], "rhs": "t"}]}
         with workdps(40):
-            nodes = build_grid(_build(source, "line", MPF), SolverConfig(m=m)).points
+            nodes = build_grid(_build(source, "line", MPF), SolverConfig(m=m)).points[:, 0]
             assert all(isinstance(v, mpf) for v in nodes)
             assert max(abs(v) for v in legendre_table(m + 1, nodes)[0][m]) <= mpf(10) ** -38
         assert_allclose(nodes.astype(float), legendre_roots(m), rtol=0, atol=1e-14)

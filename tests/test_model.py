@@ -148,6 +148,20 @@ class TestValidate:
         with pytest.raises(ValidationError, match="exact"):
             p.validate()
 
+    def test_derivative_along_a_missing_axis(self):
+        # an interval has no x-axis: d/dx is refused by name, not solved as d/dt
+        eq = Equation(terms=(OperatorTerm(ONE, Identity(), 0), OperatorTerm(ONE, Derivative(1, "x"), 0)),
+                      rhs=ONE)
+        with pytest.raises(ValidationError, match=r"equations\[0\]\.terms\[1\]: derivative by 'x'"):
+            interval_problem([eq]).validate()
+
+    def test_axes_and_variables(self):
+        p2 = DaeProblem(unknowns=1, domain=((-0.5, 0.5), (0.0, 2.0)), equations=(self.eq(),))
+        assert p2.axes == (("x", -0.5, 0.5), ("t", 0.0, 2.0))
+        assert p2.variables == ("x", "t")
+        p1 = interval_problem([self.eq()])
+        assert p1.axes == (("t", 0.0, 1.0),) and p1.variables == ("t",)
+
     def test_interval_property(self):
         p2 = DaeProblem(
             unknowns=1, domain=((-0.5, 0.5), (0.0, 2.0)), equations=(self.eq(),)

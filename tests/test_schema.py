@@ -192,6 +192,19 @@ class TestRejections:
         with pytest.raises(ValidationError, match="operator kind"):
             load_problem(json.dumps(data))
 
+    def test_derivative_by_x_on_an_interval(self):
+        # u' = cos t written with "var": "x" is refused, not solved as d/dt
+        data = {
+            "unknowns": 1,
+            "domain": {"lo": 0.0, "hi": 1.0},
+            "equations": [{"terms": [{"op": "deriv", "order": 1, "var": "x", "coeff": 1, "target": 0}],
+                           "rhs": "cos(t)"}],
+            "side_conditions": [{"target": 0, "point": 0.0, "value": 0.0}],
+            "exact": ["sin(t)"],
+        }
+        with pytest.raises(ValidationError, match=r"equations\[0\]\.terms\[0\].*not an axis"):
+            load_problem(json.dumps(data))
+
     def test_caputo_order_checked(self):
         data = json.loads(OSCILLATOR)
         data["equations"][0]["terms"][0] = {

@@ -143,14 +143,14 @@ class TestConfigValidation:
 class TestGrid:
     def test_single_node_is_midpoint(self):
         g = build_grid(oscillator(), SolverConfig(m=1))
-        assert_allclose(g.points, [0.5], atol=1e-15)
+        assert_allclose(g.points, [[0.5]], atol=1e-15)
 
     def test_two_nodes(self):
         # roots of the degree-2 Legendre polynomial mapped onto [0, 1]
         # are 1/2 -+ 1/(2 sqrt(3))
         g = build_grid(oscillator(), SolverConfig(m=2))
         r = 0.5 / math.sqrt(3.0)
-        assert_allclose(g.points, [0.5 - r, 0.5 + r], rtol=1e-14)
+        assert_allclose(g.points[:, 0], [0.5 - r, 0.5 + r], rtol=1e-14)
 
     def test_repeated_grids_reuse_the_cached_rule(self, monkeypatch):
         calls = []
@@ -169,7 +169,7 @@ class TestGrid:
         second = build_grid(p, SolverConfig(m=7))
         assert len(calls) <= 1
         assert np.array_equal(first.points, second.points)
-        assert np.array_equal(first.points, 0.5 * (original(7) + 1.0))
+        assert np.array_equal(first.points[:, 0], 0.5 * (original(7) + 1.0))
 
     def test_nodes_stay_interior(self):
         p = load_problem("example2")
@@ -184,15 +184,17 @@ class TestGrid:
         p = load_problem("example5")
         g = build_grid(p, SolverConfig(m=3))
         assert g.points.shape == (9, 2)
-        assert_allclose(g.points[:3, 0], g.x_nodes[0])
-        assert_allclose(g.points[:3, 1], g.t_nodes)
-        assert_allclose(g.points[::3, 0], g.x_nodes)
+        x_nodes, t_nodes = g.nodes
+        assert_allclose(g.points[:3, 0], x_nodes[0])
+        assert_allclose(g.points[:3, 1], t_nodes)
+        assert_allclose(g.points[::3, 0], x_nodes)
 
     def test_rectangle_axes_are_mapped_roots(self):
         p = load_problem("example5")
         g = build_grid(p, SolverConfig(m=3))
-        assert_allclose(g.x_nodes[1], 0.0, atol=1e-15)
-        assert_allclose(g.t_nodes[1], 0.5, atol=1e-15)
+        x_nodes, t_nodes = g.nodes
+        assert_allclose(x_nodes[1], 0.0, atol=1e-15)
+        assert_allclose(t_nodes[1], 0.5, atol=1e-15)
 
 
 class TestOneDiscretization:
@@ -268,7 +270,7 @@ class TestBasisCounts:
     def test_interval_adds_condition_slots(self):
         # one initial condition per unknown: one extra basis function
         p = load_problem("example3")
-        assert basis_counts(p, SolverConfig(m=10)) == (None, 11)
+        assert basis_counts(p, SolverConfig(m=10)) == (11,)
 
     def test_rectangle_counts(self):
         # two conditions on the time axis per unknown
@@ -277,13 +279,13 @@ class TestBasisCounts:
 
     def test_explicit_degree_wins(self):
         p3 = load_problem("example3")
-        assert basis_counts(p3, SolverConfig(m=10, degree=12)) == (None, 12)
+        assert basis_counts(p3, SolverConfig(m=10, degree=12)) == (12,)
         p5 = load_problem("example5")
         assert basis_counts(p5, SolverConfig(m=6, degree=9)) == (9, 9)
 
     def test_no_conditions_means_m(self):
         p = load_problem(FLAT_SQUARE)
-        assert basis_counts(p, SolverConfig(m=7)) == (None, 7)
+        assert basis_counts(p, SolverConfig(m=7)) == (7,)
 
 
 class TestDualSystem:
@@ -414,14 +416,14 @@ class TestOperatorTables:
         kernel = Field(lambda t, s: 1.0 + s * t)
         spec, pts = ctx.spec_t, [0.0, 0.13, 0.5, 0.97]
         rule = gauss_quadrature(VOLTERRA_NODES)
-        want = np.zeros((len(pts), ctx.d_t))
+        want = np.zeros((len(pts), spec.degree_count))
         for g, p in enumerate(pts[1:], start=1):
             qx, qw = rule.mapped(spec.lo, p)
             kvals = np.array([kernel(p, s) for s in qx])
-            for j in range(ctx.d_t):
+            for j in range(spec.degree_count):
                 vals = legendre_table(j + 1, shift_to_canonical(qx, spec))[0][j]
                 want[g, j] = float(np.sum(qw * kvals * vals))
-        got = ctx.operator_matrix(VolterraIntegral(kernel), pts)
+        got = ctx.operator_matrix(VolterraIntegral(kernel), np.array(pts)[:, None])
         assert got.tobytes() == want.tobytes()
 
     def test_column_zero_is_operator_on_one(self):
@@ -434,7 +436,7 @@ class TestOperatorTables:
             (VolterraIntegral(Field.constant(2.0)), 2.0 * pts),
         ]
         for op, want in cases:
-            assert_allclose(ctx.operator_matrix(op, pts)[:, 0], want, atol=1e-15)
+            assert_allclose(ctx.operator_matrix(op, pts[:, None])[:, 0], want, atol=1e-15)
 
     def test_volterra_exact_beyond_the_node_floor(self):
         # 80 basis functions need more than VOLTERRA_NODES Gauss nodes; on a
@@ -446,7 +448,7 @@ class TestOperatorTables:
         P = legendre_table(81, xi)[0]
         j = np.arange(1, 80)[:, None]
         want = np.vstack([xi + 1.0, (P[2:] - P[:-2]) / (2 * j + 1)]).T * spec.width / 2
-        got = ctx.operator_matrix(VolterraIntegral(Field.constant(1.0)), pts)
+        got = ctx.operator_matrix(VolterraIntegral(Field.constant(1.0)), pts[:, None])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("m", [8, 14])
@@ -599,6 +601,28 @@ class TestReport:
         rep = report(model, probes)
         assert rep.probes == probes
         assert [r.point for r in rep.rows[0]] == list(probes)
+
+    @pytest.mark.parametrize(
+        "probes",
+        [[(0.1, 0.2, 0.3, 0.4)], [0.1, 0.2]],
+        ids=["four-coordinates", "flat-pair"],
+    )
+    def test_rectangle_refuses_points_that_are_not_pairs(self, probes):
+        # neither is read as the point (0.1, 0.2)
+        model = solve(load_problem("example5"), CASES["example5"].config)
+        with pytest.raises(ValidationError, match=r"each point needs the coordinates \('x', 't'\)"):
+            report(model, probes)
+
+    @pytest.mark.parametrize("name", ["example3", "example5"])
+    def test_no_probes_give_an_empty_report(self, name):
+        model = solve(load_problem(name), CASES[name].config)
+        rep = report(model, [])
+        assert [len(rows) for rows in rep.rows] == [0, 0, 0] and not rep.l2.any()
+
+    def test_interval_refuses_a_pair(self):
+        model = solve(oscillator(), SolverConfig(m=8, gamma=1e8))
+        with pytest.raises(ValidationError, match=r"each point needs the coordinates \('t',\)"):
+            report(model, [(0.2, 0.9)])
 
     @pytest.mark.parametrize(
         "name, extra",
