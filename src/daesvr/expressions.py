@@ -17,7 +17,7 @@ per-point calls: `+ - * /` round as Python's do, and every function and `**`
 run element by element through the vocabulary's scalar functions.  numpy's
 ufuncs would change bits: over 500k samples `np.exp` differs from `math.exp`
 in 22,638, `np.tan` in 2,169, `np.power(x, 2.5)` in 26,558 and `x**2` from
-`math.pow(x, 2)` in 423, and `scipy.special.gamma` from `math.gamma` in
+`math.pow(x, 2)` in 423, and scipy's `gamma` from `math.gamma` in
 73,997 of 100k.
 """
 

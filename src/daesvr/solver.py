@@ -188,7 +188,7 @@ class CollocationGrid:
         self.problem = problem
         self.config = config
         self.nodes = tuple(nodes)
-        mesh = np.meshgrid(*self.nodes, indexing="ij")
+        mesh = np.meshgrid(*self.nodes, indexing="ij") if len(self.nodes) > 1 else self.nodes
         self.points = np.column_stack([axis.ravel() for axis in mesh])
         self.k = problem.unknowns
         counts = basis_counts(problem, config)
@@ -211,8 +211,11 @@ class CollocationGrid:
         out = []
         for sc in self.problem.side_conditions:
             coords = sc.point if isinstance(sc.point, tuple) else (sc.point,)
-            axes = [nodes if c is None else [c] for c, nodes in zip(coords, self.nodes)]
-            points = list(itertools.product(*axes))
+            if None in coords:
+                axes = [nodes if c is None else [c] for c, nodes in zip(coords, self.nodes)]
+                points = list(itertools.product(*axes))
+            else:
+                points = [coords]
             values = [sc.value] * len(points)
             if callable(sc.value):
                 values = sc.value(*np.array(points)[:, :-1].T)
@@ -314,17 +317,29 @@ def assemble(grid: CollocationGrid):
     Column c of Z, shape (k*D, n_constraints), holds constraint c's linear
     operator applied to every basis function; columns run equation-major
     over the grid, then side conditions.  Entries keep the number type of
-    the grid (float, or mpf in object arrays).
+    the grid (float, or mpf in object arrays).  Each (equation, unknown)
+    block is the sum of its terms, written into Z once; a coefficient that
+    is 1 (or -1) at every point takes the table unscaled (or negated).
     """
     n_grid, D = len(grid), grid.D
     Z = np.zeros((grid.k * D, grid.n_constraints), dtype=grid.points.dtype)
     y = np.zeros(grid.n_constraints, dtype=grid.points.dtype)
     for i, eq in enumerate(grid.problem.equations):
-        cols = slice(i * n_grid, (i + 1) * n_grid)
+        blocks = {}
         for term in eq.terms:
             coeffs = term.coeff(*grid.points.T)
-            rows = slice(term.target * D, (term.target + 1) * D)
-            Z[rows, cols] += (coeffs[:, None] * grid.grid_matrix(term.op)).T
+            table = grid.grid_matrix(term.op)
+            if (coeffs == 1).all():
+                part = table
+            elif (coeffs == -1).all():
+                part = -table
+            else:
+                part = coeffs[:, None] * table
+            block = blocks.get(term.target)
+            blocks[term.target] = part if block is None else block + part
+        cols = slice(i * n_grid, (i + 1) * n_grid)
+        for target, block in blocks.items():
+            Z[target * D : (target + 1) * D, cols] = block.T
         y[cols] = eq.rhs(*grid.points.T)
     for s_idx, (side, row) in enumerate(zip(grid.sides, grid.side_rows())):
         c = grid.k * n_grid + s_idx

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -117,13 +121,13 @@ class TestCaputoPoly:
     def test_base_point_row_vanishes(self):
         assert np.all(caputo_table(UNIT, 0.5, [0.0]) == 0.0)
 
-    @pytest.mark.parametrize("m", [14, 30])
-    def test_matches_high_precision_reference(self, m):
+    @pytest.mark.parametrize("m, bound", [(14, 1e-12), (30, 1e-12), (40, 5e-14)], ids=["14", "30", "40"])
+    def test_matches_high_precision_reference(self, m, bound):
         spec = BasisSpec(m + 2, 0.0, 1.0)
         pts = shift_from_canonical(legendre_roots(m), spec)
         want = np.array([[float(caputo_half_reference(j, x)) for j in range(m + 2)] for x in pts])
         got = caputo_table(spec, 0.5, pts)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 class TestCaputoRule:
@@ -145,6 +149,49 @@ class TestCaputoRule:
     def test_order_guard(self):
         with pytest.raises(DomainError):
             caputo_rule(1.5, 4)
+
+    @pytest.mark.parametrize("nodes", [0, -1, 2.5, 2.0, True, "3"])
+    def test_node_count_guard(self, nodes):
+        # an empty rule would make every Caputo term read 0; 1 == True and
+        # 2 == 2.0 share a hash, so the cached rules must not answer for them
+        caputo_rule(0.5, 1)
+        caputo_rule(0.5, 2)
+        with pytest.raises(DomainError, match="integer number of nodes"):
+            caputo_rule(0.5, nodes)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
+    def test_matches_high_precision_rule(self, alpha):
+        # mpmath's 50-digit Gauss-Jacobi rule for the weight (1 - z)^(-alpha),
+        # carried to fractions (z + 1)/2 and Caputo weights w 2^(a-1)/Gamma(1-a)
+        with workdps(50):
+            a = mpf(alpha)
+            scale = mpf(2) ** (a - 1) / mpmath.gamma(1 - a)
+            for n in (1, 4, 16, 32, 40):
+                z, w = mpmath.mp.gauss_quadrature(n, "jacobi", -a, 0)
+                want = sorted(zip(z, w))
+                fractions, weights = caputo_rule(alpha, n)
+                for f, wt, (zk, wk) in zip(fractions, weights, want):
+                    assert abs(2 * mpf(f) - 1 - zk) <= 4.4e-16, (n, zk)
+                    assert abs(mpf(wt) / (wk * scale) - 1) <= 1e-12, (n, zk)
+
+
+def test_caputo_solves_leave_scipy_special_out():
+    # the Gauss-Jacobi rule is built in numpy, so self-checks and Caputo
+    # solves never load scipy.special
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, daesvr\n"
+        "for name, case in daesvr.CASES.items():\n"
+        "    daesvr.self_check(name, daesvr.load_problem(name), case.probes)\n"
+        "case = daesvr.CASES['example3']\n"
+        "daesvr.report(daesvr.solve(daesvr.load_problem('example3'), case.config), case.probes)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestCaputoL1:
