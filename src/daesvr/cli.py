@@ -254,7 +254,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_list() -> int:
     for name in builtin_names():
         problem = load_problem(name)
-        kind = "rectangle" if problem.is_2d else "interval"
+        kind = "rectangle" if len(problem.axes) > 1 else "interval"
         case = benchmarks.CASES.get(name)
         extra = ""
         if case is not None:

@@ -7,9 +7,11 @@ closure, and a right-hand side:
 
     sum_j coeff_j(p) * (Op_j u_{target_j})(p) + g(p, u_1(p), ..., u_k(p)) = rhs(p)
 
-Supported linear operators: the identity, integer-order derivatives, Caputo
-fractional derivatives (interval problems only), and Volterra integrals from
-the left endpoint.  Side conditions pin values or derivatives at points.
+where the closure g takes the coordinates of p (t, or x then t), then the
+unknowns' values.  Supported linear operators: the identity, integer-order
+derivatives (by `var`), and, in t from the start of the t-axis, Caputo
+fractional derivatives and Volterra integrals; each works on both domains.
+Side conditions pin values or t-derivatives at points.
 
 The domain is a list of axes, `DaeProblem.axes` (t, or x then t), and a
 batch of points is an (n, n_axes) array, which `DaeProblem.points` parses.
@@ -131,9 +133,9 @@ class Equation:
 class SideCondition:
     """Pins the `order`-th t-derivative of one unknown at a point.
 
-    1D: `point` is a float, `value` a float.  2D: `point` is (x, t) where x
-    may be None, meaning "every x collocation node on the slice t=const";
-    `value` is then a Field of x (or a constant).
+    On an interval `point` is a float and `value` a float.  On a rectangle
+    `point` is (x, t), where x may be None, meaning "every x collocation node
+    on the slice t=const"; `value` is then a Field of x (or a constant).
     """
 
     target: int
@@ -166,18 +168,10 @@ class DaeProblem:
     def variables(self) -> tuple:
         return tuple(name for name, _, _ in self.axes)
 
-    @property
-    def is_2d(self) -> bool:
-        return len(self.axes) == 2
-
-    @property
-    def interval(self) -> tuple:
-        """The t-interval, the last axis."""
-        return self.axes[-1][1:]
-
     def points(self, points) -> np.ndarray:
         """Points as an (n, n_axes) float array: numbers (or 1-tuples) on an
-        interval, (x, t) pairs on a rectangle; ValidationError otherwise."""
+        interval, (x, t) pairs on a rectangle, every coordinate finite;
+        ValidationError otherwise."""
         try:
             pts = np.asarray(points, dtype=float)
         except (TypeError, ValueError) as err:
@@ -187,6 +181,9 @@ class DaeProblem:
         if pts.ndim != 2 or pts.shape[1] != len(self.axes):
             raise ValidationError(f"each point needs the coordinates {self.variables}, "
                                   f"got an array of shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            bad = pts[np.argmin(np.isfinite(pts).all(axis=1))]
+            raise ValidationError(f"point {tuple(bad.tolist())} is not finite")
         return pts
 
     def validate(self) -> None:
@@ -197,9 +194,9 @@ class DaeProblem:
                 f"square system required: {self.unknowns} unknowns, "
                 f"{len(self.equations)} equations"
             )
-        is_2d, variables = self.is_2d, self.variables
+        variables = self.variables
         if not all(hi > lo for _, lo, hi in self.axes):
-            raise ValidationError(f"domain {'rectangle' if is_2d else 'interval'} is empty")
+            raise ValidationError(f"domain {'rectangle' if len(variables) > 1 else 'interval'} is empty")
         for i, eq in enumerate(self.equations):
             for j, term in enumerate(eq.terms):
                 if not 0 <= term.target < self.unknowns:
@@ -209,12 +206,6 @@ class DaeProblem:
                         f"equations[{i}].terms[{j}]: derivative by {term.op.var!r}, "
                         f"which is not an axis of the domain {variables}"
                     )
-                if is_2d and isinstance(term.op, (Caputo, VolterraIntegral)):
-                    raise ValidationError(
-                        "Caputo and Volterra operators are interval-only"
-                    )
-            if is_2d and eq.nonlinear is not None:
-                raise ValidationError("nonlinear closures are interval-only")
         for sc in self.side_conditions:
             if not 0 <= sc.target < self.unknowns:
                 raise ValidationError(f"side condition target {sc.target} out of range")
@@ -251,7 +242,7 @@ def residuals(problem: DaeProblem, candidate, points) -> np.ndarray:
         for term in eq.terms:
             total = total + term.coeff(*args) * values[term.op][term.target]
         if eq.nonlinear is not None:
-            total = total + eq.nonlinear(pts[:, -1], *values[Identity()])
+            total = total + eq.nonlinear(*args, *values[Identity()])
         total = total - eq.rhs(*args)
         bad = np.flatnonzero(~np.isfinite(np.asarray(total, dtype=float)))
         if bad.size:
@@ -307,13 +298,15 @@ class ExactCandidate:
                 out[u] = self._memory(u, op, *args)
         return out
 
-    def _memory(self, u: int, op: LinearOp, t: np.ndarray) -> np.ndarray:
-        """A Caputo derivative or Volterra integral at the points t: zero at
-        lo, refused below it."""
-        lo = self.problem.interval[0]
+    def _memory(self, u: int, op: LinearOp, *coords: np.ndarray) -> np.ndarray:
+        """A Caputo derivative or Volterra integral in t at the points, given
+        by their coordinates (x, then t): zero at lo, refused below it."""
+        *before, t = coords
+        lo = self.problem.axes[-1][1]
         if (t < lo).any():
             raise DomainError(f"{type(op).__name__} evaluation below base point")
         live = t > lo
+        before = [x[live, None] for x in before]
         tau, out = t[live, None] - lo, np.zeros(t.size)
         if isinstance(op, Caputo):
             # D^a u(t) = tau^(1-a) int_0^1 (1-sigma)^(-a) (1+sigma)^(-a) 2 sigma
@@ -321,13 +314,13 @@ class ExactCandidate:
             # carrying (1-sigma)^(-a) / Gamma(1-a)
             sigma, weights = caputo_rule(op.alpha, 32)
             slope = derivative(self.problem.exact[u].tag, self.problem.variables, "t", 1)
-            slopes = slope(lo + tau * sigma * sigma)
+            slopes = slope(*before, lo + tau * sigma * sigma)
             rule = weights * (1.0 + sigma) ** -op.alpha * 2.0 * sigma
             out[live] = tau[:, 0] ** (1.0 - op.alpha) * np.vecdot(slopes, rule)
         elif isinstance(op, VolterraIntegral):
             sigma, w = gauss_quadrature(64).mapped(0.0, 1.0)
             s = lo + tau * sigma**2
-            vals = op.kernel(t[live, None], s) * self.problem.exact[u](s)
+            vals = op.kernel(t[live, None], s) * self.problem.exact[u](*before, s)
             out[live] = np.sum(w * vals * 2.0 * tau * sigma, axis=1)
         else:
             raise ValidationError(f"unknown operator {op!r}")

@@ -8,7 +8,7 @@ Problems are described as JSON objects::
       "equations": [
         {"terms": [{"op": "deriv", "order": 1, "coeff": 1, "target": 0},
                    {"op": "identity", "coeff": "-t", "target": 1}],
-         "nonlinear": "u1*u2",                   # optional, interval problems
+         "nonlinear": "u1*u2",                   # optional
          "rhs": "sin(t)"},
         ...
       ],
@@ -18,8 +18,10 @@ Problems are described as JSON objects::
 
 Operator kinds: "identity"; "deriv" (fields: order, var defaulting to "t");
 "caputo" (field: alpha); "volterra" (field: kernel, an expression in t and
-s).  Coefficients, right-hand sides, kernels and exact solutions are numbers
-or expression strings over the fixed vocabulary in `expressions.FUNCTIONS`.
+s).  Caputo and Volterra terms act on t on both domains.  Coefficients,
+right-hand sides, kernels and exact solutions are numbers or expression
+strings over the fixed vocabulary in `expressions.FUNCTIONS`; a closure
+("nonlinear") is an expression in the domain variables, then u1..uk.
 In rectangle problems a side condition pins a t-slice: "x" is a number or
 "*" (every x collocation node) and "value" may be an expression in x.
 
@@ -138,7 +140,7 @@ def _build(data: dict, name: Optional[str] = None, vocabulary: Vocabulary = FLOA
     else:
         raise ValidationError("problem: need 'domain' or 'domain2'")
 
-    nl_vars = ("t",) + tuple(f"u{i + 1}" for i in range(unknowns))
+    nl_vars = variables + tuple(f"u{i + 1}" for i in range(unknowns))
     equations = []
     for i, eq in enumerate(_list(_require(data, "equations", where), "equations")):
         eq_where = f"equations[{i}]"
@@ -149,8 +151,6 @@ def _build(data: dict, name: Optional[str] = None, vocabulary: Vocabulary = FLOA
         rhs = _field(_require(eq, "rhs", eq_where), variables, f"{eq_where}.rhs", vocabulary)
         nonlinear = None
         if eq.get("nonlinear") is not None:
-            if is_2d:
-                raise ValidationError(f"{eq_where}: nonlinear closures are interval-only")
             nonlinear = _field(eq["nonlinear"], nl_vars, f"{eq_where}.nonlinear", vocabulary)
         equations.append(Equation(terms=terms, rhs=rhs, nonlinear=nonlinear))
 

@@ -30,7 +30,8 @@ no longer affine in w, started from `solve_linear` on the linear part), or
 `highprec.solve_square` on the square system Z^T w = y, the gamma ->
 infinity limit.  Each returns a `TrainedModel` that carries the grid.
 The grid works per axis of `DaeProblem.axes` (t, or x then t): a Legendre
-basis and collocation nodes on each axis, tensorized on the rectangle.
+basis and collocation nodes on each axis, tensorized on the rectangle, and
+every operator's table is the product of its per-axis tables.
 """
 
 from __future__ import annotations
@@ -190,10 +191,11 @@ class CollocationGrid:
         self.nodes = tuple(nodes)
         mesh = np.meshgrid(*self.nodes, indexing="ij") if len(self.nodes) > 1 else self.nodes
         self.points = np.column_stack([axis.ravel() for axis in mesh])
+        self.points.flags.writeable = False  # so that _grid_axes stays its index
+        self._grid_axes = [np.unique(c, return_inverse=True) for c in self.points.T]
         self.k = problem.unknowns
         counts = basis_counts(problem, config)
         self.specs = tuple(BasisSpec(d, lo, hi) for d, (_, lo, hi) in zip(counts, problem.axes))
-        self.spec_t = self.specs[-1]  # the t-axis basis, all an interval problem has
         self.D = math.prod(counts)
         self.sides = self._expand_side_conditions()
         self.n_constraints = self.k * len(self) + len(self.sides)
@@ -224,17 +226,26 @@ class CollocationGrid:
 
     # -- basis rows -----------------------------------------------------
 
-    def _axis_values(self, spec: BasisSpec, pts, order: int) -> np.ndarray:
-        """(count, n) table of P_j^(order) at mapped points, physically scaled.
-
-        The table is evaluated once per distinct point: on a tensor grid each
-        axis node recurs once per node of the other axis.
-        """
-        nodes, where = np.unique(pts, return_inverse=True)
-        tab = legendre_table(spec.degree_count, shift_to_canonical(nodes, spec), order)[order]
-        if order:
-            tab = tab * (2.0 / spec.width) ** order
-        return np.take(tab, where, axis=1)  # C-ordered, unlike tab[:, where]
+    def _axis_values(self, op, axis: str, spec: BasisSpec, nodes) -> np.ndarray:
+        """(count, n_nodes) table of op's action on one axis at distinct
+        nodes: its 1-D table on the axis it acts on (Derivative on `var`,
+        Caputo and Volterra on t), the identity table (P_j) on every other
+        axis."""
+        if axis != (op.var if isinstance(op, Derivative) else "t"):
+            op = Identity()
+        if isinstance(op, Identity):
+            return legendre_table(spec.degree_count, shift_to_canonical(nodes, spec))[0]
+        if isinstance(op, Derivative):
+            tabs = legendre_table(spec.degree_count, shift_to_canonical(nodes, spec), op.order)
+            return tabs[op.order] * (2.0 / spec.width) ** op.order
+        if isinstance(op, Caputo) and self.config.fractional_scheme == "analytic":
+            return caputo_table(spec, op.alpha, nodes).T
+        if isinstance(op, Caputo):
+            return caputo_l1_table(spec, op.alpha, nodes, self.config.l1_grid).T
+        if isinstance(op, VolterraIntegral):
+            return _volterra_table(op.kernel, spec, nodes).T
+        # every domain has a t-axis, so every op reaches this dispatch
+        raise ValidationError(f"unknown operator {op!r}")
 
     def coordinates(self, points) -> np.ndarray:
         """`problem.points` in the grid's number type: float, or mpf."""
@@ -242,28 +253,24 @@ class CollocationGrid:
         return _to_mpf(pts) if self.points.dtype == object else pts
 
     def operator_matrix(self, op, points) -> np.ndarray:
-        """(n_points, D) matrix of (L phi_j)(point), one table per operator,
-        at an (n_points, n_axes) array of points.
+        """(n_points, D) matrix of (L phi_j)(point) at an (n_points, n_axes)
+        array of points: the row-wise product of one table per axis
+        (`_axis_values`), whatever the operator.
 
+        Each table is evaluated once per distinct coordinate: on a tensor
+        grid each axis node recurs once per node of the other axis.
         Column 0 is (L 1)(point), since phi_0 = P_0 = 1 on every axis.
         """
+        variables = self.problem.variables
+        if isinstance(op, Derivative) and op.var not in variables:
+            raise ValidationError(f"derivative by {op.var!r}, which is not an axis of {variables}")
         pts = np.asarray(points)
-        if isinstance(op, (Identity, Derivative)):
-            var, order = (op.var, op.order) if isinstance(op, Derivative) else ("t", 0)
-            tables = [self._axis_values(spec, column, order if name == var else 0)
-                      for spec, (name, _, _), column in zip(self.specs, self.problem.axes, pts.T)]
-            # row g, column p*d_t + q  <->  phi_p(x_g) phi_q(t_g)
-            return reduce(lambda B, T: (B[:, None] * T[None]).reshape(len(B) * len(T), -1), tables).T
-        if len(self.specs) > 1:
-            raise ValidationError(f"operator {op!r} is interval-only")
-        t = pts[:, -1]
-        if isinstance(op, Caputo):
-            if self.config.fractional_scheme == "analytic":
-                return caputo_table(self.spec_t, op.alpha, t)
-            return caputo_l1_table(self.spec_t, op.alpha, t, self.config.l1_grid)
-        if isinstance(op, VolterraIntegral):
-            return _volterra_table(op.kernel, self.spec_t, t)
-        raise ValidationError(f"unknown operator {op!r}")
+        axes = self._grid_axes if pts is self.points else [np.unique(c, return_inverse=True) for c in pts.T]
+        # np.take is C-ordered, unlike tab[:, where]
+        tables = [np.take(self._axis_values(op, name, spec, nodes), where, axis=1)
+                  for name, spec, (nodes, where) in zip(variables, self.specs, axes)]
+        # row g, column p*d_t + q  <->  phi_p(x_g) phi_q(t_g)
+        return reduce(lambda B, T: (B[:, None] * T[None]).reshape(len(B) * len(T), -1), tables).T
 
     # -- constraint columns ----------------------------------------------
 
@@ -407,8 +414,6 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve  # here, so import skips scipy
 
-    if grid.problem.is_2d:
-        raise ValidationError("the Gauss-Newton path handles interval problems only")
     Z, y = assemble(grid)
     A = np.ascontiguousarray(Z.T)  # constant linear part: r_lin = A w - y
     value_B = grid.grid_matrix(Identity())
@@ -416,7 +421,7 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     n_w = k * D
     gamma = grid.config.gamma
     closures = [eq.nonlinear for eq in grid.problem.equations]
-    ts = np.tile(grid.points[:, -1], k + 1)
+    coords = np.tile(grid.points.T, k + 1)
 
     def linearize(w: np.ndarray):
         """Residual r(w) and its Jacobian J, one call per closure."""
@@ -432,7 +437,7 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
             if cl is None:
                 continue
             rows = slice(i * n_grid, (i + 1) * n_grid)
-            f0, *f1 = cl(ts, *stacked.reshape(-1, k).T).reshape(k + 1, n_grid)
+            f0, *f1 = cl(*coords, *stacked.reshape(-1, k).T).reshape(k + 1, n_grid)
             r[rows] += f0
             for u in range(k):
                 J[rows, u * D : (u + 1) * D] += ((f1[u] - f0) / h[:, u])[:, None] * value_B

@@ -365,7 +365,7 @@ class TestMpfBuild:
     @pytest.mark.parametrize("text", [OSCILLATOR, "example5"], ids=["oscillator", "example5"])
     def test_every_number_is_mpf_and_matches_the_float_build(self, text):
         problem = load_problem(text)
-        point = (0.13, 0.37) if problem.is_2d else (0.37,)
+        point = (0.13, 0.37) if len(problem.axes) > 1 else (0.37,)
         want = list(self.numbers(problem, point))
         with workdps(40):
             mp_problem = _build(problem.source, problem.name, MPF)

@@ -115,21 +115,34 @@ class TestValidate:
         with pytest.raises(ValidationError, match="target"):
             interval_problem([self.eq(target=1)]).validate()
 
-    def test_fractional_is_interval_only(self):
-        eq = Equation(terms=(OperatorTerm(ONE, Caputo(0.5), 0),), rhs=ONE)
-        p = DaeProblem(unknowns=1, domain=((0.0, 1.0), (0.0, 1.0)), equations=(eq,))
-        with pytest.raises(ValidationError, match="interval"):
-            p.validate()
+    def test_memory_terms_on_a_rectangle(self):
+        # Caputo and Volterra act on t; the exact candidate passes x through
+        caputo, volterra = Caputo(0.5), VolterraIntegral(Field.constant(1.0))
+        eq = Equation(terms=(OperatorTerm(ONE, caputo, 0), OperatorTerm(ONE, volterra, 1)), rhs=ONE)
+        texts = ("pow(x,2)*pow(t,2)", "cos(x)*exp(t)")
+        p = DaeProblem(unknowns=2, domain=((-0.5, 0.5), (0.0, 1.0)), equations=(eq, eq),
+                       exact=tuple(Field(compile_expression(e, ("x", "t")), tag=e) for e in texts))
+        p.validate()
+        pts = [(0.3, 0.4), (-0.2, 0.9), (0.1, 0.0)]
+        c = ExactCandidate(p)
+        want = [x * x * caputo_monomial(2, 0.5, t) for x, t in pts]
+        assert_allclose(c.values(caputo, pts)[0], want, rtol=1e-13, atol=1e-300)
+        want = [math.cos(x) * (math.exp(t) - 1.0) for x, t in pts]
+        assert_allclose(c.values(volterra, pts)[1], want, rtol=1e-13, atol=1e-300)
 
-    def test_closures_are_interval_only(self):
+    def test_closures_on_a_rectangle(self):
+        # a closure takes the axis coordinates, then u1..uk
         eq = Equation(
-            terms=(OperatorTerm(ONE, Identity(), 0),),
-            rhs=ONE,
-            nonlinear=Field(lambda p, u1: u1 * u1),
+            terms=(OperatorTerm(ONE, Derivative(1, "t"), 0),),
+            rhs=Field(lambda x, t: (1 + x) * np.cos(t) + x * ((1 + x) * np.sin(t)) ** 2),
+            nonlinear=Field(lambda x, t, u1: x * u1 * u1),
         )
-        p = DaeProblem(unknowns=1, domain=((0.0, 1.0), (0.0, 1.0)), equations=(eq,))
-        with pytest.raises(ValidationError, match="interval"):
-            p.validate()
+        text = "(1+x)*sin(t)"
+        p = DaeProblem(unknowns=1, domain=((-0.5, 0.5), (0.0, 1.0)), equations=(eq,),
+                       exact=(Field(compile_expression(text, ("x", "t")), tag=text),))
+        p.validate()
+        got = residuals(p, ExactCandidate(p), [(0.3, 0.4), (-0.2, 0.9)])
+        assert_allclose(got, [[0.0, 0.0]], atol=1e-15)
 
     def test_side_condition_guards(self):
         bad_target = interval_problem(
@@ -162,15 +175,22 @@ class TestValidate:
         p1 = interval_problem([self.eq()])
         assert p1.axes == (("t", 0.0, 1.0),) and p1.variables == ("t",)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_points_are_refused(self, bad):
+        p1 = interval_problem([self.eq()])
+        with pytest.raises(ValidationError, match=rf"point \({bad},\) is not finite"):
+            p1.points([0.5, bad])
+        p2 = DaeProblem(unknowns=1, domain=((-0.5, 0.5), (0.0, 1.0)), equations=(self.eq(),))
+        with pytest.raises(ValidationError, match=rf"point \(0.1, {bad}\) is not finite"):
+            p2.points([(0.2, 0.5), (0.1, bad)])
+
     def test_interval_property(self):
         p2 = DaeProblem(
             unknowns=1, domain=((-0.5, 0.5), (0.0, 2.0)), equations=(self.eq(),)
         )
-        assert p2.is_2d
-        assert p2.interval == (0.0, 2.0)
+        assert p2.axes[-1] == ("t", 0.0, 2.0) and len(p2.axes) == 2
         p1 = interval_problem([self.eq()])
-        assert not p1.is_2d
-        assert p1.interval == (0.0, 1.0)
+        assert p1.axes[-1] == ("t", 0.0, 1.0) and len(p1.axes) == 1
 
 
 class TestIsLinear:

@@ -31,7 +31,7 @@ def test_python_blocks_run_in_order():
 @pytest.mark.parametrize("index", range(len(blocks("json"))))
 def test_json_blocks_load_and_self_check(index):
     problem = load_problem(blocks("json")[index])
-    if problem.is_2d:
+    if len(problem.axes) > 1:
         (xlo, xhi), (tlo, thi) = problem.domain
         probes = [(xlo + f * (xhi - xlo), tlo + f * (thi - tlo)) for f in np.linspace(0.1, 0.9, 5)]
     else:

@@ -59,9 +59,8 @@ class TestBuiltins:
 
     def test_rectangle_case_is_2d(self):
         p = load_problem("example5")
-        assert p.is_2d
+        assert p.axes == (("x", -0.5, 0.5), ("t", 0.0, 1.0))
         assert p.domain[0] == (-0.5, 0.5)
-        assert p.interval == (0.0, 1.0)
 
     def test_loads_are_independent(self):
         # two loads must not share mutable source state
@@ -76,7 +75,7 @@ class TestLoadFromText:
     def test_oscillator_structure(self):
         p = load_problem(OSCILLATOR)
         assert p.unknowns == 2
-        assert not p.is_2d
+        assert p.axes == (("t", 0.0, 1.0),)
         assert len(p.side_conditions) == 2
         assert p.side_conditions[1].value == 1.0
         assert p.exact[0](0.5) == pytest.approx(np.sin(0.5))
@@ -128,6 +127,26 @@ class TestLoadFromText:
         assert single.point == (0.5, 0.0)
         assert single.value == 0.25
 
+    def test_closure_on_rectangle_reads_axis_variables(self):
+        # a closure is compiled over the axis variables, then u1..uk
+        data = {
+            "unknowns": 1,
+            "domain2": {"x_lo": -0.5, "x_hi": 0.5, "t_lo": 0.0, "t_hi": 1.0},
+            "equations": [
+                {
+                    "terms": [{"coeff": 1, "op": "deriv", "order": 1, "target": 0}],
+                    "nonlinear": "x*pow(u1,2)",
+                    "rhs": "(1+x)*cos(t) + x*pow((1+x)*sin(t),2)",
+                }
+            ],
+            "side_conditions": [{"target": 0, "x": "*", "t": 0.0, "value": 0.0}],
+            "exact": ["(1+x)*sin(t)"],
+        }
+        p = load_problem(json.dumps(data))
+        assert p.equations[0].nonlinear(0.5, 0.2, 3.0) == 4.5
+        assert_allclose(residuals(p, ExactCandidate(p), [(0.3, 0.4), (-0.2, 0.9)]), [[0.0, 0.0]],
+                        atol=1e-15)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
@@ -145,7 +164,7 @@ class TestRoundTrip:
         p = load_problem(name)
         q = load_problem(serialize_problem(p))
         rng = np.random.default_rng(5)
-        if p.is_2d:
+        if len(p.axes) > 1:
             pts = [(rng.uniform(-0.4, 0.4), rng.uniform(0.1, 0.9)) for _ in range(3)]
         else:
             pts = [rng.uniform(0.1, 0.9) for _ in range(3)]
@@ -214,21 +233,6 @@ class TestRejections:
             "target": 0,
         }
         with pytest.raises(ValidationError):
-            load_problem(json.dumps(data))
-
-    def test_closure_rejected_on_rectangle(self):
-        data = {
-            "unknowns": 1,
-            "domain2": {"x_lo": 0.0, "x_hi": 1.0, "t_lo": 0.0, "t_hi": 1.0},
-            "equations": [
-                {
-                    "terms": [{"coeff": 1, "op": "identity", "target": 0}],
-                    "nonlinear": "u1*u1",
-                    "rhs": "0",
-                }
-            ],
-        }
-        with pytest.raises(ValidationError, match="interval"):
             load_problem(json.dumps(data))
 
     def test_interval_side_value_must_be_number(self):

@@ -16,7 +16,8 @@ import daesvr.fractional
 import daesvr.highprec
 import daesvr.legendre
 import daesvr.solver
-from daesvr.benchmarks import CASES
+from daesvr.benchmarks import CASES, self_check
+from daesvr.fractional import caputo_l1_table, caputo_table
 from daesvr.highprec import solve_interpolant
 from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
 from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral, is_linear, residuals
@@ -75,6 +76,45 @@ FLAT_SQUARE = json.dumps(
 
 def oscillator():
     return load_problem(OSCILLATOR)
+
+
+# rectangle problems with their exact solutions: a Caputo term, a Volterra
+# term, and a closure that reads x
+RECTANGLE = {"x_lo": -0.5, "x_hi": 0.5, "t_lo": 0.0, "t_hi": 1.0}
+ON_RECTANGLE = {
+    "caputo": {
+        "unknowns": 1,
+        "domain2": RECTANGLE,
+        "equations": [{"terms": [{"coeff": 1, "op": "caputo", "alpha": 0.5, "target": 0},
+                                 {"coeff": 1, "op": "identity", "target": 0}],
+                       "rhs": "pow(x,2)*(2/gamma(2.5)*pow(t,1.5) + pow(t,2))"}],
+        "side_conditions": [{"target": 0, "x": "*", "t": 0.0, "value": 0.0}],
+        "exact": ["pow(x,2)*pow(t,2)"],
+    },
+    "volterra": {
+        "unknowns": 1,
+        "domain2": RECTANGLE,
+        "equations": [{"terms": [{"coeff": 1, "op": "deriv", "order": 1, "target": 0},
+                                 {"coeff": -1, "op": "volterra", "kernel": 1, "target": 0}],
+                       "rhs": "cos(x)"}],
+        "side_conditions": [{"target": 0, "x": "*", "t": 0.0, "value": "cos(x)"}],
+        "exact": ["cos(x)*exp(t)"],
+    },
+    "closure": {
+        "unknowns": 1,
+        "domain2": RECTANGLE,
+        "equations": [{"terms": [{"coeff": 1, "op": "deriv", "order": 1, "target": 0}],
+                       "nonlinear": "x*pow(u1,2)",
+                       "rhs": "(1+x)*cos(t) + x*pow((1+x)*sin(t),2)"}],
+        "side_conditions": [{"target": 0, "x": "*", "t": 0.0, "value": 0.0}],
+        "exact": ["(1+x)*sin(t)"],
+    },
+}
+DIAGONAL = [(f - 0.5, f) for f in np.linspace(0.1, 0.9, 5)]
+
+
+def on_rectangle(name):
+    return load_problem(json.dumps(ON_RECTANGLE[name]))
 
 
 class TestConfigValidation:
@@ -376,6 +416,25 @@ class TestLinearSolve:
         assert got.shape == (2, 2)
         assert_allclose(got[0], [math.cos(0.3), math.cos(0.7)], atol=1e-6)
 
+    @pytest.mark.parametrize("name", ["example3", "example5"])
+    def test_values_refuse_an_unknown_operator(self, name):
+        # values is public: an object that is no operator must not be
+        # read as the identity on the axes it does not act on
+        p = load_problem(name)
+        model = solve(p, SolverConfig(m=4, gamma=1e5))
+        with pytest.raises(ValidationError, match="unknown operator"):
+            model.values(object(), [(0.1, 0.5)[-len(p.axes):]])
+
+    def test_values_refuse_a_derivative_by_a_missing_axis(self):
+        model = solve(load_problem("example3"), SolverConfig(m=4, gamma=1e5))
+        with pytest.raises(ValidationError, match="derivative by 'x', which is not an axis"):
+            model.values(Derivative(1, "x"), [0.5])
+
+    def test_values_refuse_a_nonfinite_point(self):
+        model = solve(load_problem("example3"), SolverConfig(m=4, gamma=1e5))
+        with pytest.raises(ValidationError, match=r"point \(nan,\) is not finite"):
+            model.values(Identity(), [math.nan, 0.5])
+
     @pytest.mark.parametrize("name", ["example1", "example2", "example5"])
     def test_grid_residuals_are_the_constraint_rows(self, name):
         # a trained model is a residual candidate; on its own grid the
@@ -414,7 +473,7 @@ class TestOperatorTables:
         # arithmetic, so the entries must agree bit for bit
         ctx = self.context()
         kernel = Field(lambda t, s: 1.0 + s * t)
-        spec, pts = ctx.spec_t, [0.0, 0.13, 0.5, 0.97]
+        spec, pts = ctx.specs[-1], [0.0, 0.13, 0.5, 0.97]
         rule = gauss_quadrature(VOLTERRA_NODES)
         want = np.zeros((len(pts), spec.degree_count))
         for g, p in enumerate(pts[1:], start=1):
@@ -443,7 +502,7 @@ class TestOperatorTables:
         # constant kernel the table is int_-1^xi P_j = (P_{j+1} - P_{j-1})/(2j+1)
         # scaled by width/2, with int_-1^xi P_0 = xi + 1
         ctx = self.context(SolverConfig(m=8, degree=80))
-        spec, pts = ctx.spec_t, np.linspace(0.05, 1.0, 7)
+        spec, pts = ctx.specs[-1], np.linspace(0.05, 1.0, 7)
         xi = shift_to_canonical(pts, spec)
         P = legendre_table(81, xi)[0]
         j = np.arange(1, 80)[:, None]
@@ -505,6 +564,37 @@ class TestOperatorTables:
         assert calls["table"] <= 60
 
 
+class TestEveryOperatorOnTheRectangle:
+    """Caputo, Volterra and closures on the rectangle, through the same
+    operator tables and trainers as on the interval."""
+
+    @pytest.mark.parametrize("scheme, m, bound", [("analytic", 10, 1e-10), ("l1", 8, 1e-5)])
+    @pytest.mark.parametrize("name", sorted(ON_RECTANGLE))
+    def test_self_check_then_convergence(self, name, scheme, m, bound):
+        p = on_rectangle(name)
+        assert self_check(name, p, DIAGONAL) <= 1e-12
+        model = solve(p, SolverConfig(m=m, gamma=1e10, fractional_scheme=scheme))
+        assert report(model, DIAGONAL).l2.max() <= bound
+
+    @pytest.mark.parametrize("scheme", ["analytic", "l1"])
+    def test_caputo_table_is_x_identity_times_interval_table(self, scheme):
+        grid = build_grid(on_rectangle("caputo"), SolverConfig(m=6, fractional_scheme=scheme))
+        (spec_x, spec_t), (x, t) = grid.specs, grid.points.T
+        ident = legendre_table(spec_x.degree_count, shift_to_canonical(x, spec_x))[0].T
+        if scheme == "analytic":
+            memory = caputo_table(spec_t, 0.5, t)
+        else:
+            memory = caputo_l1_table(spec_t, 0.5, t, grid.config.l1_grid)
+        want = (ident[:, :, None] * memory[:, None, :]).reshape(len(grid), -1)
+        assert grid.operator_matrix(Caputo(0.5), grid.points).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, reason", [("caputo", "identity and derivative terms only"),
+                                              ("closure", "linear problems only")])
+    def test_interpolant_still_refuses(self, name, reason):
+        with pytest.raises(ValidationError, match=reason):
+            solve_interpolant(on_rectangle(name), SolverConfig(m=4))
+
+
 class TestGaussNewton:
     @pytest.mark.parametrize("name", ["example1", "example4"])
     def test_each_closure_is_called_once_per_linearize(self, monkeypatch, name):
@@ -563,11 +653,14 @@ class TestGaussNewton:
         assert best.iterations == 1
         assert best.weights.shape[0] == p.unknowns
 
-    def test_rejects_rectangle_problems(self):
-        p = load_problem("example5")
-        config = SolverConfig(m=4)
-        with pytest.raises(ValidationError, match="interval"):
-            gauss_newton(build_grid(p, config))
+    def test_converges_on_a_rectangle(self):
+        # the closure reads (x, t, u1) at every grid point: its residuals,
+        # evaluated by `residuals`, are the collocation rows of `errors`
+        p = on_rectangle("closure")
+        model = gauss_newton(build_grid(p, SolverConfig(m=10, gamma=1e10)))
+        assert model.iterations <= 6
+        got = residuals(p, model, model.grid.points)
+        assert_allclose(got.ravel(), model.errors[: got.size], rtol=0, atol=1e-14)
 
     def test_rejects_wrong_start_length(self):
         p = load_problem(FLAT_SQUARE)
