@@ -27,8 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -82,7 +80,7 @@ class BenchmarkCase:
 
 @dataclass
 class BenchmarkResult:
-    """Outcome of one solve: error report, pass verdict, timing."""
+    """Outcome of one solve: error report and pass verdict."""
 
     name: str
     config: SolverConfig
@@ -90,15 +88,18 @@ class BenchmarkResult:
     report: Optional[ResidualReport]
     passed: Optional[bool]         # None when no reference applies
     failures: tuple = ()
-    duration: float = 0.0
     error: Optional[str] = None
     model: object = field(default=None, repr=False)
     problem: Optional[DaeProblem] = field(default=None, repr=False)
 
     @property
+    def gamma_text(self) -> str:
+        """"inf" for the interpolant, the configured gamma otherwise."""
+        return "inf" if self.mode == "interpolant" else f"{self.config.gamma:g}"
+
+    @property
     def label(self) -> str:
-        g = self.config.gamma if self.mode == "dual" else math.inf
-        return f"{self.name}[m={self.config.m},gamma={g:g}]"
+        return f"{self.name}[m={self.config.m},gamma={self.gamma_text}]"
 
 
 @dataclass
@@ -300,13 +301,11 @@ def _graded_run(
 ) -> BenchmarkResult:
     """Solve (in extended precision when `digits` is given), report at the
     case's probes and grade the report against the case's reference data."""
-    t0 = time.perf_counter()
     if digits is None:
         model = solve(problem, config)
     else:
         model = solve_interpolant(problem, config, digits=digits)
     rep = report(model, case.probes)
-    duration = time.perf_counter() - t0
     passed, failures = _apply_bounds(case, rep, config.m)
     return BenchmarkResult(
         name=case.name,
@@ -315,7 +314,6 @@ def _graded_run(
         report=rep,
         passed=passed,
         failures=failures,
-        duration=duration,
         model=model,
         problem=problem,
     )
@@ -451,9 +449,7 @@ def write_plot_data(results, path_or_file) -> None:
 def render_result(result: BenchmarkResult) -> str:
     """Human-readable tables in the reference layout (point, u, u~, E_u)."""
     out = io.StringIO()
-    cfg = result.config
-    gamma_label = "inf" if result.mode == "interpolant" else f"{cfg.gamma:g}"
-    out.write(f"{result.name} (m={cfg.m}, gamma={gamma_label}, {result.mode})\n")
+    out.write(f"{result.name} (m={result.config.m}, gamma={result.gamma_text}, {result.mode})\n")
     if result.error is not None:
         out.write(f"  failed: {result.error}\n")
         return out.getvalue()

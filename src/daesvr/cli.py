@@ -46,18 +46,16 @@ def _parse_fractional(text: str):
     )
 
 
-def _parse_int_list(text: str):
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, noun: str):
+    """Option parser for a comma-separated list of `kind` values."""
 
+    def parse(text: str):
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
 
-def _parse_float_list(text: str):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return parse
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -93,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a case over a grid of m and gamma values")
     p_sweep.add_argument("name", help="case name")
-    p_sweep.add_argument("--m", type=_parse_int_list, default=None, metavar="M1,M2,...",
+    p_sweep.add_argument("--m", type=_list_of(int, "integers"), default=None, metavar="M1,M2,...",
                          help="basis resolutions to sweep")
-    p_sweep.add_argument("--gamma", type=_parse_float_list, default=None, metavar="G1,G2,...",
+    p_sweep.add_argument("--gamma", type=_list_of(float, "numbers"), default=None, metavar="G1,G2,...",
                          help="regularization weights to sweep (omit for the exact interpolation limit where supported)")
     p_sweep.add_argument("--out", default=None, metavar="PATH", help="write all cells as CSV")
 
@@ -128,6 +126,14 @@ def _default_probes(problem: DaeProblem):
     return tuple(zip(*axes)) if len(axes) > 1 else tuple(axes[0])
 
 
+def _write_outputs(args, results) -> None:
+    """Write the error table (--out) and the plot data (--plot-data) asked for."""
+    for path, write in ((args.out, benchmarks.write_csv), (args.plot_data, benchmarks.write_plot_data)):
+        if path:
+            write(results, path)
+            print(f"wrote {path}")
+
+
 def _cmd_solve(args) -> int:
     if (args.name is None) == (args.file is None):
         print("solve: give exactly one problem source (a built-in name or --file PATH)", file=sys.stderr)
@@ -155,12 +161,7 @@ def _cmd_solve(args) -> int:
                 passed=None, model=model, problem=problem,
             )
             sys.stdout.write(benchmarks.render_result(result))
-            if args.out:
-                benchmarks.write_csv(result, args.out)
-                print(f"wrote {args.out}")
-            if args.plot_data:
-                benchmarks.write_plot_data(result, args.plot_data)
-                print(f"wrote {args.plot_data}")
+            _write_outputs(args, result)
         else:
             if args.out or args.plot_data:
                 print(
@@ -210,12 +211,8 @@ def _cmd_bench(args) -> int:
     graded = [r for r in results if r.passed is not None]
     n_fail = sum(1 for r in graded if not r.passed)
     print(f"bench: {len(results)} case(s) run, {len(graded)} graded, {n_fail} failed bounds")
-    if args.out and results:
-        benchmarks.write_csv(results, args.out)
-        print(f"wrote {args.out}")
-    if args.plot_data and results:
-        benchmarks.write_plot_data(results, args.plot_data)
-        print(f"wrote {args.plot_data}")
+    if results:
+        _write_outputs(args, results)
     if failed_runs or n_fail:
         return RUN_ERROR
     return 0

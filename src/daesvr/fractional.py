@@ -35,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError
-from .legendre import BasisSpec, legendre_table, shift_to_canonical
+from .legendre import BasisSpec
 
 __all__ = [
     "caputo_rule",
@@ -44,7 +44,6 @@ __all__ = [
     "caputo_l1_table",
 ]
 
-_BASE_SLACK = 1e-12
 NEWTON_STEPS = 2  # refinements of the eigenvalue nodes of caputo_rule
 
 
@@ -108,11 +107,8 @@ def caputo_rule(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _offsets(spec: BasisSpec, points) -> np.ndarray:
-    """tau = point - spec.lo, clipped at 0; points below the base point raise."""
-    tau = np.asarray(points, dtype=float) - spec.lo
-    if np.any(tau < -_BASE_SLACK):
-        raise DomainError(f"point below base point {spec.lo}: {points}")
-    return np.maximum(tau, 0.0)
+    """tau = point - spec.lo, clipped at 0; points outside [spec.lo, spec.hi] raise."""
+    return np.maximum(spec.checked(np.asarray(points, dtype=float)) - spec.lo, 0.0)
 
 
 def caputo_table(spec: BasisSpec, alpha: float, points) -> np.ndarray:
@@ -123,8 +119,7 @@ def caputo_table(spec: BasisSpec, alpha: float, points) -> np.ndarray:
     """
     tau = _offsets(spec, points)
     fractions, weights = caputo_rule(alpha, spec.degree_count // 2 + 2)
-    s = shift_to_canonical(spec.lo + np.outer(tau, fractions), spec)
-    dphi = legendre_table(spec.degree_count, s, 1)[1] * (2.0 / spec.width)
+    dphi = spec.values(spec.lo + np.outer(tau, fractions), 1)
     return tau[:, None] ** (1.0 - alpha) * (dphi @ weights).T
 
 
@@ -169,7 +164,7 @@ def caputo_l1_table(spec: BasisSpec, alpha: float, points, intervals: int) -> np
     out = np.zeros((points.size, spec.degree_count))
     live = np.flatnonzero(_offsets(spec, points) > 0.0)
     grids = np.linspace(spec.lo, points[live], intervals + 1, axis=1)
-    samples = legendre_table(spec.degree_count, shift_to_canonical(grids, spec))[0]
+    samples = spec.values(grids)
     for row, g in enumerate(live):
         out[g] = caputo_l1(samples[:, row], spec.lo, points[g], alpha)
     return out

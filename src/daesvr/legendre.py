@@ -7,7 +7,8 @@ Everything is built on the three-term recurrence
 which is numerically stable on [-1, 1] for every degree used here.
 `legendre_table` carries the recurrence and its derivatives for a whole
 basis at once, in double precision or on numpy object arrays of mpmath
-`mpf`; every operator table of the solver is built from it.
+`mpf`.  `BasisSpec.values` composes it with the map onto [-1, 1] and the
+chain-rule factor; every operator table of the solver is built from it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ class BasisSpec:
     @property
     def width(self) -> float:
         return self.hi - self.lo
+
+    def checked(self, x) -> np.ndarray:
+        """x as numbers (float, or mpf); DomainError naming x when a point
+        lies outside [lo, hi] by more than 1e-12."""
+        arr = _as_numbers(x)
+        if np.any(arr < self.lo - _SHIFT_SLACK) or np.any(arr > self.hi + _SHIFT_SLACK):
+            raise DomainError(f"point {x} outside [{self.lo}, {self.hi}]")
+        return arr
+
+    def values(self, x, order: int = 0) -> np.ndarray:
+        """(degree_count,) + shape(x) array of the order-th derivative of
+        every basis function at the points x of [lo, hi]: the Legendre table
+        at the mapped points times the chain-rule factor (2 / width)^order."""
+        table = legendre_table(self.degree_count, shift_to_canonical(x, self), order)
+        return table[order] * (2.0 / self.width) ** order
 
 
 @dataclass(frozen=True)
@@ -169,9 +185,7 @@ def shift_to_canonical(x, spec: BasisSpec):
 
     Points outside the interval by more than 1e-12 raise DomainError.
     """
-    arr = _as_numbers(x)
-    if np.any(arr < spec.lo - _SHIFT_SLACK) or np.any(arr > spec.hi + _SHIFT_SLACK):
-        raise DomainError(f"point {x} outside [{spec.lo}, {spec.hi}]")
+    arr = spec.checked(x)
     out = (2.0 * arr - spec.lo - spec.hi) / spec.width
     return out if out.ndim else out.item()
 

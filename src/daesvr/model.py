@@ -143,6 +143,11 @@ class SideCondition:
     value: Union[float, Field]
     order: int = 0
 
+    @property
+    def coords(self) -> tuple:
+        """The point as one coordinate per axis, None for every node of its axis."""
+        return self.point if isinstance(self.point, tuple) else (self.point,)
+
 
 @dataclass
 class DaeProblem:
@@ -206,11 +211,14 @@ class DaeProblem:
                         f"equations[{i}].terms[{j}]: derivative by {term.op.var!r}, "
                         f"which is not an axis of the domain {variables}"
                     )
-        for sc in self.side_conditions:
+        for i, sc in enumerate(self.side_conditions):
             if not 0 <= sc.target < self.unknowns:
                 raise ValidationError(f"side condition target {sc.target} out of range")
             if sc.order < 0 or sc.order > MAX_DERIVATIVE_ORDER:
                 raise ValidationError("side condition order out of range")
+            for c, (name, lo, hi) in zip(sc.coords, self.axes):
+                if c is not None and not lo <= c <= hi:
+                    raise ValidationError(f"side_conditions[{i}]: {name} = {c} outside [{lo}, {hi}]")
         if self.exact is not None and len(self.exact) != self.unknowns:
             raise ValidationError("exact solution count must match unknowns")
 

@@ -55,13 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .fractional import caputo_l1_table, caputo_table
-from .legendre import (
-    BasisSpec,
-    gauss_quadrature,
-    legendre_table,
-    shift_from_canonical,
-    shift_to_canonical,
-)
+from .legendre import BasisSpec, gauss_quadrature, legendre_table, shift_from_canonical
 from .model import (
     Caputo,
     DaeProblem,
@@ -126,19 +120,14 @@ class SolverConfig:
             raise ValidationError("fractional_scheme must be 'analytic' or 'l1'")
 
 
-def _conditions_per_unknown(problem: DaeProblem) -> int:
-    counts = [0] * problem.unknowns
-    for sc in problem.side_conditions:
-        counts[sc.target] += 1
-    return max(counts) if counts else 0
-
-
 def basis_counts(problem: DaeProblem, config: SolverConfig) -> tuple:
     """Basis-function counts, one per axis of `problem.axes`."""
     n_axes = len(problem.axes)
     if config.degree is not None:
         return (config.degree,) * n_axes
-    return (config.m,) * (n_axes - 1) + (config.m + _conditions_per_unknown(problem),)
+    targets = [sc.target for sc in problem.side_conditions]
+    extra = max(map(targets.count, targets), default=0)  # most conditions on one unknown
+    return (config.m,) * (n_axes - 1) + (config.m + extra,)
 
 
 def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
@@ -147,17 +136,14 @@ def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
     Gauss-Legendre on each [spec.lo, point] with max(VOLTERRA_NODES, d//2 + 2)
     nodes for d basis functions, exact when the kernel is a polynomial of
     degree <= 2 in s; the kernel is called once, on the (point, node) array.
-    Points at or below spec.lo give zero rows.
+    Points at spec.lo give zero rows; points outside [spec.lo, spec.hi] raise.
     """
     nodes = max(VOLTERRA_NODES, spec.degree_count // 2 + 2)
-    pts = np.asarray(points, dtype=float)
+    pts = spec.checked(np.asarray(points, dtype=float))
     out = np.zeros((pts.size, spec.degree_count))
     live = pts - spec.lo > 0.0
-    if not live.any():
-        return out
     qx, qw = gauss_quadrature(nodes).mapped(spec.lo, pts[live, None])  # row g: [lo, point g]
-    tab = legendre_table(spec.degree_count, shift_to_canonical(qx, spec))[0]
-    out[live] = np.sum((qw * kernel(pts[live, None], qx)) * tab, axis=2).T
+    out[live] = np.sum((qw * kernel(pts[live, None], qx)) * spec.values(qx), axis=2).T
     return out
 
 
@@ -189,10 +175,11 @@ class CollocationGrid:
         self.problem = problem
         self.config = config
         self.nodes = tuple(nodes)
-        mesh = np.meshgrid(*self.nodes, indexing="ij") if len(self.nodes) > 1 else self.nodes
-        self.points = np.column_stack([axis.ravel() for axis in mesh])
+        # row a: the axis-a node of every point, t varying fastest
+        index = np.indices([len(n) for n in self.nodes]).reshape(len(self.nodes), -1)
+        self.points = np.column_stack([n[i] for n, i in zip(self.nodes, index)])
         self.points.flags.writeable = False  # so that _grid_axes stays its index
-        self._grid_axes = [np.unique(c, return_inverse=True) for c in self.points.T]
+        self._grid_axes = list(zip(self.nodes, index))
         self.k = problem.unknowns
         counts = basis_counts(problem, config)
         self.specs = tuple(BasisSpec(d, lo, hi) for d, (_, lo, hi) in zip(counts, problem.axes))
@@ -212,12 +199,11 @@ class CollocationGrid:
         coordinates before t, called once on all of them."""
         out = []
         for sc in self.problem.side_conditions:
-            coords = sc.point if isinstance(sc.point, tuple) else (sc.point,)
-            if None in coords:
-                axes = [nodes if c is None else [c] for c, nodes in zip(coords, self.nodes)]
+            if None in sc.coords:
+                axes = [nodes if c is None else [c] for c, nodes in zip(sc.coords, self.nodes)]
                 points = list(itertools.product(*axes))
             else:
-                points = [coords]
+                points = [sc.coords]
             values = [sc.value] * len(points)
             if callable(sc.value):
                 values = sc.value(*np.array(points)[:, :-1].T)
@@ -233,11 +219,8 @@ class CollocationGrid:
         axis."""
         if axis != (op.var if isinstance(op, Derivative) else "t"):
             op = Identity()
-        if isinstance(op, Identity):
-            return legendre_table(spec.degree_count, shift_to_canonical(nodes, spec))[0]
-        if isinstance(op, Derivative):
-            tabs = legendre_table(spec.degree_count, shift_to_canonical(nodes, spec), op.order)
-            return tabs[op.order] * (2.0 / spec.width) ** op.order
+        if isinstance(op, (Identity, Derivative)):
+            return spec.values(nodes, getattr(op, "order", 0))
         if isinstance(op, Caputo) and self.config.fractional_scheme == "analytic":
             return caputo_table(spec, op.alpha, nodes).T
         if isinstance(op, Caputo):
@@ -276,12 +259,17 @@ class CollocationGrid:
 
     def grid_matrix(self, op) -> np.ndarray:
         """operator_matrix over the grid, built once per distinct operator
-        and shared read-only by every caller."""
-        if op not in self._grid_matrices:
+        and shared read-only by every caller.  Volterra integrals whose
+        kernels have the same source text share one table (a `Field`
+        compares by identity)."""
+        key = op
+        if isinstance(op, VolterraIntegral) and op.kernel.tag is not None:
+            key = (VolterraIntegral, op.kernel.tag)
+        if key not in self._grid_matrices:
             table = self.operator_matrix(op, self.points)
             table.flags.writeable = False
-            self._grid_matrices[op] = table
-        return self._grid_matrices[op]
+            self._grid_matrices[key] = table
+        return self._grid_matrices[key]
 
     def side_rows(self) -> np.ndarray:
         """(n_sides, D): each side condition's operator row, which fills its

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -135,6 +136,10 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep("example1", bad_m)
 
+    def test_unknown_case(self):
+        with pytest.raises(ValidationError, match="unknown benchmark case 'nope'"):
+            sweep("nope", [4])
+
     def test_gamma_validation(self):
         with pytest.raises(ValidationError):
             sweep("example1", [6], gamma_values=[-1.0])
@@ -220,6 +225,17 @@ class TestPlotRows:
     def test_rectangle_sampling(self, results):
         rows = plot_rows(results["example5"], points_2d=11)
         assert len(rows) == 3 * 11 * 11
+
+    def test_result_without_a_model(self, results):
+        # a failed sweep cell carries no model
+        with pytest.raises(ValidationError, match="no model"):
+            plot_rows(dataclasses.replace(results["example1"], model=None))
+
+    def test_problem_without_exact_solutions(self, results):
+        res = results["example1"]
+        problem = dataclasses.replace(res.problem, exact=None)
+        with pytest.raises(ValidationError, match="exact solution"):
+            plot_rows(dataclasses.replace(res, problem=problem))
 
     def test_errors_are_small_everywhere_sampled(self, results):
         rows = plot_rows(results["example4"], points_1d=51)

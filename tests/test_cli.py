@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import daesvr.cli as cli
-import daesvr.solver
+import daesvr.legendre
 from daesvr.benchmarks import CSV_COLUMNS, PLOT_COLUMNS
 from daesvr.cli import main
 from daesvr.legendre import legendre_table
@@ -131,6 +131,13 @@ class TestSolve:
         path = problem_file(tmp_path)
         assert main(["solve", "example1", "--file", path]) == 2
 
+    def test_side_condition_outside_the_domain_is_a_usage_error(self, tmp_path, capsys):
+        # refused when the file is loaded, before any solve
+        data = json.loads(json.dumps(OSCILLATOR))
+        data["side_conditions"][1]["point"] = 2.0
+        assert main(["solve", "--file", problem_file(tmp_path, data)]) == 2
+        assert "side_conditions[1]: t = 2.0 outside [0.0, 1.0]" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--file", str(tmp_path / "nope.json")]) == 2
 
@@ -154,7 +161,7 @@ class TestSolve:
         monkeypatch.setattr(cli, "solve", lambda problem, config: model)
         tables = []
         monkeypatch.setattr(
-            daesvr.solver, "legendre_table",
+            daesvr.legendre, "legendre_table",
             lambda *a: tables.append(a) or legendre_table(*a),
         )
         assert main(argv) == 0
@@ -292,6 +299,11 @@ class TestSweep:
 
     def test_bad_m_list(self, capsys):
         assert main(["sweep", "example1", "--m", "4,abc"]) == 2
+
+    @pytest.mark.parametrize("flag, noun", [("--m", "integers"), ("--gamma", "numbers")])
+    def test_list_parser_names_its_type(self, flag, noun, capsys):
+        assert main(["sweep", "example1", flag, "4,abc"]) == 2
+        assert f"expected comma-separated {noun}, got '4,abc'" in capsys.readouterr().err
 
     def test_negative_gamma(self, capsys):
         assert main(["sweep", "example1", "--m", "4", "--gamma", "-1"]) == 2

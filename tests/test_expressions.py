@@ -83,6 +83,12 @@ class TestRejections:
         with pytest.raises(ParseError):
             compile_expression(text, ("t",))
 
+    @pytest.mark.parametrize("text", ["t % 2", "~t"])
+    def test_operator_refused_by_name(self, text):
+        # a binary and a unary operator outside the grammar
+        with pytest.raises(ParseError, match="operator not allowed"):
+            compile_expression(text, ("t",))
+
     def test_non_string_input(self):
         with pytest.raises(ParseError):
             compile_expression(3.0, ("t",))
@@ -181,6 +187,12 @@ class TestDerivative:
     def test_refuses_what_the_rules_do_not_cover(self, text):
         with pytest.raises(ParseError, match=re.escape(repr(text))):
             derivative(text, ("t",), "t")
+
+    def test_exponent_that_is_not_a_literal(self):
+        # 2*pi is a constant expression, so the power rule lowers it by 1
+        t = np.array([0.3, 0.7, 1.2])
+        want = 2 * math.pi * t ** (2 * math.pi - 1)
+        assert_allclose(derivative("pow(t,2*pi)", ("t",), "t")(t), want, rtol=1e-14)
 
     def test_constant_parts_need_no_rule(self):
         # an exponent or gamma argument free of the variable is a constant

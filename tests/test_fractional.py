@@ -11,7 +11,7 @@ import pytest
 from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
-import daesvr.fractional
+import daesvr.legendre
 from daesvr.errors import DomainError
 from daesvr.fractional import caputo_l1, caputo_l1_table, caputo_rule, caputo_table
 from daesvr.legendre import (
@@ -251,15 +251,15 @@ class TestCaputoL1:
     def test_table_makes_one_legendre_table_call(self, monkeypatch):
         # the grids of all points share one table, not one table per point
         calls = []
-        table = daesvr.fractional.legendre_table
+        table = daesvr.legendre.legendre_table
 
         def counted_table(*args, **kwargs):
             calls.append(args[0])
             return table(*args, **kwargs)
 
-        monkeypatch.setattr(daesvr.fractional, "legendre_table", counted_table)
         spec = BasisSpec(11, 0.0, 1.0)
         pts = shift_from_canonical(legendre_roots(10), spec)
+        monkeypatch.setattr(daesvr.legendre, "legendre_table", counted_table)
         got = caputo_l1_table(spec, 0.5, pts, 400)
         assert calls == [11]
         assert got.shape == (10, 11) and np.all(got[:, 1:] != 0.0)

@@ -131,6 +131,10 @@ class TestRoots:
     def test_single(self):
         assert_allclose(legendre_roots(1), [0.0], atol=1e-15)
 
+    def test_needs_one_root(self):
+        with pytest.raises(DomainError, match="at least one root"):
+            legendre_roots(0)
+
     def test_pair(self):
         # roots of P_2 = (3x^2-1)/2 are +-1/sqrt(3)
         r = 0.5773502691896258
@@ -188,6 +192,28 @@ class TestQuadrature:
         assert gauss_quadrature(64) is rule
         assert not rule.nodes.flags.writeable
         assert not rule.weights.flags.writeable
+
+
+class TestBasisSpec:
+    """`values` maps to [-1, 1], runs the recurrence and applies the chain rule."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_values_are_derivatives_in_physical_coordinates(self, order):
+        # on [0, 0.5] the map is s = 4t - 1, so phi_2 = (3 s^2 - 1) / 2,
+        # phi_2' = 12 s and phi_2'' = 48
+        spec = BasisSpec(3, 0.0, 0.5)
+        t = np.array([0.05, 0.25, 0.4])
+        s = 4.0 * t - 1.0
+        want = [(3.0 * s * s - 1.0) / 2.0, 12.0 * s, np.full_like(s, 48.0)][order]
+        assert_allclose(spec.values(t, order)[2], want, rtol=1e-13)
+
+    def test_checked_names_the_point(self):
+        with pytest.raises(DomainError, match=r"point \[1\.5\] outside \[0\.0, 1\.0\]"):
+            BasisSpec(4, 0.0, 1.0).checked([1.5])
+
+    def test_needs_one_function(self):
+        with pytest.raises(DomainError, match="at least one function"):
+            BasisSpec(0, 0.0, 1.0)
 
 
 class TestShift:

@@ -156,6 +156,17 @@ class TestValidate:
         with pytest.raises(ValidationError):
             bad_order.validate()
 
+    def test_side_condition_outside_the_domain(self):
+        # refused when the problem is checked, not when a solve reaches it
+        p1 = interval_problem([self.eq()], side_conditions=(SideCondition(0, 2.0, 0.0),))
+        with pytest.raises(ValidationError, match=r"side_conditions\[0\]: t = 2\.0 outside"):
+            p1.validate()
+        slice_ = SideCondition(0, (None, 0.0), ONE), SideCondition(0, (3.0, 0.0), 0.0)
+        p2 = DaeProblem(unknowns=1, domain=((-0.5, 0.5), (0.0, 1.0)), equations=(self.eq(),),
+                        side_conditions=slice_)
+        with pytest.raises(ValidationError, match=r"side_conditions\[1\]: x = 3\.0 outside"):
+            p2.validate()
+
     def test_exact_count(self):
         p = interval_problem([self.eq()], exact=(ONE, ONE))
         with pytest.raises(ValidationError, match="exact"):
@@ -183,6 +194,10 @@ class TestValidate:
         p2 = DaeProblem(unknowns=1, domain=((-0.5, 0.5), (0.0, 1.0)), equations=(self.eq(),))
         with pytest.raises(ValidationError, match=rf"point \(0.1, {bad}\) is not finite"):
             p2.points([(0.2, 0.5), (0.1, bad)])
+
+    def test_points_must_be_numbers(self):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            interval_problem([self.eq()]).points([["a"]])
 
     def test_interval_property(self):
         p2 = DaeProblem(
@@ -459,6 +474,11 @@ class TestExactCandidateOperators:
         got = op_values("t**2", VolterraIntegral(Field.constant(1.0)), [0.6, 0.0])
         assert got[1] == 0.0
         assert_allclose(got[0], 0.6**3 / 3, rtol=1e-12)
+
+    def test_unknown_operator(self):
+        # a problem built in Python may carry any object as an operator
+        with pytest.raises(ValidationError, match="unknown operator 'shift'"):
+            op_values("t", "shift", [0.5])
 
     def test_volterra_below_base_point(self):
         with pytest.raises(DomainError, match="Volterra"):

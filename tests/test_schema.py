@@ -200,6 +200,33 @@ class TestRejections:
         with pytest.raises(ValidationError, match="missing required field"):
             load_problem(json.dumps(bad))
 
+    def test_problem_must_be_an_object(self):
+        with pytest.raises(ValidationError, match="problem must be an object"):
+            load_problem("[1, 2]")
+
+    def test_term_must_be_an_object(self):
+        data = json.loads(OSCILLATOR)
+        data["equations"][0]["terms"] = [5]
+        with pytest.raises(ValidationError, match=r"equations\[0\]\.terms\[0\]: expected an object"):
+            load_problem(json.dumps(data))
+
+    def test_side_condition_outside_the_interval(self):
+        data = json.loads(OSCILLATOR)
+        data["side_conditions"][1]["point"] = 2.0
+        with pytest.raises(ValidationError, match=r"side_conditions\[1\]: t = 2\.0 outside \[0\.0, 1\.0\]"):
+            load_problem(json.dumps(data))
+
+    @pytest.mark.parametrize("index, key, value, message", [
+        (4, "x", 3.0, r"side_conditions\[4\]: x = 3\.0 outside \[-0\.5, 0\.5\]"),
+        (0, "t", -1.0, r"side_conditions\[0\]: t = -1\.0 outside \[0\.0, 1\.0\]"),
+    ])
+    def test_side_condition_outside_the_rectangle(self, index, key, value, message):
+        # an "x": "*" slice is checked on t alone
+        data = load_problem("example5").source
+        data["side_conditions"][index][key] = value
+        with pytest.raises(ValidationError, match=message):
+            load_problem(json.dumps(data))
+
     def test_unknowns_must_be_positive_int(self):
         bad = {"unknowns": 0, "domain": {"lo": 0, "hi": 1}, "equations": []}
         with pytest.raises(ValidationError):

@@ -7,12 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from daesvr.errors import (
+    DomainError,
     NonConvergence,
     NotPositiveDefinite,
     ShapeError,
     ValidationError,
 )
-import daesvr.fractional
 import daesvr.highprec
 import daesvr.legendre
 import daesvr.solver
@@ -288,14 +288,14 @@ class TestOneDiscretization:
         config = CASES["example1"].config
         grid = build_grid(load_problem("example1"), config)
         orders = []
-        table = daesvr.solver.legendre_table
+        table = daesvr.legendre.legendre_table
 
         def counted_table(count, x, order=0):
             if np.size(x) == config.m:
                 orders.append(order)
             return table(count, x, order)
 
-        monkeypatch.setattr(daesvr.solver, "legendre_table", counted_table)
+        monkeypatch.setattr(daesvr.legendre, "legendre_table", counted_table)
         gauss_newton(grid)
         assert sorted(orders) == [0, 1]
 
@@ -513,8 +513,8 @@ class TestOperatorTables:
     @pytest.mark.parametrize("m", [8, 14])
     def test_each_field_is_called_once_per_grid(self, monkeypatch, m):
         # every term coefficient, right-hand side and distinct Volterra
-        # kernel is called once per assemble, on the whole grid (on the
-        # (point, node) array for a kernel), whatever the grid size
+        # kernel text is called once per assemble, on the whole grid (on
+        # the (point, node) array for a kernel), whatever the grid size
         calls = []
         field_call = Field.__call__
 
@@ -526,12 +526,42 @@ class TestOperatorTables:
         config = SolverConfig(m=m)
         grid = build_grid(problem, config)
         terms = [term for eq in problem.equations for term in eq.terms]
-        kernels = {t.op.kernel for t in terms if isinstance(t.op, VolterraIntegral)}
-        fields = [t.coeff for t in terms] + [eq.rhs for eq in problem.equations] + list(kernels)
+        # each kernel text through the first term that carries it (reversed,
+        # so the first one is kept)
+        kernels = {t.op.kernel.tag: t.op.kernel for t in reversed(terms)
+                   if isinstance(t.op, VolterraIntegral)}
+        fields = [t.coeff for t in terms] + [eq.rhs for eq in problem.equations] + list(kernels.values())
         monkeypatch.setattr(Field, "__call__", counted_field)
         assemble(grid)
-        assert len(calls) == len(fields) == 11
+        assert len(calls) == len(fields) == 9
         assert {id(f) for f in calls} == {id(f) for f in fields}
+
+    def test_volterra_kernels_with_the_same_text_share_a_table(self, monkeypatch):
+        # example2 has four Volterra terms: three with kernel "1", one "1+s"
+        calls = []
+        table = daesvr.solver._volterra_table
+        monkeypatch.setattr(daesvr.solver, "_volterra_table",
+                            lambda *a: calls.append(a[0].tag) or table(*a))
+        assemble(self.context())
+        assert sorted(calls) == ["1", "1+s"]
+
+    @pytest.mark.parametrize("scheme", ["analytic", "l1"])
+    @pytest.mark.parametrize("point", [-0.5, 1.5])
+    def test_memory_operators_name_a_point_outside_the_domain(self, scheme, point):
+        # as Identity does: the point is named, not the quadrature nodes,
+        # and a point below the base point is not a zero row
+        model = solve(load_problem("example2"), SolverConfig(m=4, fractional_scheme=scheme))
+        kernel = model.problem.equations[0].terms[1].op.kernel
+        for op in (Identity(), Caputo(0.5), VolterraIntegral(kernel)):
+            with pytest.raises(DomainError, match=rf"point \[{point}\] outside \[0\.0, 1\.0\]$"):
+                model.values(op, [point])
+
+    def test_volterra_at_the_base_point_alone(self):
+        # no point past the base point: the empty set of integrals gives zero rows
+        grid = self.context()
+        kernel = grid.problem.equations[1].terms[0].op.kernel
+        got = grid.operator_matrix(VolterraIntegral(kernel), [[0.0], [0.0]])
+        assert got.shape == (2, grid.D) and np.all(got == 0.0)
 
     def test_l1_scheme_matches_analytic_table(self):
         ctx = self.context(SolverConfig(m=8, fractional_scheme="l1", l1_grid=4000))
@@ -557,8 +587,7 @@ class TestOperatorTables:
         config = CASES["example2"].config
         grid = build_grid(problem, config)
         monkeypatch.setattr(Field, "__call__", counted_field)
-        for module in (daesvr.legendre, daesvr.fractional, daesvr.solver):
-            monkeypatch.setattr(module, "legendre_table", counted_table)
+        monkeypatch.setattr(daesvr.legendre, "legendre_table", counted_table)
         assemble(grid)
         assert calls["field"] <= 2000
         assert calls["table"] <= 60
