@@ -50,6 +50,7 @@ __all__ = [
     "self_check",
     "sweep",
     "write_csv",
+    "write_plot_data",
 ]
 
 SELF_CHECK_TOL = 1e-10

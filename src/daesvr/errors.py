@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DaeSvrError",
+    "DomainError",
+    "NonConvergence",
+    "ParseError",
+    "ValidationError",
+    "EvaluationError",
+    "ShapeError",
+    "NotPositiveDefinite",
+    "SingularSystem",
+    "MissingExact",
+    "SelfCheckError",
+]
+
 
 class DaeSvrError(Exception):
     """Base class for all errors raised by this package."""

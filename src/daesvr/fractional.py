@@ -23,7 +23,7 @@ refined nodes.  Against mpmath's 50-digit rule for a in {0.25, 0.5, 0.75,
 The L1 scheme is a piecewise-linear quadrature of the Caputo integral on a
 uniform grid of [lo, x]; its truncation order is 2 - a.  `caputo_l1_table`
 samples the basis on the grids of all points with one Legendre table, and
-`caputo_l1` contracts each point's samples.
+one `caputo_l1` call contracts the samples of every point.
 """
 
 from __future__ import annotations
@@ -138,19 +138,21 @@ def caputo_l1(samples, lo: float, x: float, alpha: float):
     i.e. the standard L1 quadrature of the fractional integral of the
     piecewise-linear interpolant.  Truncation error is O(dx^(2-a)).  Samples
     of several functions may be stacked along the leading axes (the last
-    axis runs over the grid); the result then has the leading shape.
+    axis runs over the grid); the result then has the leading shape.  An x
+    of shape (n,) gives samples (n, d, n_grid) one upper limit per matrix.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"L1 scheme requires 0 < alpha < 1, got {alpha}")
     h = np.asarray(samples, dtype=float)
-    if h.ndim < 1 or h.shape[-1] < 2 or not x > lo:
+    x = np.asarray(x, dtype=float)
+    if h.ndim < 1 or h.shape[-1] < 2 or not np.all(x > lo):
         raise DomainError(f"L1 scheme needs two or more samples on [{lo}, {x}], got {h.shape}")
-    grid = np.linspace(lo, x, h.shape[-1])
-    beta = 1.0 - alpha
-    g = ((x - grid[:-1]) ** beta - (x - grid[1:]) ** beta) / (
-        math.gamma(2.0 - alpha) * (grid[1] - grid[0])
+    grid = np.linspace(lo, x, h.shape[-1], axis=-1)
+    x, beta = x[..., None], 1.0 - alpha
+    g = ((x - grid[..., :-1]) ** beta - (x - grid[..., 1:]) ** beta) / (
+        math.gamma(2.0 - alpha) * (grid[..., 1:2] - grid[..., :1])
     )
-    out = np.diff(h) @ g
+    out = (np.diff(h) @ g[..., None])[..., 0]
     return out if out.ndim else float(out)
 
 
@@ -162,9 +164,8 @@ def caputo_l1_table(spec: BasisSpec, alpha: float, points, intervals: int) -> np
     """
     points = np.asarray(points, dtype=float)
     out = np.zeros((points.size, spec.degree_count))
-    live = np.flatnonzero(_offsets(spec, points) > 0.0)
+    live = _offsets(spec, points) > 0.0
     grids = np.linspace(spec.lo, points[live], intervals + 1, axis=1)
-    samples = spec.values(grids)
-    for row, g in enumerate(live):
-        out[g] = caputo_l1(samples[:, row], spec.lo, points[g], alpha)
+    samples = np.moveaxis(spec.values(grids), 1, 0)  # (live point, basis function, grid)
+    out[live] = caputo_l1(samples, spec.lo, points[live], alpha)
     return out

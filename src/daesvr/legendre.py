@@ -56,11 +56,12 @@ class BasisSpec:
         return self.hi - self.lo
 
     def checked(self, x) -> np.ndarray:
-        """x as numbers (float, or mpf); DomainError naming x when a point
-        lies outside [lo, hi] by more than 1e-12."""
+        """x as numbers (float, or mpf); DomainError naming the points that
+        lie outside [lo, hi] by more than 1e-12."""
         arr = _as_numbers(x)
-        if np.any(arr < self.lo - _SHIFT_SLACK) or np.any(arr > self.hi + _SHIFT_SLACK):
-            raise DomainError(f"point {x} outside [{self.lo}, {self.hi}]")
+        outside = (arr < self.lo - _SHIFT_SLACK) | (arr > self.hi + _SHIFT_SLACK)
+        if np.any(outside):
+            raise DomainError(f"point {arr[outside]} outside [{self.lo}, {self.hi}]")
         return arr
 
     def values(self, x, order: int = 0) -> np.ndarray:

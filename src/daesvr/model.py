@@ -30,10 +30,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, MissingExact, ValidationError
+from .errors import EvaluationError, MissingExact, ValidationError
 from .expressions import derivative
 from .fractional import caputo_rule
-from .legendre import gauss_quadrature
+from .legendre import BasisSpec, gauss_quadrature
 
 __all__ = [
     "Identity",
@@ -136,6 +136,7 @@ class SideCondition:
     On an interval `point` is a float and `value` a float.  On a rectangle
     `point` is (x, t), where x may be None, meaning "every x collocation node
     on the slice t=const"; `value` is then a Field of x (or a constant).
+    In `CollocationGrid.sides`, `point` is one coordinate per axis, no None.
     """
 
     target: int
@@ -147,6 +148,11 @@ class SideCondition:
     def coords(self) -> tuple:
         """The point as one coordinate per axis, None for every node of its axis."""
         return self.point if isinstance(self.point, tuple) else (self.point,)
+
+    @property
+    def op(self) -> LinearOp:
+        """The operator the condition pins: the value, or a t-derivative."""
+        return Identity() if self.order == 0 else Derivative(self.order, "t")
 
 
 @dataclass
@@ -175,8 +181,9 @@ class DaeProblem:
 
     def points(self, points) -> np.ndarray:
         """Points as an (n, n_axes) float array: numbers (or 1-tuples) on an
-        interval, (x, t) pairs on a rectangle, every coordinate finite;
-        ValidationError otherwise."""
+        interval, (x, t) pairs on a rectangle, every coordinate finite
+        (ValidationError otherwise) and on its axis (`BasisSpec.checked`,
+        DomainError otherwise)."""
         try:
             pts = np.asarray(points, dtype=float)
         except (TypeError, ValueError) as err:
@@ -189,6 +196,8 @@ class DaeProblem:
         if not np.isfinite(pts).all():
             bad = pts[np.argmin(np.isfinite(pts).all(axis=1))]
             raise ValidationError(f"point {tuple(bad.tolist())} is not finite")
+        for column, (_, lo, hi) in zip(pts.T, self.axes):
+            BasisSpec(1, lo, hi).checked(column)
         return pts
 
     def validate(self) -> None:
@@ -308,11 +317,9 @@ class ExactCandidate:
 
     def _memory(self, u: int, op: LinearOp, *coords: np.ndarray) -> np.ndarray:
         """A Caputo derivative or Volterra integral in t at the points, given
-        by their coordinates (x, then t): zero at lo, refused below it."""
+        by their coordinates (x, then t): zero at lo."""
         *before, t = coords
         lo = self.problem.axes[-1][1]
-        if (t < lo).any():
-            raise DomainError(f"{type(op).__name__} evaluation below base point")
         live = t > lo
         before = [x[live, None] for x in before]
         tau, out = t[live, None] - lo, np.zeros(t.size)

@@ -55,7 +55,7 @@ from .model import (
     VolterraIntegral,
 )
 
-__all__ = ["load_problem", "serialize_problem", "builtin_names"]
+__all__ = ["BUILTIN_PROBLEMS", "load_problem", "serialize_problem", "builtin_names"]
 
 
 def _real(value, where: str, vocabulary: Vocabulary, expected: str = "a number"):

@@ -61,6 +61,7 @@ from .model import (
     DaeProblem,
     Derivative,
     Identity,
+    SideCondition,
     VolterraIntegral,
     is_linear,
 )
@@ -147,42 +148,33 @@ def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Side:
-    """A side condition instantiated at a concrete point."""
-
-    target: int
-    point: tuple  # one coordinate per axis
-    order: int
-    value: float
-
-
 class CollocationGrid:
     """One discretization of a problem, shared by assembly, every trainer and
     the trained model.
 
-    It holds, per axis of `problem.axes`, the collocation `nodes` (mapped
-    Legendre roots) and the basis `specs`; the interior collocation
-    `points`, the tensor product of the nodes as an (n, n_axes) array with
-    t varying fastest; the problem and config it discretizes; D, the basis
-    functions per unknown (the product of the per-axis counts); the side
-    conditions expanded to points; and the operator tables over the grid,
-    built once per distinct operator.  Points are float, or mpf in object
-    arrays on an mpf domain.
+    It holds, per axis of `problem.axes`, the basis `specs` and the
+    collocation `nodes`, the `roots` (on [-1, 1]) mapped onto the axis by
+    its spec; the interior collocation `points`, the tensor product of the
+    nodes as an (n, n_axes) array with t varying fastest; the problem and
+    config it discretizes; D, the basis functions per unknown (the product
+    of the per-axis counts); `sides`, one SideCondition per point that a
+    condition pins; and the operator tables over the grid, built once per
+    distinct operator.  Points are float, or mpf in object arrays on an mpf
+    domain.
     """
 
-    def __init__(self, problem: DaeProblem, config: SolverConfig, nodes):
+    def __init__(self, problem: DaeProblem, config: SolverConfig, roots):
         self.problem = problem
         self.config = config
-        self.nodes = tuple(nodes)
+        counts = basis_counts(problem, config)
+        self.specs = tuple(BasisSpec(d, lo, hi) for d, (_, lo, hi) in zip(counts, problem.axes))
+        self.nodes = tuple(shift_from_canonical(roots, spec) for spec in self.specs)
         # row a: the axis-a node of every point, t varying fastest
         index = np.indices([len(n) for n in self.nodes]).reshape(len(self.nodes), -1)
         self.points = np.column_stack([n[i] for n, i in zip(self.nodes, index)])
         self.points.flags.writeable = False  # so that _grid_axes stays its index
         self._grid_axes = list(zip(self.nodes, index))
         self.k = problem.unknowns
-        counts = basis_counts(problem, config)
-        self.specs = tuple(BasisSpec(d, lo, hi) for d, (_, lo, hi) in zip(counts, problem.axes))
         self.D = math.prod(counts)
         self.sides = self._expand_side_conditions()
         self.n_constraints = self.k * len(self) + len(self.sides)
@@ -194,9 +186,9 @@ class CollocationGrid:
     # -- side conditions ------------------------------------------------
 
     def _expand_side_conditions(self):
-        """One _Side per point a condition pins: a coordinate None stands
-        for every node of its axis, and a callable value is a field of the
-        coordinates before t, called once on all of them."""
+        """One SideCondition per point a condition pins: a coordinate None
+        stands for every node of its axis, and a callable value is a field
+        of the coordinates before t, called once on all of them."""
         out = []
         for sc in self.problem.side_conditions:
             if None in sc.coords:
@@ -207,7 +199,7 @@ class CollocationGrid:
             values = [sc.value] * len(points)
             if callable(sc.value):
                 values = sc.value(*np.array(points)[:, :-1].T)
-            out.extend(_Side(sc.target, p, sc.order, v) for p, v in zip(points, values))
+            out.extend(SideCondition(sc.target, p, v, sc.order) for p, v in zip(points, values))
         return out
 
     # -- basis rows -----------------------------------------------------
@@ -276,9 +268,8 @@ class CollocationGrid:
         target unknown's block of the constraint column."""
         rows = np.zeros((len(self.sides), self.D), dtype=self.points.dtype)
         for order in sorted({s.order for s in self.sides}):
-            op = Identity() if order == 0 else Derivative(order, "t")
             idx = [i for i, s in enumerate(self.sides) if s.order == order]
-            rows[idx] = self.operator_matrix(op, [self.sides[i].point for i in idx])
+            rows[idx] = self.operator_matrix(self.sides[idx[0]].op, [self.sides[i].point for i in idx])
         return rows
 
 
@@ -302,8 +293,7 @@ def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
             roots = roots - step
             if max(abs(step)) < tol:
                 break
-    nodes = [shift_from_canonical(roots, BasisSpec(1, lo, hi)) for _, lo, hi in problem.axes]
-    return CollocationGrid(problem, config, nodes)
+    return CollocationGrid(problem, config, roots)
 
 
 def assemble(grid: CollocationGrid):

@@ -11,6 +11,7 @@ import pytest
 from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
+import daesvr.fractional
 import daesvr.legendre
 from daesvr.errors import DomainError
 from daesvr.fractional import caputo_l1, caputo_l1_table, caputo_rule, caputo_table
@@ -263,6 +264,30 @@ class TestCaputoL1:
         got = caputo_l1_table(spec, 0.5, pts, 400)
         assert calls == [11]
         assert got.shape == (10, 11) and np.all(got[:, 1:] != 0.0)
+
+    def test_table_makes_one_l1_call(self, monkeypatch):
+        # the samples of every point are contracted in one call, with one
+        # upper limit per point, and match the per-point calls bit for bit
+        spec, alpha, intervals = BasisSpec(9, 0.0, 1.0), 0.4, 200
+        pts = np.concatenate([[0.0], shift_from_canonical(legendre_roots(8), spec), [1.0]])
+        grids = np.linspace(spec.lo, pts[1:], intervals + 1, axis=1)
+        want = np.zeros((pts.size, spec.degree_count))
+        for g, p in enumerate(pts[1:], start=1):
+            want[g] = caputo_l1(spec.values(grids[g - 1]), spec.lo, p, alpha)
+        calls = []
+        l1 = daesvr.fractional.caputo_l1
+        monkeypatch.setattr(daesvr.fractional, "caputo_l1", lambda *a: calls.append(a[2]) or l1(*a))
+        got = caputo_l1_table(spec, alpha, pts, intervals)
+        assert len(calls) == 1 and calls[0].shape == (pts.size - 1,)
+        np.testing.assert_array_equal(got, want)
+
+    def test_stacked_upper_limits(self):
+        t = np.linspace(0.0, 1.0, 33)
+        x = np.array([0.5, 1.0, 2.0])
+        h = np.stack([np.stack([s, s**2]) for s in np.outer(x, t)])  # (3, 2, 33)
+        got = caputo_l1(h, 0.0, x, 0.6)
+        assert got.shape == (3, 2)
+        np.testing.assert_array_equal(got, [caputo_l1(h[i], 0.0, x[i], 0.6) for i in range(3)])
 
     def test_sample_count_guard(self):
         with pytest.raises(DomainError):

@@ -20,7 +20,16 @@ from daesvr.benchmarks import CASES, self_check
 from daesvr.fractional import caputo_l1_table, caputo_table
 from daesvr.highprec import solve_interpolant
 from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
-from daesvr.model import Caputo, Derivative, Field, Identity, VolterraIntegral, is_linear, residuals
+from daesvr.model import (
+    Caputo,
+    Derivative,
+    Field,
+    Identity,
+    SideCondition,
+    VolterraIntegral,
+    is_linear,
+    residuals,
+)
 from daesvr.schema import load_problem
 from daesvr.solver import (
     VOLTERRA_NODES,
@@ -235,6 +244,15 @@ class TestGrid:
         x_nodes, t_nodes = g.nodes
         assert_allclose(x_nodes[1], 0.0, atol=1e-15)
         assert_allclose(t_nodes[1], 0.5, atol=1e-15)
+
+    def test_sides_are_conditions_at_points(self):
+        # each slice condition of example5 pins its value or du/dt at every x node
+        p = load_problem("example5")
+        g = build_grid(p, SolverConfig(m=3))
+        assert len(g.sides) == 3 * len(p.side_conditions)
+        for s in g.sides:
+            assert isinstance(s, SideCondition) and s.point[0] in g.nodes[0] and s.point[1] == 0.0
+            assert s.op == (Identity() if s.order == 0 else Derivative(1, "t"))
 
 
 class TestOneDiscretization:
