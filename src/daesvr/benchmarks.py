@@ -12,8 +12,11 @@ Default gamma values are calibrated per case rather than taken from the
 reference setup: with double precision arithmetic the regularization
 penalty has to push constraint violations below the discretization error,
 which happens several orders of magnitude later than in extended
-precision.  The calibrated values sit at the flat part of each case's
-error-vs-gamma curve.
+precision.  Each calibrated value sits at the flat part of its case's
+error-vs-gamma curve.  For example5 (m = 6, gamma = 1e11) that flat part is
+rounding: the exact minimizer of the dual objective has a max l2 error of
+4.2e-6 over the probes, while the dual's Cholesky answer has 2.2e-7 at one
+BLAS thread and 9.7e-7 at two.
 
 Before any solve, `self_check` verifies that the case's exact solution, read
 from its text alone, satisfies the case's equations at the probes.

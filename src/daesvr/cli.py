@@ -102,16 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_overrides(args) -> dict:
-    over = {}
-    if args.m is not None:
-        over["m"] = args.m
-    if args.gamma is not None:
-        over["gamma"] = args.gamma
-    if args.degree is not None:
-        over["degree"] = args.degree
+    over = {k: getattr(args, k) for k in ("m", "gamma", "degree") if getattr(args, k) is not None}
     if args.fractional_scheme is not None:
-        scheme, grid = args.fractional_scheme
-        over["fractional_scheme"] = scheme
+        over["fractional_scheme"], grid = args.fractional_scheme
         if grid is not None:
             over["l1_grid"] = grid
     return over

@@ -26,10 +26,10 @@ numpy object arrays of `mpf`.  The square matrix is then Z^T.
 The result is the regular solver's `TrainedModel` with `mpf` weights, an
 object array of shape (k, D), and the mpf grid it was solved on as `grid`
 (so `problem` is the mpf problem); `InterpolantModel` adds only the working
-precision `digits`.  Evaluation
-and `solver.report` then run in `mpf` at those digits: one operator table
-per batch of points, taken at `mpf` coordinates, and the exact solutions in
-`mpf` too, so the reported errors carry no double-precision rounding.
+precision `digits`.  Evaluation and `solver.report` then run in `mpf` at
+those digits: one operator table per batch of points, taken at `mpf`
+coordinates, and the exact solutions in `mpf` too, so the reported errors
+carry no double-precision rounding.
 `errors` holds the collocation residual A w - y.
 
 The direct solve (`solve_square`) runs on Python integers only: each row
@@ -39,10 +39,7 @@ elimination with partial pivoting updates only the rows whose multiplier is
 nonzero (about a quarter on the rectangle, where Z is sparse); and the
 residual, an exact integer product of those row-scaled integers with the
 weights, drives one correction solve through the same factors and is
-returned as `errors`.  On the rectangle benchmark at 40 digits (n = 144,
-240, 360 for m = 6, 8, 10) the solve takes about 0.1, 0.4 and 1.3 s on one
-core of a 2 vCPU VM, and a whole `solve_interpolant` about 0.2, 0.6 and
-1.9 s; mpmath's LU solve took about 8 s at m = 6.
+returned as `errors`.
 """
 
 from __future__ import annotations

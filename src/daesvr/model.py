@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+from mpmath import mpf
 
 from .errors import EvaluationError, MissingExact, ValidationError
 from .expressions import derivative
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 4
+
+_to_mpf = np.frompyfunc(mpf, 1, 1)
 
 
 class Field:
@@ -180,8 +183,9 @@ class DaeProblem:
         return tuple(name for name, _, _ in self.axes)
 
     def points(self, points) -> np.ndarray:
-        """Points as an (n, n_axes) float array: numbers (or 1-tuples) on an
-        interval, (x, t) pairs on a rectangle, every coordinate finite
+        """Points as an (n, n_axes) array in the domain's number type (float,
+        or mpf in an object array on an mpf domain): numbers (or 1-tuples) on
+        an interval, (x, t) pairs on a rectangle, every coordinate finite
         (ValidationError otherwise) and on its axis (`BasisSpec.checked`,
         DomainError otherwise)."""
         try:
@@ -198,7 +202,7 @@ class DaeProblem:
             raise ValidationError(f"point {tuple(bad.tolist())} is not finite")
         for column, (_, lo, hi) in zip(pts.T, self.axes):
             BasisSpec(1, lo, hi).checked(column)
-        return pts
+        return _to_mpf(pts) if isinstance(self.axes[0][1], mpf) else pts
 
     def validate(self) -> None:
         if self.unknowns < 1:

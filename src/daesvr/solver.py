@@ -48,6 +48,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .errors import (
+    DomainError,
     MissingExact,
     NonConvergence,
     NotPositiveDefinite,
@@ -63,6 +64,7 @@ from .model import (
     Identity,
     SideCondition,
     VolterraIntegral,
+    _to_mpf,
     is_linear,
 )
 
@@ -79,8 +81,6 @@ __all__ = [
     "solve",
     "report",
 ]
-
-_to_mpf = np.frompyfunc(mpf, 1, 1)
 
 TINY_EXACT = 1e-14
 GN_DAMPING = 1e-3  # starting Levenberg parameter of gauss_newton
@@ -115,8 +115,9 @@ class SolverConfig:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
         gamma = self.gamma
         number = isinstance(gamma, Real) and not isinstance(gamma, bool)
-        if not (number and math.isfinite(gamma) and gamma > 0.0):
-            raise ValidationError(f"regularization gamma must be a finite number > 0, got {gamma!r}")
+        if not (number and math.isfinite(gamma) and gamma > 0.0 and math.isfinite(1.0 / float(gamma))):
+            raise ValidationError(
+                f"regularization gamma must be a finite number > 0 with finite 1/gamma, got {gamma!r}")
         if self.fractional_scheme not in ("analytic", "l1"):
             raise ValidationError("fractional_scheme must be 'analytic' or 'l1'")
 
@@ -221,11 +222,6 @@ class CollocationGrid:
             return _volterra_table(op.kernel, spec, nodes).T
         # every domain has a t-axis, so every op reaches this dispatch
         raise ValidationError(f"unknown operator {op!r}")
-
-    def coordinates(self, points) -> np.ndarray:
-        """`problem.points` in the grid's number type: float, or mpf."""
-        pts = self.problem.points(points)
-        return _to_mpf(pts) if self.points.dtype == object else pts
 
     def operator_matrix(self, op, points) -> np.ndarray:
         """(n_points, D) matrix of (L phi_j)(point) at an (n_points, n_axes)
@@ -388,7 +384,8 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     GN_DAMPING, so that a step shrunk by heavy damping does not pass for
     convergence; a step that fails to lower it shows that no step does at this
     precision.  Raises NonConvergence (with the last iterate, the best one
-    seen, attached) when the budget runs out.
+    seen, attached) when the budget runs out, and DomainError when gamma
+    overflows the normal matrix.
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve  # here, so import skips scipy
 
@@ -434,10 +431,13 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     r, J = linearize(w)
     obj = objective(w, r)
     for iters in range(1, grid.config.max_iters + 1):
-        grad = gamma * (J.T @ r) + w
-        M = gamma * (J.T @ J) + (1.0 + lam) * np.eye(n_w)
         try:
+            with np.errstate(over="raise"):
+                grad = gamma * (J.T @ r) + w
+                M = gamma * (J.T @ J) + (1.0 + lam) * np.eye(n_w)
             step = cho_solve(cho_factor(M, lower=True), -grad)
+        except FloatingPointError as err:
+            raise DomainError(f"Gauss-Newton normal matrix overflows at gamma = {gamma:g}") from err
         except LinAlgError as err:
             raise NotPositiveDefinite(f"Gauss-Newton normal matrix failed: {err}") from err
         trial_w = w + step
@@ -523,9 +523,12 @@ class TrainedModel:
         (`vecdot`, not a matrix product), so a value does not depend on the
         other points of the batch.
         """
-        grid = self.grid
+        return self._values_at(op, self.problem.points(points))
+
+    def _values_at(self, op, pts: np.ndarray) -> np.ndarray:
+        """`values` at points that `problem.points` has read."""
         with self._arithmetic():
-            M = np.ascontiguousarray(grid.operator_matrix(op, grid.coordinates(points)))
+            M = np.ascontiguousarray(self.grid.operator_matrix(op, pts))
             return np.vecdot(M[None], self.weights[:, None, :])
 
     def evaluate(self, unknown: int, point) -> float:
@@ -555,17 +558,18 @@ class ResidualReport:
 def report(model: TrainedModel, probes) -> ResidualReport:
     """Error table of the model against the problem's exact solution.
 
-    Values, exact solutions and errors are computed in the model's number
-    type, at coordinates of that type, then stored as floats.
+    The probes are read once (`problem.points`), in the model's number
+    type; values, exact solutions and errors are computed at those
+    coordinates, then stored as floats.
     """
     problem = model.problem
     if problem.exact is None:
         raise MissingExact("problem carries no exact solution")
-    values = model.values(Identity(), probes)
+    coords = problem.points(probes)
+    values = model._values_at(Identity(), coords)
     rows = []
     l2 = np.zeros(problem.unknowns)
     with model._arithmetic():
-        coords = model.grid.coordinates(probes)
         for u, exact_fn in enumerate(problem.exact):
             urows = []
             exact_values = exact_fn(*coords.T).tolist()
@@ -573,9 +577,7 @@ def report(model: TrainedModel, probes) -> ResidualReport:
                 abs_err = abs(exact - approx)
                 near_zero = abs(exact) < TINY_EXACT
                 rel = abs_err if near_zero else abs_err / abs(exact)
-                urows.append(
-                    ReportRow(p, float(exact), float(approx), float(rel), float(abs_err), near_zero)
-                )
+                urows.append(ReportRow(p, *map(float, (exact, approx, rel, abs_err)), near_zero))
             l2[u] = math.sqrt(math.fsum(r.abs_err**2 for r in urows))
             rows.append(tuple(urows))
     return ResidualReport(rows=tuple(rows), l2=l2, probes=tuple(probes))

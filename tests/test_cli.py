@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import daesvr.benchmarks
 import daesvr.cli as cli
 import daesvr.legendre
 from daesvr.benchmarks import CSV_COLUMNS, PLOT_COLUMNS
 from daesvr.cli import main
+from daesvr.errors import SelfCheckError
 from daesvr.legendre import legendre_table
 from daesvr.model import Identity
 from daesvr.schema import load_problem
@@ -58,6 +60,8 @@ def problem_file(tmp_path, data=None, name="problem.json"):
         ["solve", "example3", "--fractional-scheme", "l1:1"],
         ["sweep", "example1", "--m", ","],
         ["sweep", "example1", "--m", "4", "--gamma", ","],
+        ["solve", "example3", "--gamma", "1e-320"],
+        ["sweep", "example3", "--m", "8", "--gamma", "1e-320"],
     ],
     ids=" ".join,
 )
@@ -143,6 +147,22 @@ class TestSolve:
 
     def test_bad_fractional_scheme(self, capsys):
         assert main(["solve", "example2", "--fractional-scheme", "magic"]) == 2
+
+    def test_bad_l1_grid_names_the_value(self, capsys):
+        assert main(["solve", "example3", "--fractional-scheme", "l1:abc"]) == 2
+        assert "bad l1 grid size in 'l1:abc'" in capsys.readouterr().err
+
+    def test_analytic_scheme_is_the_default(self, capsys):
+        assert main(["solve", "example3"]) == 0
+        default = capsys.readouterr().out
+        assert main(["solve", "example3", "--fractional-scheme", "analytic"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_overflowing_gamma_is_a_run_error(self, capsys):
+        # a finite 1/gamma passes the configuration; Gauss-Newton names the overflow
+        assert main(["solve", "example1", "--gamma", "1e306"]) == 1
+        err = capsys.readouterr().err
+        assert err == "solve: Gauss-Newton normal matrix overflows at gamma = 1e+306\n"
 
     def test_l1_scheme_accepted(self, capsys):
         code = main(["solve", "example3", "--fractional-scheme", "l1:600", "--m", "8"])
@@ -272,6 +292,15 @@ class TestBench:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_failed_case_is_named_and_the_others_print(self, capsys):
+        # example5's dual fails at m = 8; example1 before it still prints
+        assert main(["bench", "example1", "example5", "--m", "8"]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("example1 (m=8, gamma=1e+08, dual)\n")
+        assert "example5" not in out
+        assert "bench: 1 case(s) run, 0 graded, 0 failed bounds" in out
+        assert err.startswith("bench: example5: dual matrix is not positive definite")
+
     def test_output_is_deterministic(self, capsys):
         main(["bench", "example3"])
         first = capsys.readouterr().out
@@ -313,6 +342,16 @@ class TestSweep:
         assert main(["sweep", "example5", "--m", "14", "--gamma", "1e11"]) == 1
         out = capsys.readouterr().out
         assert "failed:" in out
+
+    def test_error_outside_a_cell_is_a_run_error(self, monkeypatch, capsys):
+        def failing(name, problem, probes):
+            raise SelfCheckError(f"{name}: exact solution violates equation 0")
+
+        monkeypatch.setattr(daesvr.benchmarks, "self_check", failing)
+        assert main(["sweep", "example3", "--m", "8"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "sweep: example3: exact solution violates equation 0\n"
 
     def test_csv_labels_carry_configuration(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

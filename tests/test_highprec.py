@@ -375,6 +375,16 @@ class TestMpfBuild:
             assert isinstance(g, mpf)
             assert abs(g - w) <= 1e-15 * abs(w)
 
+    def test_points_are_mpf_on_the_mpf_domain(self):
+        # the float reading, converted exactly; the float build keeps float64
+        problem = load_problem("example5")
+        probes = CASES["example5"].probes
+        with workdps(40):
+            pts = _build(problem.source, problem.name, MPF).points(probes)
+        assert pts.dtype == object and all(isinstance(v, mpf) for v in pts.ravel())
+        assert pts.astype(float).tobytes() == problem.points(probes).tobytes()
+        assert problem.points(probes).dtype == np.float64
+
     def test_problem_without_source_is_refused(self):
         loaded = load_problem(OSCILLATOR)
         built = DaeProblem(

@@ -5,7 +5,8 @@ import pytest
 from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
-from daesvr.errors import DomainError
+import daesvr.legendre
+from daesvr.errors import DomainError, NonConvergence
 from daesvr.expressions import MPF
 from daesvr.legendre import (
     BasisSpec,
@@ -145,6 +146,12 @@ class TestRoots:
         x = legendre_roots(m)
         assert np.all(np.diff(x) > 0)
         assert np.max(np.abs(legendre_eval(m, x))) <= 1e-13
+
+    def test_stalled_newton_iteration_is_refused(self, monkeypatch):
+        # one Newton step from the cosine guesses leaves a step above 1e-14
+        monkeypatch.setattr(daesvr.legendre, "_ROOT_MAX_ITERS", 1)
+        with pytest.raises(NonConvergence, match="Newton iteration for P_10 roots stalled"):
+            legendre_roots(10)
 
     @pytest.mark.parametrize("m", range(1, 21))
     def test_interlacing(self, m):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from daesvr.errors import (
@@ -22,6 +23,7 @@ from daesvr.highprec import solve_interpolant
 from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
 from daesvr.model import (
     Caputo,
+    DaeProblem,
     Derivative,
     Field,
     Identity,
@@ -135,11 +137,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="> 0"):
             SolverConfig(gamma=gamma)
 
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 1e-320, 5e-309])
     def test_gamma_finite(self, gamma):
-        # the objective 1/2 ||w||^2 + gamma/2 ||e||^2 needs a finite gamma
+        # the objective 1/2 ||w||^2 + gamma/2 ||e||^2 needs a finite gamma,
+        # and the dual's I/gamma a finite 1/gamma: gamma above about 5.6e-309
         with pytest.raises(ValidationError, match="finite"):
             SolverConfig(gamma=gamma)
+        assert SolverConfig(gamma=5.6e-309).gamma == 5.6e-309
 
     @pytest.mark.parametrize("gamma", [None, "1", True])
     def test_gamma_is_a_number(self, gamma):
@@ -709,6 +713,22 @@ class TestGaussNewton:
         got = residuals(p, model, model.grid.points)
         assert_allclose(got.ravel(), model.errors[: got.size], rtol=0, atol=1e-14)
 
+    def test_cholesky_failure_is_named(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("2-th leading minor not positive definite")
+
+        grid = build_grid(load_problem(FLAT_SQUARE), SolverConfig(m=4))
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        # w0 skips the dual start, so the failure is the normal matrix's
+        with pytest.raises(NotPositiveDefinite, match="Gauss-Newton normal matrix failed: 2-th"):
+            gauss_newton(grid, w0=np.full(4, 1.0))
+
+    def test_overflowing_normal_matrix_is_named(self):
+        # 1/gamma is finite, but gamma J^T J is not
+        grid = build_grid(load_problem("example1"), SolverConfig(m=10, gamma=1e306))
+        with pytest.raises(DomainError, match="normal matrix overflows at gamma = 1e\\+306"):
+            gauss_newton(grid)
+
     def test_rejects_wrong_start_length(self):
         p = load_problem(FLAT_SQUARE)
         config = SolverConfig(m=4)
@@ -763,6 +783,20 @@ class TestReport:
         model = solve(oscillator(), SolverConfig(m=8, gamma=1e8))
         with pytest.raises(ValidationError, match=r"each point needs the coordinates \('t',\)"):
             report(model, [(0.2, 0.9)])
+
+    @pytest.mark.parametrize("digits", [None, 40], ids=["double", "interpolant"])
+    def test_probes_are_read_once(self, monkeypatch, digits):
+        # the values and the exact solutions both come from one read
+        case, problem = CASES["example5"], load_problem("example5")
+        if digits is None:
+            model = solve(problem, case.config)
+        else:
+            model = solve_interpolant(problem, case.config, digits=digits)
+        reads, points = [], DaeProblem.points
+        monkeypatch.setattr(DaeProblem, "points", lambda self, p: reads.append(p) or points(self, p))
+        rep = report(model, case.probes)
+        assert len(reads) == 1
+        assert len(rep.rows) == 3 and all(len(rows) == 5 for rows in rep.rows)
 
     @pytest.mark.parametrize(
         "name, extra",
