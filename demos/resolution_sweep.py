@@ -7,10 +7,10 @@ derivative terms only, the sweep can use the exact interpolation limit,
 which runs in extended precision and sidesteps the double-precision
 conditioning ceiling of the collocation matrix.
 
-Run:  python3 demos/resolution_sweep.py        (about 2 seconds)
+Run:  python3 demos/resolution_sweep.py        (under half a second)
 
-Larger resolutions continue the decay; the sweep through m=10 takes about
-8 seconds:  daesvr sweep example5 --m 6,8,10
+Larger resolutions continue the decay; the sweep through m=12 takes under
+a second:  daesvr sweep example5 --m 6,8,10,12
 """
 
 from daesvr import sweep

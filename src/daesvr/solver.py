@@ -115,7 +115,11 @@ class SolverConfig:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
         gamma = self.gamma
         number = isinstance(gamma, Real) and not isinstance(gamma, bool)
-        if not (number and math.isfinite(gamma) and gamma > 0.0 and math.isfinite(1.0 / float(gamma))):
+        try:
+            finite = number and 0.0 < float(gamma) < math.inf and math.isfinite(1.0 / float(gamma))
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValidationError(
                 f"regularization gamma must be a finite number > 0 with finite 1/gamma, got {gamma!r}")
         if self.fractional_scheme not in ("analytic", "l1"):
@@ -385,7 +389,7 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     convergence; a step that fails to lower it shows that no step does at this
     precision.  Raises NonConvergence (with the last iterate, the best one
     seen, attached) when the budget runs out, and DomainError when gamma
-    overflows the normal matrix.
+    overflows the starting objective or the normal matrix.
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve  # here, so import skips scipy
 
@@ -419,7 +423,9 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
         return r, J
 
     def objective(w: np.ndarray, r: np.ndarray) -> float:
-        return 0.5 * (w @ w) + 0.5 * gamma * (r @ r)
+        # Python floats overflow to inf without a warning: a trial step is
+        # then rejected, and the starting objective refused below
+        return 0.5 * float(w @ w) + 0.5 * gamma * float(r @ r)
 
     if w0 is None:
         w = solve_linear(Z, y, grid).weights.ravel()
@@ -430,6 +436,8 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     lam = GN_DAMPING
     r, J = linearize(w)
     obj = objective(w, r)
+    if not math.isfinite(obj):
+        raise DomainError(f"Gauss-Newton objective overflows at gamma = {gamma:g}")
     for iters in range(1, grid.config.max_iters + 1):
         try:
             with np.errstate(over="raise"):

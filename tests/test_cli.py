@@ -164,6 +164,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "solve: Gauss-Newton normal matrix overflows at gamma = 1e+306\n"
 
+    def test_overflowing_objective_is_a_run_error(self, capsys):
+        # nearer the float maximum the starting objective overflows first,
+        # named without a RuntimeWarning
+        assert main(["solve", "example1", "--gamma", "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err == "solve: Gauss-Newton objective overflows at gamma = 1e+308\n"
+
     def test_l1_scheme_accepted(self, capsys):
         code = main(["solve", "example3", "--fractional-scheme", "l1:600", "--m", "8"])
         assert code == 0

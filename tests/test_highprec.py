@@ -15,7 +15,7 @@ from daesvr.expressions import MPF
 from daesvr.legendre import legendre_table
 from daesvr.model import DaeProblem, Identity
 from daesvr.schema import _build, load_problem
-from daesvr.solver import SolverConfig, TrainedModel, report
+from daesvr.solver import SolverConfig, TrainedModel, assemble, build_grid, report
 
 OSCILLATOR = json.dumps(
     {
@@ -82,17 +82,82 @@ HEAT = json.dumps(
 )
 
 
+# Rectangles that keep the assembled system: a coefficient that varies
+# along x, and a condition at one x (which the counts make square only
+# with an explicit degree, 5 on both axes at m = 4).  Both exact solutions
+# lie in the basis span.
+X_COEFFICIENT = json.dumps(
+    {
+        "unknowns": 1,
+        "domain2": {"x_lo": -0.3, "x_hi": 0.9, "t_lo": 0.0, "t_hi": 0.7},
+        "equations": [
+            {
+                "terms": [
+                    {"coeff": 1, "op": "deriv", "order": 1, "var": "t", "target": 0},
+                    {"coeff": "-x", "op": "deriv", "order": 1, "var": "x", "target": 0},
+                ],
+                "rhs": "x**2 + 1 - 2*x**2*t",
+            }
+        ],
+        "side_conditions": [{"target": 0, "x": "*", "t": 0.0, "value": 0}],
+        "exact": ["x**2*t + t"],
+    }
+)
+
+SINGLE_X = json.dumps(
+    {
+        "unknowns": 1,
+        "domain2": {"x_lo": -0.3, "x_hi": 0.9, "t_lo": 0.0, "t_hi": 0.7},
+        "equations": [
+            {
+                "terms": [
+                    {"coeff": 1, "op": "deriv", "order": 1, "var": "t", "target": 0},
+                    {"coeff": 1, "op": "deriv", "order": 1, "var": "x", "target": 0},
+                ],
+                "rhs": "x**2 + 1 + 2*x*t",
+            }
+        ],
+        "side_conditions": [
+            {"target": 0, "x": "*", "t": 0.0, "value": 0},
+            {"target": 0, "x": "*", "t": 0.0, "order": 1, "value": "x**2 + 1"},
+            {"target": 0, "x": 0.5, "t": 0.5, "value": 0.625},
+        ],
+        "exact": ["x**2*t + t"],
+    }
+)
+
+RECTANGLE_PROBES = ((-0.3, 0.1), (0.2, 0.35), (0.75, 0.6), (0.9, 0.7))
+
+
+def mode_matrix(A0, blocks, m):
+    """The matrix of the system `_solve_modes` solves, I (x) A0 + sum N (x) B,
+    with rows and columns mode-major; its entries are exact at 3000 bits."""
+    n = len(A0)
+    M = np.zeros((m * n, m * n), dtype=object)
+    with mp.workprec(3000):
+        for j in range(m):
+            M[j * n:(j + 1) * n, j * n:(j + 1) * n] += A0
+            for N, B in blocks:
+                for p in range(m):
+                    M[j * n:(j + 1) * n, p * n:(p + 1) * n] += N[j, p] * B
+    return M
+
+
 @pytest.fixture(scope="module", params=[6, 8])
 def example5(request):
-    """The example5 interpolant at 40 digits and the square system (A, b) it solved."""
+    """The example5 interpolant at 40 digits, and the system (A, b) its
+    kernel solved, in x-modes, with the solution w the kernel returned
+    (mode-major, like the rows of A)."""
     seen = {}
+    solve_modes = highprec._solve_modes
 
-    def recording(A, b):
-        seen["system"] = A, b
-        return solve_square(A, b)
+    def recording(A0, blocks, b):
+        X, residual = solve_modes(A0, blocks, b)
+        seen["system"] = mode_matrix(A0, blocks, len(b)), b.ravel(), X.ravel()
+        return X, residual
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(highprec, "solve_square", recording)
+        patch.setattr(highprec, "_solve_modes", recording)
         config = SolverConfig(m=request.param)
         model = solve_interpolant(load_problem("example5"), config, digits=40)
     return (model, *seen["system"])
@@ -171,7 +236,7 @@ class TestRectangle:
         "text, probes",
         [
             (CUBIC, (0.05, 0.3, 0.55, 0.7)),
-            (HEAT, ((-0.3, 0.1), (0.2, 0.35), (0.75, 0.6), (0.9, 0.7))),
+            (HEAT, RECTANGLE_PROBES),
         ],
         ids=["interval", "rectangle"],
     )
@@ -180,18 +245,65 @@ class TestRectangle:
         assert max(abs_errors(model, probes)) <= 1e-30
 
     def test_square_system_residual_is_tiny(self, example5):
-        model, _, _ = example5
+        model, *_ = example5
         assert model.residual_inf <= 1e-35
 
     def test_residual_is_the_exact_one_of_the_weights(self, example5):
         # A w - y recomputed with 3000 bits: the reported residual must carry
         # its digits, not a dot product rounded to working precision first
-        model, A, b = example5
+        model, A, b, w = example5
+        m = model.grid.config.m
+        assert list(w) == list(model.weights.reshape(model.grid.k, m, -1).swapaxes(0, 1).ravel())
         with mp.workprec(3000):
-            exact = [mpmath.fsum(a * w for a, w in zip(row, model.weights.ravel())) - b_i
+            exact = [mpmath.fsum(a * w_i for a, w_i in zip(row, w)) - b_i
                      for row, b_i in zip(A, b)]
             want = max(abs(r) for r in exact)
             assert abs(mpf(model.residual_inf) - want) <= 1e-3 * want
+
+
+class TestModes:
+    """The x-mode solve of a rectangle against the assembled system."""
+
+    @pytest.mark.parametrize(
+        "text, m", [("example5", 4), ("example5", 6), ("example5", 8), (HEAT, 6)],
+        ids=["example5-m4", "example5-m6", "example5-m8", "heat"],
+    )
+    def test_weights_match_the_assembled_solve(self, monkeypatch, text, m):
+        def refuse(*args):
+            raise AssertionError("the x-mode solve assembled Z")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(highprec, "assemble", refuse)
+            model = solve_interpolant(load_problem(text), SolverConfig(m=m), digits=40)
+        with workdps(40):
+            Z, y = assemble(model.grid)
+            want, _ = solve_square(Z.T, y)
+        assert rel_max_diff(model.weights.ravel(), want) <= 1e-30
+        assert model.residual_inf <= 1e-35
+
+    @pytest.mark.parametrize(
+        "text, config", [(X_COEFFICIENT, SolverConfig(m=6)), (SINGLE_X, SolverConfig(m=4, degree=5))],
+        ids=["x-coefficient", "single-x"],
+    )
+    def test_other_rectangles_are_assembled(self, monkeypatch, text, config):
+        assembled = []
+
+        def recording(grid):
+            assembled.append(grid)
+            return assemble(grid)
+
+        monkeypatch.setattr(highprec, "assemble", recording)
+        model = solve_interpolant(load_problem(text), config, digits=40)
+        assert assembled == [model.grid]
+        assert max(abs_errors(model, RECTANGLE_PROBES)) <= 1e-30
+
+    def test_legendre_derivative_matrix(self):
+        # column p holds P_p' in the P_j: P_3' = P_0 * 1 + P_2 * 5
+        D = highprec._legendre_derivative(5)
+        assert D[:, 3].tolist() == [1, 0, 5, 0, 0]
+        s = np.linspace(-1, 1, 7)
+        P, dP = legendre_table(5, s, 1)
+        assert_allclose(D.astype(float).T @ P, dP, atol=1e-12)
 
 
 def lu_reference(A, b, digits, extra=20):
@@ -256,21 +368,16 @@ class TestSquareSolve:
             got, _ = solve_square(A, b)
         assert rel_max_diff(got, lu_reference(A, b, digits)) <= 1e-35
 
-    def test_assembled_rectangle_matches_lu_solve(self, monkeypatch):
+    def test_assembled_rectangle_matches_lu_solve(self):
         digits = 40
-        seen = {}
-
-        def recording(A, b):
-            seen["system"] = A, b
-            seen["weights"], residual = solve_square(A, b)
-            return seen["weights"], residual
-
-        monkeypatch.setattr(highprec, "solve_square", recording)
-        solve_interpolant(load_problem("example5"), SolverConfig(m=4), digits=digits)
-        A, b = seen["system"]
+        problem = load_problem("example5")
+        with workdps(digits):
+            grid = build_grid(_build(problem.source, problem.name, MPF), SolverConfig(m=4))
+            Z, b = assemble(grid)
+            got, _ = solve_square(Z.T, b)
         assert len(b) == 72
-        ref = lu_reference(A, b, digits)
-        assert rel_max_diff(seen["weights"], ref) <= mpf(10) ** (5 - digits)
+        ref = lu_reference(Z.T, b, digits)
+        assert rel_max_diff(got, ref) <= mpf(10) ** (5 - digits)
 
     def test_equal_rows_raise_singular_system(self):
         with workdps(40):

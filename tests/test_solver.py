@@ -123,6 +123,17 @@ ON_RECTANGLE = {
 }
 DIAGONAL = [(f - 0.5, f) for f in np.linspace(0.1, 0.9, 5)]
 
+# a linear rectangle problem whose coefficient varies along x
+X_COEFFICIENT = {
+    "unknowns": 1,
+    "domain2": RECTANGLE,
+    "equations": [{"terms": [{"coeff": 1, "op": "deriv", "order": 1, "var": "t", "target": 0},
+                             {"coeff": "-x", "op": "deriv", "order": 1, "var": "x", "target": 0}],
+                   "rhs": "pow(x,2) + 1 - 2*pow(x,2)*t"}],
+    "side_conditions": [{"target": 0, "x": "*", "t": 0.0, "value": 0.0}],
+    "exact": ["pow(x,2)*t + t"],
+}
+
 
 def on_rectangle(name):
     return load_problem(json.dumps(ON_RECTANGLE[name]))
@@ -137,7 +148,7 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="> 0"):
             SolverConfig(gamma=gamma)
 
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 1e-320, 5e-309])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 1e-320, 5e-309, pytest.param(10**400, id="10**400")])
     def test_gamma_finite(self, gamma):
         # the objective 1/2 ||w||^2 + gamma/2 ||e||^2 needs a finite gamma,
         # and the dual's I/gamma a finite 1/gamma: gamma above about 5.6e-309
@@ -263,9 +274,13 @@ class TestOneDiscretization:
     """build_grid discretizes a problem once; assembly, the trainers and the
     model share that grid."""
 
-    @pytest.mark.parametrize("name, digits", [("example3", None), ("example1", None), ("example5", 40)])
-    def test_model_carries_the_grid_assemble_used(self, monkeypatch, name, digits):
-        # the dual, Gauss-Newton and extended-precision paths
+    @pytest.mark.parametrize("name, digits, assembles", [
+        ("example3", None, 1), ("example1", None, 1), ("example5", 40, 0), ("x-coefficient", 40, 1),
+    ], ids=["example3-None", "example1-None", "example5-40", "x-coefficient-40"])
+    def test_model_carries_the_grid_assemble_used(self, monkeypatch, name, digits, assembles):
+        # the dual, Gauss-Newton and extended-precision paths; example5's
+        # rectangle is solved in x-modes without Z, a rectangle whose
+        # coefficient varies along x through Z
         built, assembled = [], []
         grid_fn, assemble_fn = daesvr.solver.build_grid, daesvr.solver.assemble
 
@@ -280,13 +295,16 @@ class TestOneDiscretization:
         for module in (daesvr.solver, daesvr.highprec):
             monkeypatch.setattr(module, "build_grid", recording_grid)
             monkeypatch.setattr(module, "assemble", recording_assemble)
-        problem, config = load_problem(name), CASES[name].config
+        if name in CASES:
+            problem, config = load_problem(name), CASES[name].config
+        else:
+            problem, config = load_problem(json.dumps(X_COEFFICIENT)), SolverConfig(m=6)
         if digits is None:
             model = solve(problem, config)
         else:
             model = solve_interpolant(problem, config, digits=digits)
         assert built == [model.grid]
-        assert assembled == [(model.grid,)]
+        assert assembled == [(model.grid,)] * assembles
         assert model.problem is model.grid.problem and model.config is config
 
     def test_side_fields_are_called_once_per_solve(self, monkeypatch):
@@ -727,6 +745,13 @@ class TestGaussNewton:
         # 1/gamma is finite, but gamma J^T J is not
         grid = build_grid(load_problem("example1"), SolverConfig(m=10, gamma=1e306))
         with pytest.raises(DomainError, match="normal matrix overflows at gamma = 1e\\+306"):
+            gauss_newton(grid)
+
+    def test_overflowing_objective_is_named(self):
+        # at gamma near the float maximum the starting objective overflows
+        # first; a RuntimeWarning from it fails this test
+        grid = build_grid(load_problem("example1"), SolverConfig(m=10, gamma=1e308))
+        with pytest.raises(DomainError, match="objective overflows at gamma = 1e\\+308"):
             gauss_newton(grid)
 
     def test_rejects_wrong_start_length(self):
