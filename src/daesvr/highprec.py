@@ -13,15 +13,18 @@ balance, the same rule the regular solver uses) in software floats.  That is
 the limit of the regularized estimator as gamma grows without bound, so the
 result is the interpolant the dual solve approaches but cannot reach in
 double precision.  Only identity and derivative operators are supported;
-fractional and integral terms stay on the double precision path.
+fractional and integral terms stay on the double precision path.  Working
+precision has a ceiling of its own, which no error reports yet: at the
+default 40 digits the rectangle benchmark's error stops falling near
+m = 12-16 and is wrong beyond m ~ 24, where 80 digits keep it falling.
 
 The pipeline is the regular solver's own, `build_grid(problem, config)` ->
 `assemble(grid)` -> a kernel, with `solve_square` as the kernel: `schema`
 builds the problem from its source description with the `MPF` vocabulary,
 so the domain, side points and values, constant fields and every expression
-(exact solutions included) are `mpf`; `build_grid` refines the Gauss nodes
-of that mpf domain to working precision, and `assemble` runs unchanged on
-numpy object arrays of `mpf`.  The square matrix is then Z^T.
+(exact solutions included) are `mpf`; `build_grid` takes the Gauss nodes at
+working precision, refined once per (m, precision), and `assemble` runs
+unchanged on numpy object arrays of `mpf`.  The square matrix is then Z^T.
 
 Some rectangles skip `assemble`: those whose term coefficients are equal
 along x at each t-node, whose side conditions span every x-node, and whose
@@ -32,27 +35,27 @@ rule, which is exact at these degrees and so leaves the solution as it is
 the integer Legendre differentiation matrix, strictly upper triangular, so
 the system is I (x) A0 + sum_o N_o (x) B_o with one k*d_t block A0 on the
 diagonal: `_solve_modes` factors A0 once and back-substitutes the modes
-from the highest down.  The blocks come from 1-D t-tables; only the
+from the highest down.  The blocks come from one t-table; only the
 right-hand sides and side values pass through the Gauss rule.
 
 The result is the regular solver's `TrainedModel` with `mpf` weights, an
 object array of shape (k, D), and the mpf grid it was solved on as `grid`
 (so `problem` is the mpf problem); `InterpolantModel` adds only the working
 precision `digits`.  Evaluation and `solver.report` then run in `mpf` at
-those digits: one operator table per batch of points, taken at `mpf`
-coordinates, and the exact solutions in `mpf` too, so the reported errors
-carry no double-precision rounding.
-`errors` holds the residual A w - y of the system the kernel solved: the
-collocation system, or its projection onto the x-modes, mode-major.
+those digits, at `mpf` coordinates and with the exact solutions in `mpf`,
+so the reported errors carry no double-precision rounding.  `errors` holds
+the residual A w - y of the system the kernel solved: the collocation
+system, or its projection onto the x-modes, mode-major.
 
-Both kernels run on Python integers only: each row is scaled by a power of
-two and read once from the entries' mpf mantissas into fixed point with 128
+The kernels run on Python integers: each row is scaled by a power of two
+and read once from the entries' mpf mantissas into fixed point with 128
 bits beyond working precision (`_row_scaled`); Gaussian elimination with
 partial pivoting updates only the rows whose multiplier is nonzero (about a
-quarter on the dense rectangle, where Z is sparse; `_factor`); and the
+quarter on the dense rectangle, where Z is sparse; `_factor`); the
 residual, an exact integer product of those row-scaled integers with the
 weights, drives one correction solve through the same factors and is
-returned as `errors` (`_refined`).
+returned as `errors` (`_refined`); and the mode projection and every
+evaluation are exact integer products rounded once per entry (`_dot`).
 """
 
 from __future__ import annotations
@@ -64,12 +67,12 @@ from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import fzero
+from mpmath.libmp import from_man_exp, fzero
 import mpmath
 
 from .errors import SingularSystem, ValidationError
 from .expressions import MPF
-from .legendre import legendre_table, shift_to_canonical
+from .legendre import _mp_gauss_quadrature, legendre_table, shift_to_canonical
 from .model import Caputo, DaeProblem, Derivative, VolterraIntegral, is_linear
 from .schema import _build
 from .solver import SolverConfig, TrainedModel, assemble, build_grid
@@ -85,6 +88,11 @@ class InterpolantModel(TrainedModel):
 
     def _arithmetic(self):
         return workdps(self.digits)
+
+    def _values_at(self, op, pts: np.ndarray) -> np.ndarray:
+        """`values` contracted in exact integers (`_dot`), row by row."""
+        with self._arithmetic():
+            return _dot(self.weights, self.grid.operator_matrix(op, pts).T)
 
 
 def _unsupported(problem: DaeProblem) -> Optional[str]:
@@ -127,7 +135,7 @@ def _mantissas(x):
     sign, man, exp, bc = np.frompyfunc(_parts, 1, 4)(np.asarray(x, dtype=object))
     bc = bc.astype(np.int64)
     if (bc < 0).any():
-        raise ValidationError("the square solve needs finite entries")
+        raise ValidationError("extended-precision arithmetic needs finite entries")
     return sign, man, exp.astype(np.int64), bc
 
 
@@ -148,6 +156,15 @@ def _row_scaled(A, row=None) -> tuple:
         F = mp.prec + _GUARD_BITS
         row = F - _mag(exp, bc, F, axis=1)
     return row, _scaled(sign, man, exp + row[:, None])
+
+
+def _dot(A, B) -> np.ndarray:
+    """The product of the mpf matrices A and B, each entry rounded to mpf
+    once from the exact product of A's rows and B's columns scaled into
+    integers (`_row_scaled`): an entry depends only on its row and column."""
+    (row, A_int), (col, B_int) = _row_scaled(A), _row_scaled(np.transpose(B))
+    rounded = np.frompyfunc(lambda man, e: mp.make_mpf(from_man_exp(man, e, *mp._prec_rounding)), 2, 1)
+    return rounded(A_int.dot(B_int.T), -(row[:, None] + col).astype(object))
 
 
 def _factor(A_int) -> tuple:
@@ -291,48 +308,45 @@ def _mode_system(grid) -> Optional[tuple]:
     coordinates the identity in x acts as I and an x-derivative of order o
     as D**o (2/width)**o, D the Legendre differentiation matrix.  A0 holds
     the terms without an x-derivative and the side rows, B_o the terms of
-    x-order o; both come from 1-D t-tables (`BasisSpec.values`), and only
-    the right-hand sides and the side values pass through the rule.
+    x-order o; both come from one t-table.  Only the right-hand sides, on
+    the open mesh of x-nodes by t-nodes, and the side values pass the rule.
     """
     if len(grid.specs) != 2:
         return None
     (spec_x, spec_t), (x_nodes, t_nodes) = grid.specs, grid.nodes
     m, n_t, d_t, k = len(x_nodes), len(t_nodes), spec_t.degree_count, grid.k
-    problem = grid.problem
-    if spec_x.degree_count != m or any(sc.coords[0] is not None for sc in problem.side_conditions):
+    problem, sides = grid.problem, grid.problem.side_conditions
+    if spec_x.degree_count != m or any(sc.coords[0] is not None for sc in sides):
         return None
-    x, t = grid.points.T
+    x, t = x_nodes[:, None], t_nodes[None, :]
+    terms = [(i, term, *(op.order if isinstance(op, Derivative) and op.var == v else 0 for v in "xt"))
+             for i, eq in enumerate(problem.equations) for term in eq.terms for op in [term.op]]
+    # one table to the highest t-order: the Gauss nodes (canonical t and x), then the sides' t
+    rule = _mp_gauss_quadrature(m, mp.prec)
+    side_t, at = np.unique(np.array([sc.coords[1] for sc in sides], dtype=object), return_inverse=True)
+    top = max([o for *_, o in terms] + [sc.order for sc in sides])
+    T = legendre_table(d_t, np.concatenate([rule.nodes, shift_to_canonical(side_t, spec_t)]), top)
+    # Q[j, g] = (2j + 1)/2 w_g P_j(xi_g): the projection onto P_j
+    Q = T[0][:m, :m] * (np.arange(1, 2 * m, 2)[:, None] * rule.weights / 2)
+    T = [T_o * (2.0 / spec_t.width) ** o for o, T_o in enumerate(T)]  # as BasisSpec.values
     blocks = {0: np.zeros((k * d_t, k * d_t), dtype=object)}  # x-order -> block
-    tables = {}  # (x-order, t-order) -> (n_t, d_t) t-table times (2/width)**(x-order)
-    for i, eq in enumerate(problem.equations):
-        for term in eq.terms:
-            coeffs = term.coeff(x, t).reshape(m, n_t)
-            if not (coeffs == coeffs[0]).all():
-                return None
-            op = term.op
-            o_x = op.order if isinstance(op, Derivative) and op.var == "x" else 0
-            o_t = op.order if isinstance(op, Derivative) and op.var == "t" else 0
-            if (o_x, o_t) not in tables:
-                tables[o_x, o_t] = spec_t.values(t_nodes, o_t).T * (2 / spec_x.width) ** o_x
-            block = blocks.setdefault(o_x, np.zeros_like(blocks[0]))
-            col = term.target * d_t
-            block[i * n_t:(i + 1) * n_t, col:col + d_t] += coeffs[0][:, None] * tables[o_x, o_t]
+    for i, term, o_x, o_t in terms:
+        coeffs = term.coeff(x, t)
+        if not (coeffs == coeffs[0]).all():
+            return None
+        part = T[o_t][:, :n_t].T * (2 / spec_x.width) ** o_x if o_x else T[o_t][:, :n_t].T
+        c = coeffs[0][:, None]  # 1 and -1 taken exactly, as in `assemble`
+        part = part if (c == 1).all() else -part if (c == -1).all() else c * part
+        col = term.target * d_t
+        cell = blocks.setdefault(o_x, np.zeros_like(blocks[0]))[i * n_t:(i + 1) * n_t, col:col + d_t]
+        cell[...] = cell + part if cell.any() else part
     A0 = blocks.pop(0)
-    for s, sc in enumerate(problem.side_conditions):
-        col = sc.target * d_t
-        A0[k * n_t + s, col:col + d_t] = spec_t.values(np.array([sc.coords[1]]), sc.order)[:, 0]
-    D = _legendre_derivative(m)
-    pairs = [(reduce(np.dot, [D] * o), B) for o, B in blocks.items()]
-
-    # Q[j, g] = (2j + 1)/2 w_g P_j(xi_g), w_g = 2 / ((1 - xi_g^2) P_m'(xi_g)^2)
-    # the Gauss weights: the projection onto P_j
-    xi = shift_to_canonical(x_nodes, spec_x)
-    P = legendre_table(m + 1, xi, 1)
-    Q = P[0][:m] * np.arange(1, 2 * m, 2)[:, None] / ((1 - xi * xi) * P[1][m] ** 2)
-    rhs = np.array([eq.rhs(x, t) for eq in problem.equations]).reshape(k, m, n_t)
+    for s, sc in enumerate(sides):
+        A0[k * n_t + s, sc.target * d_t:(sc.target + 1) * d_t] = T[sc.order][:, n_t + at[s]]
+    pairs = [(reduce(np.dot, [_legendre_derivative(m)] * o), B) for o, B in blocks.items()]
+    rhs = np.stack([eq.rhs(x, t) for eq in problem.equations], axis=1).reshape(m, k * n_t)
     values = np.array([side.value for side in grid.sides], dtype=object).reshape(-1, m)
-    b = np.concatenate([np.matmul(Q, rhs).swapaxes(0, 1).reshape(m, k * n_t), Q.dot(values.T)], axis=1)
-    return A0, pairs, b
+    return A0, pairs, _dot(Q, np.concatenate([rhs, values.T], axis=1))
 
 
 def solve_interpolant(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from mpmath import mp, mpf
 
 from .errors import DomainError, NonConvergence
 
@@ -176,6 +177,31 @@ def gauss_quadrature(m: int) -> QuadratureRule:
     x = legendre_roots(m)
     dp = legendre_table(m + 1, x, 1)[1][m]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return QuadratureRule(nodes=x, weights=w)
+
+
+@lru_cache(maxsize=64)
+def _mp_gauss_quadrature(m: int, prec: int) -> QuadratureRule:
+    """`gauss_quadrature(m)` in mpmath `mpf` at `prec` bits: its nodes refined
+    by Newton's method until a step falls below 10**-dps, and the weights
+    from P_m' at the refined nodes.  Shared like `gauss_quadrature`."""
+    with mp.workprec(prec):
+        x = np.frompyfunc(mpf, 1, 1)(gauss_quadrature(m).nodes)
+        tol = mpf(10) ** (-mp.dps)
+        for _ in range(8):
+            tab = legendre_table(m + 1, x, 1)
+            step = tab[0][m] / tab[1][m]
+            x = x - step
+            if max(abs(step)) < tol:
+                break
+        else:
+            raise NonConvergence(f"Newton refinement of the P_{m} roots stalled at {prec} bits")
+        with mp.workprec(prec + 32):
+            dp = legendre_table(m + 1, x, 1)[1][m]
+            w = 2 / ((1 - x * x) * dp * dp)
+        w = +w  # rounded once, to prec bits
     x.setflags(write=False)
     w.setflags(write=False)
     return QuadratureRule(nodes=x, weights=w)

@@ -56,7 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .fractional import caputo_l1_table, caputo_table
-from .legendre import BasisSpec, gauss_quadrature, legendre_table, shift_from_canonical
+from .legendre import BasisSpec, _mp_gauss_quadrature, gauss_quadrature, shift_from_canonical
 from .model import (
     Caputo,
     DaeProblem,
@@ -64,7 +64,6 @@ from .model import (
     Identity,
     SideCondition,
     VolterraIntegral,
-    _to_mpf,
     is_linear,
 )
 
@@ -277,23 +276,14 @@ def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
     """Validate the problem and discretize it: the roots of P_m mapped onto
     each axis, and their tensor product.
 
-    On an mpf domain the roots are refined by Newton's method to working
-    precision, and the points are mpf in object arrays; mpf side values are
-    computed at the working precision of this call.
+    On an mpf domain the roots are refined to working precision once per
+    (m, precision), and the points are mpf in object arrays; mpf side values
+    are computed at the working precision of this call.
     """
     problem.validate()
-    m = config.m
-    roots = gauss_quadrature(m).nodes
-    if isinstance(problem.axes[0][1], mpf):
-        roots = _to_mpf(roots)
-        tol = mpf(10) ** (-mp.dps)
-        for _ in range(8):
-            tab = legendre_table(m + 1, roots, 1)
-            step = tab[0][m] / tab[1][m]
-            roots = roots - step
-            if max(abs(step)) < tol:
-                break
-    return CollocationGrid(problem, config, roots)
+    mp_domain = isinstance(problem.axes[0][1], mpf)
+    rule = _mp_gauss_quadrature(config.m, mp.prec) if mp_domain else gauss_quadrature(config.m)
+    return CollocationGrid(problem, config, rule.nodes)
 
 
 def assemble(grid: CollocationGrid):

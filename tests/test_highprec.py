@@ -4,16 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from mpmath import mp, mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 from numpy.testing import assert_allclose
 
 import daesvr.highprec as highprec
 from daesvr.benchmarks import CASES, sweep
 from daesvr.errors import DaeSvrError, MissingExact, SingularSystem, ValidationError
 from daesvr.highprec import solve_interpolant, solve_square
-from daesvr.expressions import MPF
+from daesvr.expressions import MPF, Vocabulary
 from daesvr.legendre import legendre_table
-from daesvr.model import DaeProblem, Identity
+from daesvr.model import DaeProblem, Derivative, Identity, residuals
 from daesvr.schema import _build, load_problem
 from daesvr.solver import SolverConfig, TrainedModel, assemble, build_grid, report
 
@@ -297,6 +297,25 @@ class TestModes:
         assert assembled == [model.grid]
         assert max(abs_errors(model, RECTANGLE_PROBES)) <= 1e-30
 
+    def test_fields_are_evaluated_on_the_open_mesh(self):
+        # exp occurs only in factors of t, which the x-node by t-node mesh
+        # computes once per t-node, not once per grid point
+        calls = []
+
+        def exp(v):
+            calls.append(v)
+            return mpmath.exp(v)
+
+        vocabulary = Vocabulary(MPF.functions | {"exp": exp}, MPF.constants, MPF.result, MPF.dtype)
+        source = load_problem("example5").source
+        occurrences = sum(json.dumps(eq).count("exp(") for eq in source["equations"])
+        with workdps(40):
+            grid = build_grid(_build(source, "example5", vocabulary), SolverConfig(m=6))
+            calls.clear()
+            assert highprec._mode_system(grid) is not None
+        assert occurrences == 3
+        assert len(calls) == occurrences * len(grid.nodes[1])
+
     def test_legendre_derivative_matrix(self):
         # column p holds P_p' in the P_j: P_3' = P_0 * 1 + P_2 * 5
         D = highprec._legendre_derivative(5)
@@ -304,6 +323,109 @@ class TestModes:
         s = np.linspace(-1, 1, 7)
         P, dP = legendre_table(5, s, 1)
         assert_allclose(D.astype(float).T @ P, dP, atol=1e-12)
+
+
+def mpf_bits(values):
+    return [v._mpf_ for v in np.ravel(values)]
+
+
+class TestDot:
+    """`_dot`: exact integer products, each entry rounded to mpf once."""
+
+    @staticmethod
+    def operands(prec):
+        """A (3, 5) by (5, 4) pair of mpf matrices: entries of either sign
+        from 2**-40 to 2**20 in size, and one zero (an int, as in Z)."""
+        rng = np.random.default_rng(7)
+        with workprec(prec):
+            entries = [mpf(float(v)) * mpf(2) ** int(e) / 3
+                       for v, e in zip(rng.standard_normal(35), rng.integers(-40, 20, 35))]
+        A = np.array(entries[:15], dtype=object).reshape(3, 5)
+        B = np.array(entries[15:], dtype=object).reshape(5, 4)
+        A[1, 2] = 0
+        return A, B
+
+    def test_entry_is_the_same_alone_and_in_a_batch(self):
+        with workdps(40):
+            A, B = self.operands(mp.prec)
+            full = highprec._dot(A, B)
+            for i, j in np.ndindex(full.shape):
+                assert mpf_bits(highprec._dot(A[i:i + 1], B[:, j:j + 1])) == mpf_bits(full[i, j])
+
+    def test_matches_a_90_digit_contraction(self):
+        with workdps(40):
+            prec = mp.prec
+            A, B = self.operands(prec)
+            got = highprec._dot(A, B)
+        with workdps(90):
+            for i, j in np.ndindex(got.shape):
+                want = mpmath.fsum(a * b for a, b in zip(A[i], B[:, j]))
+                assert abs(got[i, j] - want) <= mpf(2) ** -prec * abs(want)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_entries_are_refused(self, value):
+        with workdps(40):
+            A, B = self.operands(mp.prec)
+            B[3, 1] = mpf(value)
+            with pytest.raises(ValidationError, match="finite"):
+                highprec._dot(A, B)
+
+
+class TestValues:
+    """`InterpolantModel.values`, which `report` and `residuals` read."""
+
+    @staticmethod
+    def points(model):
+        if len(model.problem.axes) == 1:
+            return PROBES
+        return CASES["example5"].probes + ((-0.5, 0.0), (0.3, 0.85), (-0.2, 1.0))
+
+    @pytest.fixture(params=["interval", "rectangle"])
+    def model(self, request, coarse, example5):
+        return coarse if request.param == "interval" else example5[0]
+
+    @pytest.mark.parametrize("op", [Identity(), Derivative(1, "t")], ids=["identity", "d/dt"])
+    def test_value_is_the_same_alone_and_in_a_batch(self, model, op):
+        probes = self.points(model)
+        batch = model.values(op, probes)
+        for i, p in enumerate(probes):
+            assert mpf_bits(model.values(op, [p])) == mpf_bits(batch[:, i])
+
+    def test_values_match_a_90_digit_contraction(self, model):
+        # rounded once, to 2**-prec relative; a value that cancels to near
+        # zero (the probes on t = 0) keeps 128 bits beyond working precision
+        # of the terms' size, from the truncation to fixed point
+        probes = self.points(model)
+        got = model.values(Identity(), probes)
+        with workdps(model.digits):
+            prec = mp.prec
+            M = model.grid.operator_matrix(Identity(), model.problem.points(probes))
+        with workdps(90):
+            for u, i in np.ndindex(got.shape):
+                want = mpmath.fsum(a * w for a, w in zip(M[i], model.weights[u]))
+                size = mpmath.fsum(abs(a * w) for a, w in zip(M[i], model.weights[u]))
+                assert abs(got[u, i] - want) <= mpf(2) ** -prec * (abs(want) + 2 ** -120 * size)
+
+    def test_non_finite_weight_is_refused(self, coarse):
+        broken = highprec.InterpolantModel(
+            weights=coarse.weights.copy(), errors=coarse.errors, grid=coarse.grid, digits=40)
+        broken.weights[1, 3] = mpf("nan")
+        with pytest.raises(ValidationError, match="finite"):
+            broken.values(Identity(), PROBES)
+
+    def test_report_and_residuals_read_them(self, monkeypatch, coarse):
+        seen = []
+        dot = highprec._dot
+
+        def recording(A, B):
+            seen.append(B.shape)
+            return dot(A, B)
+
+        monkeypatch.setattr(highprec, "_dot", recording)
+        report(coarse, PROBES)
+        residuals(coarse.problem, coarse, PROBES)
+        # report: the identity; residuals: the identity and d/dt
+        assert seen == [(coarse.block, len(PROBES))] * 3
 
 
 def lu_reference(A, b, digits, extra=20):
@@ -503,6 +625,18 @@ class TestMpfBuild:
         )
         with pytest.raises(ValidationError, match="load_problem"):
             solve_interpolant(built, SolverConfig(m=6))
+
+
+class TestPrecisionKey:
+    def test_finer_solve_after_a_coarser_one_reaches_its_accuracy(self):
+        # the Gauss rule is cached per (m, precision): an 80-digit solve after
+        # a 40-digit one at m = 16 gets 80-digit nodes (the 40-digit l2 is 3e-22)
+        problem, probes = load_problem("example5"), CASES["example5"].probes
+        config = SolverConfig(m=16)
+        coarse_l2 = max(report(solve_interpolant(problem, config, digits=40), probes).l2)
+        fine_l2 = max(report(solve_interpolant(problem, config, digits=80), probes).l2)
+        assert coarse_l2 > 1e-23
+        assert fine_l2 <= 1e-28
 
 
 class TestReport:

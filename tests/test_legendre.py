@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from mpmath import mpf, workdps
+from mpmath import mp, mpf, workdps, workprec
 from numpy.testing import assert_allclose
 
 import daesvr.legendre
@@ -10,6 +11,7 @@ from daesvr.errors import DomainError, NonConvergence
 from daesvr.expressions import MPF
 from daesvr.legendre import (
     BasisSpec,
+    _mp_gauss_quadrature,
     gauss_quadrature,
     legendre_eval,
     legendre_roots,
@@ -126,6 +128,68 @@ class TestExtendedPrecision:
             assert all(isinstance(v, mpf) for v in nodes)
             assert max(abs(v) for v in legendre_table(m + 1, nodes)[0][m]) <= mpf(10) ** -38
         assert_allclose(nodes.astype(float), legendre_roots(m), rtol=0, atol=1e-14)
+
+
+class TestWorkingPrecisionRule:
+    """The m-point Gauss rule in mpf, cached per (m, precision)."""
+
+    @pytest.mark.parametrize("digits", [40, 80])
+    @pytest.mark.parametrize("m", [1, 2, 6, 11, 16, 40])
+    def test_nodes_are_roots_and_weights_sum_to_two(self, m, digits):
+        # checked 200 bits beyond the rule's precision: each node is within
+        # one unit of 2**-prec of a root, and the weights sum to 2 within a
+        # few units (they are rounded once, from 32 bits more)
+        with workdps(digits):
+            prec = mp.prec
+        rule = _mp_gauss_quadrature(m, prec)
+        assert all(type(v) is mpf for v in (*rule.nodes, *rule.weights))
+        with workprec(prec + 200):
+            P = legendre_table(m + 1, rule.nodes, 1)
+            assert max(abs(P[0][m] / P[1][m])) <= mpf(2) ** -prec
+            assert abs(mpmath.fsum(rule.weights) - 2) <= 8 * mpf(2) ** -prec
+        assert_allclose(rule.nodes.astype(float), gauss_quadrature(m).nodes, rtol=0, atol=1e-14)
+
+    def test_rule_is_cached_per_precision_and_read_only(self):
+        rule = _mp_gauss_quadrature(6, 136)
+        assert _mp_gauss_quadrature(6, 136) is rule
+        assert not rule.nodes.flags.writeable
+        assert not rule.weights.flags.writeable
+        finer = _mp_gauss_quadrature(6, 269)
+        assert finer is not rule
+        assert max(abs(a - b) for a, b in zip(finer.nodes, rule.nodes)) > 0
+
+    def test_second_grid_refines_no_roots(self, monkeypatch):
+        # the Newton passes run on the first grid at an (m, digits) only
+        source = {"unknowns": 1, "domain": {"lo": 0, "hi": 0.7},
+                  "equations": [{"terms": [{"coeff": 1, "op": "identity", "target": 0}], "rhs": "t"}]}
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return legendre_table(*args)
+
+        _mp_gauss_quadrature.cache_clear()
+        monkeypatch.setattr(daesvr.legendre, "legendre_table", counting)
+        with workdps(37):
+            problem = _build(source, "line", MPF)
+            first = build_grid(problem, SolverConfig(m=7))
+            assert len(calls) >= 2
+            calls.clear()
+            second = build_grid(problem, SolverConfig(m=7))
+        assert calls == []
+        assert list(second.points[:, 0]) == list(first.points[:, 0])
+
+    def test_stalled_refinement_is_refused(self, monkeypatch):
+        # a doubled derivative halves every Newton step, so the error only
+        # halves per pass and no step falls below 10**-dps
+        def doubled(count, x, order=0):
+            table = legendre_table(count, x, order)
+            return table[:1] + [2 * rows for rows in table[1:]]
+
+        gauss_quadrature(5)  # the double-precision start, cached unpatched
+        monkeypatch.setattr(daesvr.legendre, "legendre_table", doubled)
+        with pytest.raises(NonConvergence, match="P_5 roots stalled at 401 bits"):
+            _mp_gauss_quadrature(5, 401)
 
 
 class TestRoots:
