@@ -53,9 +53,10 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """What an expression may call and name; its value is `result`, or an array of `dtype`."""
+    """What an expression may call and name; its value is `result`, or an array of `dtype`.
+    Equal and hashed by identity, so a compiled expression is cached per vocabulary."""
 
     functions: dict
     constants: dict
@@ -154,8 +155,14 @@ def _function(tree: ast.Expression, variables: tuple, vocabulary: Vocabulary, la
     result, dtype = vocabulary.result, vocabulary.dtype
     if dtype is object:  # mpf() of every element, as the scalar path takes it
         arg = cast = np.frompyfunc(result, 1, 1)
+
+        def finite(out):  # mpmath marks an infinity or a NaN with a negative bit count
+            return all(v._mpf_[3] >= 0 for v in out.flat)
     else:  # assigning to float64 takes float() of every element
         arg, cast = partial(np.asarray, dtype=dtype), np.asarray
+
+        def finite(out):  # an inf or a nan makes the sum one too
+            return math.isfinite(out.sum())
 
     def scalar(*args):
         local = dict(zip(variables, map(result, args)))
@@ -180,7 +187,7 @@ def _function(tree: ast.Expression, variables: tuple, vocabulary: Vocabulary, la
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 value = eval(code, arrays, dict(zip(variables, args)))
                 out[...] = cast(value)
-                if math.isfinite(out.sum()):  # an inf or a nan makes the sum one too
+                if finite(out):
                     return out
         except (ValueError, ArithmeticError, TypeError):
             pass
@@ -211,8 +218,17 @@ def compile_expression(text: str, variables: tuple, vocabulary: Vocabulary = FLO
     value is undefined (a math domain error, a division by zero, an
     overflow) or is not a finite real number (a fractional power of a
     negative base, an infinity); on arrays, the scalar call's error at the
-    first such point, with no numpy warning.
+    first such point, with no numpy warning.  The function depends only on
+    the arguments, so the most recent ones are kept and returned again
+    without compiling; a text that fails is refused again on every call.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {text!r}")
+    return _compiled(text, tuple(variables), vocabulary)
+
+
+@lru_cache(maxsize=256)
+def _compiled(text: str, variables: tuple, vocabulary: Vocabulary):
     return _function(_parse(text, variables, vocabulary), variables, vocabulary, repr(text))
 
 

@@ -56,6 +56,13 @@ residual, an exact integer product of those row-scaled integers with the
 weights, drives one correction solve through the same factors and is
 returned as `errors` (`_refined`); and the mode projection and every
 evaluation are exact integer products rounded once per entry (`_dot`).
+Elimination, substitution and the modes' block updates run on lists of
+Python ints, the factors kept as the nonzero multipliers, the pivots and
+the rows right of them: numpy object arrays would run the same integer
+operations one at a time, plus a dispatch per call.  Each solution and
+residual entry becomes an mpf by one exact conversion of its integer and
+exponent (`_mpf`, with no rounding); `_dot` rounds its entries the same
+way at working precision.
 """
 
 from __future__ import annotations
@@ -63,12 +70,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Integral
+from operator import mul
 from typing import Optional
 
 import numpy as np
 from mpmath import mp, mpf, workdps
 from mpmath.libmp import from_man_exp, fzero
-import mpmath
 
 from .errors import SingularSystem, ValidationError
 from .expressions import MPF
@@ -163,43 +170,58 @@ def _dot(A, B) -> np.ndarray:
     once from the exact product of A's rows and B's columns scaled into
     integers (`_row_scaled`): an entry depends only on its row and column."""
     (row, A_int), (col, B_int) = _row_scaled(A), _row_scaled(np.transpose(B))
-    rounded = np.frompyfunc(lambda man, e: mp.make_mpf(from_man_exp(man, e, *mp._prec_rounding)), 2, 1)
+    rounding = mp._prec_rounding
+    rounded = np.frompyfunc(lambda man, e: _mpf(man, e, *rounding), 2, 1)
     return rounded(A_int.dot(B_int.T), -(row[:, None] + col).astype(object))
 
 
 def _factor(A_int) -> tuple:
     """Gaussian elimination with partial pivoting of the row-scaled integers
     in fixed point with F fractional bits, touching only the rows with a
-    nonzero multiplier: (U, perm), U holding the multipliers below its
-    diagonal.  Raises SingularSystem on a zero pivot."""
+    nonzero multiplier.  Returns the factors as Python int lists: the row
+    permutation, each row's nonzero multipliers as (column, multiplier)
+    pairs, the pivots and each row's entries right of its pivot.  Raises
+    SingularSystem on a zero pivot."""
     F = mp.prec + _GUARD_BITS
-    n = len(A_int)
-    U = A_int.copy()
-    perm = np.arange(n)
+    U = A_int.tolist()
+    n = len(U)
+    perm = list(range(n))
+    lower = [[] for _ in range(n)]
     for j in range(n):
-        p = j + int(np.argmax(np.abs(U[j:, j])))
-        if not U[p, j]:
+        p = max(range(j, n), key=lambda i: abs(U[i][j]))  # the first largest, as argmax
+        if not U[p][j]:
             raise SingularSystem(f"zero pivot in column {j} after row equilibration")
-        U[[j, p]] = U[[p, j]]
-        perm[[j, p]] = perm[[p, j]]
-        l = (U[j + 1:, j] << F) // U[j, j]
-        U[j + 1:, j] = l  # the multipliers, reused by _substitute
-        nz = np.flatnonzero(l)
-        U[nz + j + 1, j + 1:] -= np.outer(l[nz], U[j, j + 1:]) >> F
-    return U, perm
+        U[j], U[p], lower[j], lower[p] = U[p], U[j], lower[p], lower[j]
+        perm[j], perm[p] = perm[p], perm[j]
+        pivot, tail = U[j][j], U[j][j + 1:]
+        for i in range(j + 1, n):
+            l = (U[i][j] << F) // pivot
+            if l:
+                lower[i].append((j, l))
+                U[i][j + 1:] = [a - ((l * b) >> F) for a, b in zip(U[i][j + 1:], tail)]
+    return perm, lower, [U[k][k] for k in range(n)], [U[k][k + 1:] for k in range(n)]
 
 
-def _substitute(U, perm, c) -> np.ndarray:
-    """Integers z with A_int z = c * 2**F, through the factors of `_factor`."""
+def _substitute(factors, c) -> list:
+    """Integers z with A_int z = c * 2**F, through the factors of `_factor`:
+    c[i] loses the truncated terms (l c[j]) >> F of its multipliers, then
+    each z[k] is its row's exact sum divided by the pivot, from the last
+    row up."""
     F = mp.prec + _GUARD_BITS
-    n = len(c)
-    c = c[perm]
-    for j in range(n - 1):
-        c[j + 1:] -= (U[j + 1:, j] * c[j]) >> F
-    z = np.zeros(n, dtype=object)
-    for k in range(n - 1, -1, -1):
-        z[k] = ((c[k] << F) - U[k, k + 1:].dot(z[k + 1:])) // U[k, k]
+    perm, lower, pivots, upper = factors
+    c = [c[i] for i in perm]
+    for i, pairs in enumerate(lower):
+        if pairs:
+            c[i] -= sum([(l * c[j]) >> F for j, l in pairs])
+    z = [0] * len(c)
+    for k in range(len(c) - 1, -1, -1):
+        z[k] = ((c[k] << F) - sum(map(mul, upper[k], z[k + 1:]))) // pivots[k]
     return z
+
+
+def _mpf(man, exp, *rounding) -> mpf:
+    """The mpf man * 2**exp: exact, or rounded as `rounding` = (prec, rnd) says."""
+    return mp.make_mpf(from_man_exp(int(man), int(exp), *rounding))
 
 
 def _refined(b, row, apply, solve) -> tuple:
@@ -216,8 +238,7 @@ def _refined(b, row, apply, solve) -> tuple:
     def solution(sign, man, e):
         """The solution for the row-scaled right-hand side (-1)**sign * man * 2**e."""
         scale = F - max((int(k) + v.bit_length() for v, k in zip(man, e) if v), default=F)
-        z = solve(_scaled(sign, man, e + scale))
-        return [mpmath.ldexp(z_k, -F - scale) for z_k in z]
+        return [_mpf(z_k, -F - scale) for z_k in solve(_scaled(sign, man, e + scale))]
 
     def residual(w):
         """b - A w, row-scaled and split like a right-hand side of solution."""
@@ -229,7 +250,7 @@ def _refined(b, row, apply, solve) -> tuple:
     w = solution(b_sign, b_man, b_exp + row)
     w = [w_k + d_k for w_k, d_k in zip(w, solution(*residual(w)))]
     sign, man, e = residual(w)
-    errors = [mpmath.ldexp(m if s else -m, k) for s, m, k in zip(sign, man, (e - row).tolist())]
+    errors = [_mpf(m if s else -m, k) for s, m, k in zip(sign, man, (e - row).tolist())]
     return w, np.array(errors, dtype=object)
 
 
@@ -247,8 +268,8 @@ def solve_square(A, b) -> tuple:
     zero pivot.
     """
     row, A_int = _row_scaled(A)
-    U, perm = _factor(A_int)
-    return _refined(b, row, A_int.dot, lambda c: _substitute(U, perm, c))
+    factors = _factor(A_int)
+    return _refined(b, row, A_int.dot, lambda c: _substitute(factors, c))
 
 
 def _solve_modes(A0, blocks, b) -> tuple:
@@ -266,7 +287,7 @@ def _solve_modes(A0, blocks, b) -> tuple:
     F = mp.prec + _GUARD_BITS
     m, n = b.shape
     row, A_int = _row_scaled(A0)
-    U, perm = _factor(A_int)
+    factors = _factor(A_int)
     blocks = [(N, _row_scaled(B, row)[1]) for N, B in blocks]
 
     def apply(v):
@@ -276,14 +297,20 @@ def _solve_modes(A0, blocks, b) -> tuple:
             out += N.dot(V.dot(B.T))
         return out.ravel()
 
+    # each B's rows as (column, entry) pairs, and the nonzero N[p, j] per j
+    sparse = [([[(q, v) for q, v in enumerate(r) if v] for r in B.tolist()],
+               [[(p, N[p, j]) for p in range(j) if N[p, j]] for j in range(m)]) for N, B in blocks]
+
     def solve(c):
-        c = c.reshape(m, n).copy()
-        z = np.empty_like(c)
+        c = c.reshape(m, n).tolist()
         for j in range(m - 1, -1, -1):
-            z[j] = _substitute(U, perm, c[j])
-            for N, B in blocks:
-                c[:j] -= np.outer(N[:j, j], B.dot(z[j])) >> F
-        return z.ravel()
+            c[j] = z = _substitute(factors, c[j])
+            for B, higher in sparse:
+                if higher[j]:
+                    Bz = [sum([v * z[q] for q, v in r]) for r in B]
+                    for p, N_pj in higher[j]:
+                        c[p] = [a - ((N_pj * y) >> F) for a, y in zip(c[p], Bz)]
+        return [z_i for z in c for z_i in z]
 
     X, errors = _refined(b.ravel(), np.tile(row, m), apply, solve)
     return np.array(X, dtype=object).reshape(m, n), errors.reshape(m, n)

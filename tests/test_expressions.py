@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from daesvr.errors import EvaluationError, ParseError
-from daesvr.expressions import FLOAT, FUNCTIONS, MPF, compile_expression, derivative
+from daesvr.expressions import FLOAT, FUNCTIONS, MPF, Vocabulary, compile_expression, derivative
 
 
 class TestCompile:
@@ -54,6 +54,44 @@ class TestCompile:
     def test_no_variables(self):
         fn = compile_expression("gamma(4)", ())
         assert_allclose(fn(), 6.0, rtol=1e-15)
+
+
+class TestCompileCache:
+    """A compiled expression is kept per (text, variables, vocabulary)."""
+
+    @pytest.mark.parametrize("vocabulary", [FLOAT, MPF], ids=["float", "mpf"])
+    def test_same_arguments_give_the_same_function(self, vocabulary):
+        fn = compile_expression("sin(t) + x", ("x", "t"), vocabulary)
+        assert compile_expression("sin(t) + x", ("x", "t"), vocabulary) is fn
+        assert compile_expression("sin(t) + x", ("t", "x"), vocabulary) is not fn
+        assert compile_expression("sin(t) + x ", ("x", "t"), vocabulary) is not fn
+        assert compile_expression("sin(t) + x", ["x", "t"], vocabulary) is fn
+
+    def test_each_vocabulary_gets_its_own_compile(self):
+        calls = []
+
+        def exp(v):
+            calls.append(v)
+            return mpmath.exp(v)
+
+        counting = Vocabulary(MPF.functions | {"exp": exp}, MPF.constants, MPF.result, MPF.dtype)
+        plain = compile_expression("exp(t)", ("t",), MPF)
+        fn = compile_expression("exp(t)", ("t",), counting)
+        assert fn is not plain and compile_expression("exp(t)", ("t",), counting) is fn
+        fn(mpmath.mpf(1))
+        fn(np.array([mpmath.mpf(1), mpmath.mpf(2)], dtype=object))
+        plain(mpmath.mpf(1))
+        assert len(calls) == 3
+        # equal fields make a distinct vocabulary: it is keyed by identity
+        twin = Vocabulary(counting.functions, counting.constants, counting.result, counting.dtype)
+        assert twin != counting
+        assert compile_expression("exp(t)", ("t",), twin) is not fn
+
+    @pytest.mark.parametrize("text", ["t +", "unknown_fn(t)", "", 3.0, None, ["t"]])
+    def test_refused_on_every_call(self, text):
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                compile_expression(text, ("t",))
 
 
 class TestRejections:
@@ -352,6 +390,29 @@ class TestArrayFailures:
         with pytest.raises(EvaluationError) as exc:
             fn(np.array([mpmath.mpf(1), mpmath.mpf(-1)]))
         assert str(exc.value) == want
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_mpf_non_finite_value(self, value):
+        fn = compile_expression("2*t", ("t",), MPF)
+        want = self.scalar_error(fn, mpmath.mpf(value))
+        assert repr("2*t") in want
+        with pytest.raises(EvaluationError) as exc:
+            fn(np.array([mpmath.mpf(1), mpmath.mpf(value), mpmath.mpf(2)], dtype=object))
+        assert str(exc.value) == want
+
+    def test_mpf_finiteness_check_adds_nothing(self, monkeypatch):
+        # an object array is checked element by element, not through its sum
+        fn = compile_expression("2*t", ("t",), MPF)
+        t = np.array([mpmath.mpf(k) for k in range(8)], dtype=object)
+        added = []
+
+        def add(a, b):
+            added.append(b)
+            return mpmath.fadd(a, b)
+
+        monkeypatch.setattr(mpmath.mpf, "__add__", add)
+        assert [float(v) for v in fn(t)] == [2.0 * k for k in range(8)]
+        assert added == []
 
     def test_values_the_scalar_path_accepts_are_kept(self):
         # numpy flags the overflow of t*1e308*10, but 1/inf is a finite

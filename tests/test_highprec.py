@@ -534,6 +534,152 @@ class TestSquareSolve:
                 solve_square(A, [mpf(1)] * 6)
 
 
+# The integer kernels as numpy object arrays, with each entry converted by
+# mpmath.ldexp: references for the Python-int kernels, which must give the
+# same integers and so the same bits.
+
+def reference_factor(A_int):
+    F = mp.prec + highprec._GUARD_BITS
+    n = len(A_int)
+    U = A_int.copy()
+    perm = np.arange(n)
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(U[j:, j])))
+        if not U[p, j]:
+            raise SingularSystem(f"zero pivot in column {j} after row equilibration")
+        U[[j, p]] = U[[p, j]]
+        perm[[j, p]] = perm[[p, j]]
+        l = (U[j + 1:, j] << F) // U[j, j]
+        U[j + 1:, j] = l
+        nz = np.flatnonzero(l)
+        U[nz + j + 1, j + 1:] -= np.outer(l[nz], U[j, j + 1:]) >> F
+    return U, perm
+
+
+def reference_substitute(factors, c):
+    F = mp.prec + highprec._GUARD_BITS
+    U, perm = factors
+    n = len(c)
+    c = np.array(c, dtype=object)[perm]
+    for j in range(n - 1):
+        c[j + 1:] -= (U[j + 1:, j] * c[j]) >> F
+    z = np.zeros(n, dtype=object)
+    for k in range(n - 1, -1, -1):
+        z[k] = ((c[k] << F) - U[k, k + 1:].dot(z[k + 1:])) // U[k, k]
+    return z
+
+
+def reference_refined(b, row, apply, solve):
+    F = mp.prec + highprec._GUARD_BITS
+    b_sign, b_man, b_exp, _ = highprec._mantissas(b)
+
+    def solution(sign, man, e):
+        scale = F - max((int(k) + v.bit_length() for v, k in zip(man, e) if v), default=F)
+        z = solve(highprec._scaled(sign, man, e + scale))
+        return [mpmath.ldexp(z_k, -F - scale) for z_k in z]
+
+    def residual(w):
+        w_sign, w_man, w_exp, w_bc = highprec._mantissas(w)
+        E = F - int(highprec._mag(w_exp, w_bc, F))
+        r = (highprec._scaled(b_sign, b_man, b_exp + row + E)
+             - apply(highprec._scaled(w_sign, w_man, w_exp + E)))
+        return r < 0, np.abs(r), np.full(len(r), -E)
+
+    w = solution(b_sign, b_man, b_exp + row)
+    w = [w_k + d_k for w_k, d_k in zip(w, solution(*residual(w)))]
+    sign, man, e = residual(w)
+    errors = [mpmath.ldexp(m if s else -m, k) for s, m, k in zip(sign, man, (e - row).tolist())]
+    return w, np.array(errors, dtype=object)
+
+
+def reference_solve_square(A, b):
+    row, A_int = highprec._row_scaled(A)
+    factors = reference_factor(A_int)
+    return reference_refined(b, row, A_int.dot, lambda c: reference_substitute(factors, c))
+
+
+def reference_solve_modes(A0, blocks, b):
+    F = mp.prec + highprec._GUARD_BITS
+    m, n = b.shape
+    row, A_int = highprec._row_scaled(A0)
+    factors = reference_factor(A_int)
+    blocks = [(N, highprec._row_scaled(B, row)[1]) for N, B in blocks]
+
+    def apply(v):
+        V = v.reshape(m, n)
+        out = V.dot(A_int.T)
+        for N, B in blocks:
+            out += N.dot(V.dot(B.T))
+        return out.ravel()
+
+    def solve(c):
+        c = c.reshape(m, n).copy()
+        z = np.empty_like(c)
+        for j in range(m - 1, -1, -1):
+            z[j] = reference_substitute(factors, c[j])
+            for N, B in blocks:
+                c[:j] -= np.outer(N[:j, j], B.dot(z[j])) >> F
+        return z.ravel()
+
+    X, errors = reference_refined(b.ravel(), np.tile(row, m), apply, solve)
+    return np.array(X, dtype=object).reshape(m, n), errors.reshape(m, n)
+
+
+def random_system(n, seed):
+    """A row-scaled integer matrix of order n, about a third of its entries
+    zero, with some rows made of small integers (ties for the pivot) and
+    two right-hand sides, at the current working precision."""
+    rng = np.random.default_rng(seed)
+    F = mp.prec + highprec._GUARD_BITS
+    A = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            if i == j or rng.random() < 0.65:
+                A[i, j] = int(rng.integers(-3, 4)) << F if i % 4 == 3 else \
+                    int(rng.integers(1, 2**62)) * int(rng.choice([-1, 1])) << (F - 62)
+    rhs = [[int(rng.integers(-2**62, 2**62)) << int(rng.integers(0, F)) for _ in range(n)]
+           for _ in range(2)]
+    return A, rhs
+
+
+class TestKernelBits:
+    """The Python-int kernels give the integers, and so the bits, of the
+    numpy object-array kernels and the ldexp conversion above."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_factor_and_substitute(self, n):
+        with workdps(40):
+            for seed in range(3):
+                A, rhs = random_system(n, 1000 * n + seed)
+                try:
+                    want = reference_factor(A)
+                except SingularSystem:
+                    with pytest.raises(SingularSystem):
+                        highprec._factor(A)
+                    continue
+                got = highprec._factor(A)
+                for c in rhs:
+                    z = highprec._substitute(got, np.array(c, dtype=object))
+                    assert z == reference_substitute(want, c).tolist()
+                    assert all(type(z_k) is int for z_k in z)
+
+    @pytest.mark.parametrize(
+        "text, m, digits",
+        [("example5", 4, 40), ("example5", 10, 40), ("example5", 16, 40), ("example5", 6, 80),
+         (OSCILLATOR, 6, 40)],
+        ids=["example5-m4", "example5-m10", "example5-m16", "example5-m6-80-digits",
+             "oscillator-dense"],
+    )
+    def test_weights_and_errors(self, monkeypatch, text, m, digits):
+        problem, config = load_problem(text), SolverConfig(m=m)
+        model = solve_interpolant(problem, config, digits=digits)
+        monkeypatch.setattr(highprec, "_solve_modes", reference_solve_modes)
+        monkeypatch.setattr(highprec, "solve_square", reference_solve_square)
+        want = solve_interpolant(problem, config, digits=digits)
+        assert mpf_bits(model.weights) == mpf_bits(want.weights)
+        assert mpf_bits(model.errors) == mpf_bits(want.errors)
+
+
 class TestRejections:
     def test_nonlinear_problems_stay_on_double_path(self):
         with pytest.raises(ValidationError, match="linear"):
