@@ -69,7 +69,16 @@ class BasisSpec:
         """(degree_count,) + shape(x) array of the order-th derivative of
         every basis function at the points x of [lo, hi]: the Legendre table
         at the mapped points times the chain-rule factor (2 / width)^order."""
-        table = legendre_table(self.degree_count, shift_to_canonical(x, self), order)
+        return self._row(self._table(x, order), order)
+
+    def _table(self, x, order: int) -> list[np.ndarray]:
+        """`legendre_table` of the basis at the mapped points x, every
+        derivative order up to `order`."""
+        return legendre_table(self.degree_count, shift_to_canonical(x, self), order)
+
+    def _row(self, table: list[np.ndarray], order: int) -> np.ndarray:
+        """`values` at `order` from a `_table` of that order or higher: row r
+        of a table is, bit for bit, the last row of the order-r table."""
         return table[order] * (2.0 / self.width) ** order
 
 

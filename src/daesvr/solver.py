@@ -31,7 +31,12 @@ no longer affine in w, started from `solve_linear` on the linear part), or
 infinity limit.  Each returns a `TrainedModel` that carries the grid.
 The grid works per axis of `DaeProblem.axes` (t, or x then t): a Legendre
 basis and collocation nodes on each axis, tensorized on the rectangle, and
-every operator's table is the product of its per-axis tables.
+every operator's table is the product of its per-axis tables.  Each axis
+has one Legendre table at its nodes, up to the highest derivative order
+that a term or side condition asks for there; identity and derivative
+tables, and side conditions at a node, take their rows from it.
+Both double-precision kernels factor by LAPACK Cholesky (`_cholesky`,
+scipy's `dpotrf`/`dpotrs` called directly).
 """
 
 from __future__ import annotations
@@ -183,6 +188,13 @@ class CollocationGrid:
         self.sides = self._expand_side_conditions()
         self.n_constraints = self.k * len(self) + len(self.sides)
         self._grid_matrices = {}
+        # per axis, the highest derivative order a term or side condition
+        # asks for, and the one basis table at the axis's nodes up to it
+        ops = [term.op for eq in problem.equations for term in eq.terms]
+        ops += [sc.op for sc in problem.side_conditions]
+        self._orders = [max((op.order for op in ops if isinstance(op, Derivative) and op.var == name),
+                            default=0) for name in problem.variables]
+        self._node_tables = {}
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -208,15 +220,27 @@ class CollocationGrid:
 
     # -- basis rows -----------------------------------------------------
 
-    def _axis_values(self, op, axis: str, spec: BasisSpec, nodes) -> np.ndarray:
-        """(count, n_nodes) table of op's action on one axis at distinct
+    def _basis_values(self, a: int, coords, order: int) -> np.ndarray:
+        """`spec.values(coords, order)` on axis a.  At the axis's own nodes
+        it is a row of the one table built there (up to the axis's highest
+        order), shared by every operator and side condition."""
+        spec = self.specs[a]
+        if coords is not self.nodes[a] or order > self._orders[a]:
+            return spec.values(coords, order)
+        if a not in self._node_tables:
+            self._node_tables[a] = spec._table(coords, self._orders[a])
+        return spec._row(self._node_tables[a], order)
+
+    def _axis_values(self, op, a: int, nodes) -> np.ndarray:
+        """(count, n_nodes) table of op's action on axis a at distinct
         nodes: its 1-D table on the axis it acts on (Derivative on `var`,
         Caputo and Volterra on t), the identity table (P_j) on every other
         axis."""
-        if axis != (op.var if isinstance(op, Derivative) else "t"):
+        spec = self.specs[a]
+        if self.problem.variables[a] != (op.var if isinstance(op, Derivative) else "t"):
             op = Identity()
         if isinstance(op, (Identity, Derivative)):
-            return spec.values(nodes, getattr(op, "order", 0))
+            return self._basis_values(a, nodes, getattr(op, "order", 0))
         if isinstance(op, Caputo) and self.config.fractional_scheme == "analytic":
             return caputo_table(spec, op.alpha, nodes).T
         if isinstance(op, Caputo):
@@ -241,10 +265,8 @@ class CollocationGrid:
         pts = np.asarray(points)
         axes = self._grid_axes if pts is self.points else [np.unique(c, return_inverse=True) for c in pts.T]
         # np.take is C-ordered, unlike tab[:, where]
-        tables = [np.take(self._axis_values(op, name, spec, nodes), where, axis=1)
-                  for name, spec, (nodes, where) in zip(variables, self.specs, axes)]
-        # row g, column p*d_t + q  <->  phi_p(x_g) phi_q(t_g)
-        return reduce(lambda B, T: (B[:, None] * T[None]).reshape(len(B) * len(T), -1), tables).T
+        return _tensor_rows([np.take(self._axis_values(op, a, nodes), where, axis=1)
+                             for a, (nodes, where) in enumerate(axes)])
 
     # -- constraint columns ----------------------------------------------
 
@@ -265,11 +287,39 @@ class CollocationGrid:
     def side_rows(self) -> np.ndarray:
         """(n_sides, D): each side condition's operator row, which fills its
         target unknown's block of the constraint column."""
-        rows = np.zeros((len(self.sides), self.D), dtype=self.points.dtype)
-        for order in sorted({s.order for s in self.sides}):
-            idx = [i for i, s in enumerate(self.sides) if s.order == order]
-            rows[idx] = self.operator_matrix(self.sides[idx[0]].op, [self.sides[i].point for i in idx])
-        return rows
+        return _tensor_rows([self._side_axis_values(a) for a in range(len(self.specs))])
+
+    def _side_axis_values(self, a: int) -> np.ndarray:
+        """(count, n_sides) table of the side conditions on axis a, each at
+        its coordinate: its t-derivative on t, its value on every other
+        axis.  A coordinate that is an axis node reads the node table; the
+        others share one table at their distinct values."""
+        spec, nodes = self.specs[a], self.nodes[a]
+        on_t = self.problem.variables[a] == "t"
+        node_column = {c: j for j, c in enumerate(nodes.tolist())}
+        off_column = {}
+        groups = {}  # (on a node, order) -> (side indices, table columns)
+        for i, side in enumerate(self.sides):
+            c, order = side.point[a], side.order if on_t else 0
+            on_node = c in node_column
+            column = node_column[c] if on_node else off_column.setdefault(c, len(off_column))
+            idx, cols = groups.setdefault((on_node, order), ([], []))
+            idx.append(i)
+            cols.append(column)
+        if off_column:
+            top = max(order for on_node, order in groups if not on_node)
+            off_table = spec._table(np.array(list(off_column), dtype=nodes.dtype), top)
+        out = np.empty((spec.degree_count, len(self.sides)), dtype=nodes.dtype)
+        for (on_node, order), (idx, cols) in groups.items():
+            rows = self._basis_values(a, nodes, order) if on_node else spec._row(off_table, order)
+            out[:, idx] = rows[:, cols]
+        return out
+
+
+def _tensor_rows(tables) -> np.ndarray:
+    """(n, D) rows from one (count, n) table per axis: the row-wise
+    product, with column p*d_t + q <-> phi_p(x_g) phi_q(t_g)."""
+    return reduce(lambda B, T: (B[:, None] * T[None]).reshape(len(B) * len(T), B.shape[1]), tables).T
 
 
 def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
@@ -323,6 +373,32 @@ def assemble(grid: CollocationGrid):
     return Z, y
 
 
+def _cholesky(H: np.ndarray, failure: str):
+    """b -> H^-1 b from one lower Cholesky factorization of H by LAPACK
+    `dpotrf`/`dpotrs`, the calls under scipy's `cho_factor(H, lower=True)`
+    and `cho_solve`: their bits and errors (ValueError for a non-finite H
+    or b) without their per-call overhead.  A failed factorization raises
+    NotPositiveDefinite, "`failure`: k-th leading minor ...".
+    """
+    from scipy.linalg.lapack import dpotrf, dpotrs  # here, so import skips scipy
+
+    def finite(a):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+    finite(H)
+    factor, info = dpotrf(H, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"{failure}: {info}-th leading minor of the array is not positive definite")
+
+    def solve_fn(b: np.ndarray) -> np.ndarray:
+        finite(b)
+        return dpotrs(factor, b, lower=1)[0]
+
+    return solve_fn
+
+
 def _refined_solver(H: np.ndarray):
     """Cholesky solve with symmetric diagonal scaling and iterative refinement.
 
@@ -331,19 +407,13 @@ def _refined_solver(H: np.ndarray):
     different magnitudes, which is the norm for systems mixing second
     derivatives with plain point evaluations.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # here, so import skips scipy
-
     d = 1.0 / np.sqrt(np.diag(H))
-    Hs = H * d[:, None] * d[None, :]
-    try:
-        factor = cho_factor(Hs, lower=True)
-    except LinAlgError as err:
-        raise NotPositiveDefinite(f"dual matrix is not positive definite: {err}") from err
+    solve_scaled = _cholesky(H * d[:, None] * d[None, :], "dual matrix is not positive definite")
 
     def solve_fn(b: np.ndarray) -> np.ndarray:
-        x = d * cho_solve(factor, d * b)
+        x = d * solve_scaled(d * b)
         for _ in range(2):
-            x = x + d * cho_solve(factor, d * (b - H @ x))
+            x = x + d * solve_scaled(d * (b - H @ x))
         return x
 
     return solve_fn
@@ -358,8 +428,47 @@ def solve_linear(Z: np.ndarray, y: np.ndarray, grid: CollocationGrid) -> "Traine
     if Z.shape[1] != n_c:
         raise ShapeError(f"inconsistent dual system: Z {Z.shape}, y {y.shape}")
     gamma = grid.config.gamma
-    alpha = _refined_solver(Z.T @ Z + np.eye(n_c) / gamma)(y)
+    H = Z.T @ Z
+    H.flat[:: n_c + 1] += np.float64(1.0) / gamma  # + I/gamma, divided as np.eye(n_c) / gamma
+    alpha = _refined_solver(H)(y)
     return TrainedModel(weights=(Z @ alpha).reshape(grid.k, -1), errors=-alpha / gamma, grid=grid)
+
+
+def _linearizer(grid: CollocationGrid, A: np.ndarray, y: np.ndarray):
+    """`linearize(w) -> (r, J)`: the constraint residual r(w) and its
+    Jacobian J for `gauss_newton`, from the linear part r_lin = A w - y
+    (A = Z^T, C-ordered) and one call per closure.
+
+    A closure's rows of J add, for each unknown u, the forward difference
+    of the closure in u at each point times the basis functions' values
+    there: one broadcast over (point, unknown, basis function).
+    """
+    value_B = grid.grid_matrix(Identity())
+    k, D, n_grid = grid.k, grid.D, len(grid)
+    closures = [eq.nonlinear for eq in grid.problem.equations]
+    coords = np.tile(grid.points.T, k + 1)
+
+    def linearize(w: np.ndarray):
+        r = A @ w - y
+        J = A.copy()
+        by_unknown = J.reshape(-1, k, D)  # a view: row, unknown, basis function
+        uv = value_B @ w.reshape(k, D).T  # (n_grid, k)
+        h = 1e-7 * np.maximum(1.0, np.abs(uv))
+        # the unknowns' values, then k copies with unknown u bumped by h[:, u]
+        stacked = np.repeat(uv[None], k + 1, axis=0)
+        for u in range(k):
+            stacked[u + 1, :, u] += h[:, u]
+        for i, cl in enumerate(closures):
+            if cl is None:
+                continue
+            rows = slice(i * n_grid, (i + 1) * n_grid)
+            f = cl(*coords, *stacked.reshape(-1, k).T).reshape(k + 1, n_grid)
+            r[rows] += f[0]
+            slope = (f[1:].T - f[0, :, None]) / h  # (n_grid, k)
+            by_unknown[rows] += slope[:, :, None] * value_B[:, None, :]
+        return r, J
+
+    return linearize
 
 
 def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "TrainedModel":
@@ -381,36 +490,10 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
     seen, attached) when the budget runs out, and DomainError when gamma
     overflows the starting objective or the normal matrix.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # here, so import skips scipy
-
     Z, y = assemble(grid)
-    A = np.ascontiguousarray(Z.T)  # constant linear part: r_lin = A w - y
-    value_B = grid.grid_matrix(Identity())
-    k, D, n_grid = grid.k, grid.D, len(grid)
-    n_w = k * D
+    linearize = _linearizer(grid, np.ascontiguousarray(Z.T), y)
+    n_w = grid.k * grid.D
     gamma = grid.config.gamma
-    closures = [eq.nonlinear for eq in grid.problem.equations]
-    coords = np.tile(grid.points.T, k + 1)
-
-    def linearize(w: np.ndarray):
-        """Residual r(w) and its Jacobian J, one call per closure."""
-        r = A @ w - y
-        J = A.copy()
-        uv = value_B @ w.reshape(k, D).T  # (n_grid, k)
-        h = 1e-7 * np.maximum(1.0, np.abs(uv))
-        # the unknowns' values, then k copies with unknown u bumped by h[:, u]
-        stacked = np.repeat(uv[None], k + 1, axis=0)
-        for u in range(k):
-            stacked[u + 1, :, u] += h[:, u]
-        for i, cl in enumerate(closures):
-            if cl is None:
-                continue
-            rows = slice(i * n_grid, (i + 1) * n_grid)
-            f0, *f1 = cl(*coords, *stacked.reshape(-1, k).T).reshape(k + 1, n_grid)
-            r[rows] += f0
-            for u in range(k):
-                J[rows, u * D : (u + 1) * D] += ((f1[u] - f0) / h[:, u])[:, None] * value_B
-        return r, J
 
     def objective(w: np.ndarray, r: np.ndarray) -> float:
         # Python floats overflow to inf without a warning: a trial step is
@@ -432,12 +515,12 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
         try:
             with np.errstate(over="raise"):
                 grad = gamma * (J.T @ r) + w
-                M = gamma * (J.T @ J) + (1.0 + lam) * np.eye(n_w)
-            step = cho_solve(cho_factor(M, lower=True), -grad)
+                M = J.T @ J
+                M *= gamma
+                M.flat[:: n_w + 1] += 1.0 + lam  # + (1 + lam) I
         except FloatingPointError as err:
             raise DomainError(f"Gauss-Newton normal matrix overflows at gamma = {gamma:g}") from err
-        except LinAlgError as err:
-            raise NotPositiveDefinite(f"Gauss-Newton normal matrix failed: {err}") from err
+        step = _cholesky(M, "Gauss-Newton normal matrix failed")(-grad)
         trial_w = w + step
         trial_r, trial_J = linearize(trial_w)
         trial_obj = objective(trial_w, trial_r)
@@ -453,7 +536,7 @@ def gauss_newton(grid: CollocationGrid, w0: Optional[np.ndarray] = None) -> "Tra
         if converged:
             break
 
-    model = TrainedModel(weights=w.reshape(k, D), errors=r, grid=grid, iterations=iters)
+    model = TrainedModel(weights=w.reshape(grid.k, grid.D), errors=r, grid=grid, iterations=iters)
     if not converged:
         raise NonConvergence(
             f"Gauss-Newton did not converge in {grid.config.max_iters} iterations", best=model

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+from mpmath import mpf, workdps
 from numpy.testing import assert_allclose
 
 from daesvr.errors import (
@@ -20,6 +22,7 @@ import daesvr.solver
 from daesvr.benchmarks import CASES, self_check
 from daesvr.fractional import caputo_l1_table, caputo_table
 from daesvr.highprec import solve_interpolant
+from daesvr.expressions import MPF
 from daesvr.legendre import gauss_quadrature, legendre_table, shift_to_canonical
 from daesvr.model import (
     Caputo,
@@ -32,10 +35,12 @@ from daesvr.model import (
     is_linear,
     residuals,
 )
-from daesvr.schema import load_problem
+from daesvr.schema import _build, load_problem
 from daesvr.solver import (
     VOLTERRA_NODES,
     SolverConfig,
+    _cholesky,
+    _linearizer,
     _refined_solver,
     assemble,
     basis_counts,
@@ -324,7 +329,8 @@ class TestOneDiscretization:
 
     def test_gauss_newton_builds_the_identity_grid_table_once(self, monkeypatch):
         # example1 has identity terms, so assembly's table serves the
-        # closures' unknown values too
+        # closures' unknown values too; it is a row of the one order-1
+        # table at the t-nodes that the derivative term reads
         config = CASES["example1"].config
         grid = build_grid(load_problem("example1"), config)
         orders = []
@@ -337,13 +343,104 @@ class TestOneDiscretization:
 
         monkeypatch.setattr(daesvr.legendre, "legendre_table", counted_table)
         gauss_newton(grid)
-        assert sorted(orders) == [0, 1]
+        assert orders == [1]
 
     def test_grid_tables_are_read_only(self):
         grid = build_grid(oscillator(), SolverConfig(m=4))
         assert grid.grid_matrix(Identity()) is grid.grid_matrix(Identity())
         with pytest.raises(ValueError):
             grid.grid_matrix(Identity())[0, 0] = 1.0
+
+
+def _bits(a):
+    """An array's exact content: its bytes, or each mpf's (sign, man, exp, bc)."""
+    a = np.asarray(a)
+    return (a.shape, [x._mpf_ for x in a.ravel()] if a.dtype == object else a.tobytes())
+
+
+class TestAxisTables:
+    """One basis table per grid axis, at the axis's nodes and up to the
+    highest order that a term or side condition asks for there; every
+    Identity and Derivative table and node side row is a row of it."""
+
+    @pytest.mark.parametrize("name, calls", [("example1", 2), ("example5", 3)])
+    def test_a_solve_makes_one_table_per_node_set(self, monkeypatch, name, calls):
+        # example1: the t-nodes and t = 0; example5 at m = 6: the x-nodes,
+        # the t-nodes and t = 0 (its sides span the x-nodes)
+        config = CASES[name].config
+        gauss_quadrature(config.m)  # the Gauss rule, cached before counting
+        tables = []
+        table = daesvr.legendre.legendre_table
+        monkeypatch.setattr(daesvr.legendre, "legendre_table",
+                            lambda *args: tables.append(args) or table(*args))
+        solve(load_problem(name), config)
+        assert len(tables) == calls
+
+    @staticmethod
+    def grids():
+        yield build_grid(load_problem("example1"), CASES["example1"].config)
+        yield build_grid(load_problem("example2"), CASES["example2"].config)
+        yield build_grid(load_problem("example5"), CASES["example5"].config)
+        with workdps(40):
+            problem = load_problem("example5")
+            yield build_grid(_build(problem.source, problem.name, MPF), SolverConfig(m=6))
+
+    def test_shared_rows_are_the_basis_values(self):
+        with workdps(40):
+            for grid in self.grids():
+                for a, (spec, nodes) in enumerate(zip(grid.specs, grid.nodes)):
+                    for order in range(grid._orders[a] + 1):
+                        assert _bits(grid._basis_values(a, nodes, order)) == _bits(spec.values(nodes, order))
+
+    def test_grid_tables_and_side_rows_are_the_fresh_ones(self):
+        # a copy of the points and a one-point batch per side miss the node
+        # tables, so they evaluate every coordinate afresh
+        with workdps(40):
+            for grid in self.grids():
+                ops = {term.op for eq in grid.problem.equations for term in eq.terms}
+                for op in ops | {Identity()}:
+                    fresh = grid.operator_matrix(op, grid.points.copy())
+                    assert _bits(grid.grid_matrix(op)) == _bits(fresh)
+                rows = grid.side_rows()
+                assert rows.shape == (len(grid.sides), grid.D)
+                for side, row in zip(grid.sides, rows):
+                    assert _bits(row) == _bits(grid.operator_matrix(side.op, [side.point])[0])
+
+    def test_side_on_an_axis_node_reads_the_node_table(self, monkeypatch):
+        # u'' = 0 with u(0) = 1 and u'(0.5) = 2: at m = 3 the middle t-node
+        # is 0.5, so the sides add one table, at t = 0 alone
+        source = {"unknowns": 1, "domain": {"lo": 0.0, "hi": 1.0},
+                  "equations": [{"terms": [{"coeff": 1, "op": "deriv", "order": 2, "target": 0}],
+                                 "rhs": 0}],
+                  "side_conditions": [{"target": 0, "point": 0.0, "value": 1.0},
+                                      {"target": 0, "point": 0.5, "order": 1, "value": 2.0}],
+                  "exact": ["1 + 2*t"]}
+        grid = build_grid(load_problem(json.dumps(source)), SolverConfig(m=3))
+        assert grid.nodes[0][1] == 0.5
+        tables = []
+        table = daesvr.legendre.legendre_table
+        monkeypatch.setattr(daesvr.legendre, "legendre_table",
+                            lambda *args: tables.append(args) or table(*args))
+        rows = grid.side_rows()
+        assert sorted((np.size(x), order) for _, x, order in tables) == [(1, 0), (3, 2)]
+        for side, row in zip(grid.sides, rows):
+            assert _bits(row) == _bits(grid.operator_matrix(side.op, [side.point])[0])
+
+    def test_other_mpf_points_never_read_a_node_table(self):
+        # freed mpf objects' addresses are reused, so two object arrays of
+        # different points can hold the same bytes: the node tables are
+        # found by the grid's own node arrays, never by such bytes
+        with workdps(40):
+            problem = load_problem("example5")
+            grid = build_grid(_build(problem.source, problem.name, MPF), SolverConfig(m=6))
+            grid.grid_matrix(Derivative(1, "t"))
+            (spec_x, spec_t), op = grid.specs, Derivative(1, "t")
+            for i in range(40):
+                pts = np.array([[mpf(i) / 50 - mpf(1) / 3, mpf(i) / 41]], dtype=object)
+                got = grid.operator_matrix(op, pts)
+                want = np.outer(spec_x.values(pts[:, 0]), spec_t.values(pts[:, 1], 1)).ravel()
+                assert _bits(got[0]) == _bits(want)
+                del pts, got
 
 
 class TestBasisCounts:
@@ -416,6 +513,45 @@ class TestDualSystem:
         config = dataclasses.replace(CASES["example5"].config, m=8)
         with pytest.raises(NotPositiveDefinite):
             solve(load_problem("example5"), config)
+
+
+class TestCholesky:
+    """`_cholesky`, the LAPACK factor-and-solve under the dual and every
+    Gauss-Newton step: scipy's `cho_factor`/`cho_solve` bits and errors."""
+
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 61):
+            B = rng.standard_normal((n, n + 2)) * np.logspace(0, 6, n)[:, None]
+            H = B @ B.T + np.eye(n)
+            # scaled as the dual is: not bit-symmetric, so the triangle read counts
+            d = 1.0 / np.sqrt(np.diag(H))
+            for M in (H, H * d[:, None] * d[None, :]):
+                factor = scipy.linalg.cho_factor(M, lower=True)
+                solve_fn = _cholesky(M, "test matrix")
+                for b in rng.standard_normal((2, n)):
+                    assert solve_fn(b).tobytes() == scipy.linalg.cho_solve(factor, b).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["matrix", "right-hand side"])
+    def test_non_finite_input_raises_scipys_error(self, bad, where):
+        H, b = np.diag([4.0, 2.0, 3.0]), np.ones(3)
+        if where == "matrix":
+            H[0, 2] = bad  # in the triangle the factorization never reads
+        else:
+            b[1] = bad
+        with pytest.raises(ValueError) as scipy_error:
+            scipy.linalg.cho_solve(scipy.linalg.cho_factor(H, lower=True), b)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scipy_error.value))}$"):
+            _cholesky(H, "test matrix")(b)
+
+    def test_indefinite_matrix_names_the_leading_minor(self):
+        H = np.array([[4.0, 1.0, 0.0], [1.0, 2.0, 3.0], [0.0, 3.0, 1.0]])
+        with pytest.raises(scipy.linalg.LinAlgError) as scipy_error:
+            scipy.linalg.cho_factor(H, lower=True)
+        assert str(scipy_error.value).startswith("3-th leading minor")
+        with pytest.raises(NotPositiveDefinite, match=f"^test matrix: {re.escape(str(scipy_error.value))}$"):
+            _cholesky(H, "test matrix")
 
 
 class TestLinearSolve:
@@ -664,6 +800,32 @@ class TestEveryOperatorOnTheRectangle:
             solve_interpolant(on_rectangle(name), SolverConfig(m=4))
 
 
+def per_block_linearize(grid, w):
+    """The Gauss-Newton residual and Jacobian as one statement per
+    (closure, unknown) block: the reference for `_linearizer`."""
+    Z, y = assemble(grid)
+    A = np.ascontiguousarray(Z.T)
+    value_B = grid.grid_matrix(Identity())
+    k, D, n_grid = grid.k, grid.D, len(grid)
+    coords = np.tile(grid.points.T, k + 1)
+    r = A @ w - y
+    J = A.copy()
+    uv = value_B @ w.reshape(k, D).T
+    h = 1e-7 * np.maximum(1.0, np.abs(uv))
+    stacked = np.repeat(uv[None], k + 1, axis=0)
+    for u in range(k):
+        stacked[u + 1, :, u] += h[:, u]
+    for i, eq in enumerate(grid.problem.equations):
+        if eq.nonlinear is None:
+            continue
+        rows = slice(i * n_grid, (i + 1) * n_grid)
+        f0, *f1 = eq.nonlinear(*coords, *stacked.reshape(-1, k).T).reshape(k + 1, n_grid)
+        r[rows] += f0
+        for u in range(k):
+            J[rows, u * D : (u + 1) * D] += ((f1[u] - f0) / h[:, u])[:, None] * value_B
+    return r, J
+
+
 class TestGaussNewton:
     @pytest.mark.parametrize("name", ["example1", "example4"])
     def test_each_closure_is_called_once_per_linearize(self, monkeypatch, name):
@@ -684,6 +846,20 @@ class TestGaussNewton:
         for eq in problem.equations:
             want = 0 if eq.nonlinear is None else model.iterations + 1
             assert sum(f is eq.nonlinear for f in calls) == want
+
+    @pytest.mark.parametrize("m", [6, 10, 16])
+    @pytest.mark.parametrize("name", ["example1", "example4"])
+    def test_jacobian_matches_the_per_block_loop(self, name, m):
+        # at the dual start, at a w0 start, and where Gauss-Newton from w0 stops
+        grid = build_grid(load_problem(name), dataclasses.replace(CASES[name].config, m=m))
+        Z, y = assemble(grid)
+        linearize = _linearizer(grid, np.ascontiguousarray(Z.T), y)
+        start = solve_linear(Z, y, grid).weights.ravel()
+        w0 = start + 1e-3 * np.random.default_rng(m).standard_normal(start.size)
+        for w in (start, w0, gauss_newton(grid, w0=w0).weights.ravel()):
+            r, J = linearize(w)
+            want_r, want_J = per_block_linearize(grid, w)
+            assert r.tobytes() == want_r.tobytes() and J.tobytes() == want_J.tobytes()
 
     def test_scalar_square_root(self):
         # pure closure equation u^2 = 4; from a positive start the
@@ -732,11 +908,11 @@ class TestGaussNewton:
         assert_allclose(got.ravel(), model.errors[: got.size], rtol=0, atol=1e-14)
 
     def test_cholesky_failure_is_named(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("2-th leading minor not positive definite")
+        def failing(a, **kwargs):
+            return a, 2  # LAPACK's info: the 2nd leading minor is not positive
 
         grid = build_grid(load_problem(FLAT_SQUARE), SolverConfig(m=4))
-        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
         # w0 skips the dual start, so the failure is the normal matrix's
         with pytest.raises(NotPositiveDefinite, match="Gauss-Newton normal matrix failed: 2-th"):
             gauss_newton(grid, w0=np.full(4, 1.0))
