@@ -6,9 +6,10 @@ Everything is built on the three-term recurrence
 
 which is numerically stable on [-1, 1] for every degree used here.
 `legendre_table` carries the recurrence and its derivatives for a whole
-basis at once, in double precision or on numpy object arrays of mpmath
-`mpf`.  `BasisSpec.values` composes it with the map onto [-1, 1] and the
-chain-rule factor; every operator table of the solver is built from it.
+basis at once, every derivative order of a degree in one array statement,
+in double precision or on numpy object arrays of mpmath `mpf`.
+`BasisSpec.values` composes it with the map onto [-1, 1] and the chain-rule
+factor; every operator table of the solver is built from it.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ class BasisSpec:
 
     def _row(self, table: list[np.ndarray], order: int) -> np.ndarray:
         """`values` at `order` from a `_table` of that order or higher: row r
-        of a table is, bit for bit, the last row of the order-r table."""
-        return table[order] * (2.0 / self.width) ** order
+        of a table is, bit for bit, the last row of the order-r table.  Order
+        0 is the table's own row, not a copy."""
+        return table[order] * (2.0 / self.width) ** order if order else table[0]
 
 
 @dataclass(frozen=True)
@@ -124,20 +126,18 @@ def legendre_table(count: int, x, order: int = 0) -> list[np.ndarray]:
     """
     x = np.atleast_1d(_as_numbers(x))
     zero = x - x  # zeros of the input's number type, broadcast to each degree
-    table = [np.repeat(zero[None], count, axis=0) for _ in range(order + 1)]
-    table[0][0] = zero + 1
-    if count == 1:
-        return table
-    table[0][1] = x
-    if order >= 1:
-        table[1][1] = zero + 1
+    # rows[1 + r] holds order r; rows[0] stays zero, so that the order-0 row
+    # adds +0.0 (0 * 0.0), as it adds the scalar 0.0 when order is 0
+    rows = np.repeat(zero[None], (order + 2) * count, axis=0).reshape((order + 2, count) + x.shape)
+    rows[1, 0] = zero + 1
+    if count > 1:  # P_1 = x, and P_1' = 1 where order >= 1
+        rows[1, 1] = x
+        rows[2:3, 1] = zero + 1
+    ranks = np.arange(order + 1).reshape((-1,) + (1,) * x.ndim)
     for k in range(1, count - 1):
-        for r in range(order + 1):
-            lower = r * table[r - 1][k] if r else 0.0
-            table[r][k + 1] = (
-                (2 * k + 1) * (x * table[r][k] + lower) - k * table[r][k - 1]
-            ) / (k + 1)
-    return table
+        lower = ranks * rows[:-1, k] if order else 0.0  # r P_k^(r-1), every order at once
+        rows[1:, k + 1] = ((2 * k + 1) * (x * rows[1:, k] + lower) - k * rows[1:, k - 1]) / (k + 1)
+    return list(rows[1:])
 
 
 def _as_numbers(x) -> np.ndarray:

@@ -35,6 +35,11 @@ every operator's table is the product of its per-axis tables.  Each axis
 has one Legendre table at its nodes, up to the highest derivative order
 that a term or side condition asks for there; identity and derivative
 tables, and side conditions at a node, take their rows from it.
+An operator table depends only on the discretization (the axes and their
+bases, m, the operator, and a Volterra kernel's source text), not on
+coefficients, right-hand sides or gamma, so the float tables are kept in
+one bounded process-wide store and every solve of the same discretization
+reuses them (`CollocationGrid.grid_matrix`).
 Both double-precision kernels factor by LAPACK Cholesky (`_cholesky`,
 scipy's `dpotrf`/`dpotrs` called directly).
 """
@@ -45,7 +50,7 @@ import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from numbers import Integral, Real
 from typing import Optional
 
@@ -90,6 +95,7 @@ TINY_EXACT = 1e-14
 GN_DAMPING = 1e-3  # starting Levenberg parameter of gauss_newton
 GN_OBJECTIVE_RTOL = 1e-13  # relative objective change that ends gauss_newton
 VOLTERRA_NODES = 32  # fewest Gauss nodes per Volterra integral
+GRID_TABLES = 64  # float grid tables kept by _shared_table_slot, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,13 @@ def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=GRID_TABLES)
+def _shared_table_slot(key) -> list:
+    """The process-wide slot of one float grid table: empty until the first
+    grid of its discretization and operator (`key`) fills it."""
+    return []
+
+
 class CollocationGrid:
     """One discretization of a problem, shared by assembly, every trainer and
     the trained model.
@@ -167,9 +180,9 @@ class CollocationGrid:
     nodes as an (n, n_axes) array with t varying fastest; the problem and
     config it discretizes; D, the basis functions per unknown (the product
     of the per-axis counts); `sides`, one SideCondition per point that a
-    condition pins; and the operator tables over the grid, built once per
-    distinct operator.  Points are float, or mpf in object arrays on an mpf
-    domain.
+    condition pins; and the operator tables over the grid (`grid_matrix`),
+    built once per discretization and operator.  Points are float, or mpf
+    in object arrays on an mpf domain.
     """
 
     def __init__(self, problem: DaeProblem, config: SolverConfig, roots):
@@ -185,8 +198,9 @@ class CollocationGrid:
         self._grid_axes = list(zip(self.nodes, index))
         self.k = problem.unknowns
         self.D = math.prod(counts)
-        self.sides = self._expand_side_conditions()
-        self.n_constraints = self.k * len(self) + len(self.sides)
+        self._side_points, self._side_targets, self._side_orders, self._side_values = (
+            self._expand_side_conditions())
+        self.n_constraints = self.k * len(self) + len(self._side_targets)
         self._grid_matrices = {}
         # per axis, the highest derivative order a term or side condition
         # asks for, and the one basis table at the axis's nodes up to it
@@ -202,21 +216,26 @@ class CollocationGrid:
     # -- side conditions ------------------------------------------------
 
     def _expand_side_conditions(self):
-        """One SideCondition per point a condition pins: a coordinate None
-        stands for every node of its axis, and a callable value is a field
-        of the coordinates before t, called once on all of them."""
-        out = []
+        """The points that the side conditions pin, with each one's target,
+        t-derivative order and value: a coordinate None stands for every
+        node of its axis, and a callable value is a field of the coordinates
+        before t, called once on all of them."""
+        nodes = [n.tolist() for n in self.nodes]
+        points, targets, orders, values = [], [], [], []
         for sc in self.problem.side_conditions:
-            if None in sc.coords:
-                axes = [nodes if c is None else [c] for c, nodes in zip(sc.coords, self.nodes)]
-                points = list(itertools.product(*axes))
-            else:
-                points = [sc.coords]
-            values = [sc.value] * len(points)
-            if callable(sc.value):
-                values = sc.value(*np.array(points)[:, :-1].T)
-            out.extend(SideCondition(sc.target, p, v, sc.order) for p, v in zip(points, values))
-        return out
+            block = list(itertools.product(*[n if c is None else [c] for c, n in zip(sc.coords, nodes)]))
+            n = len(block)
+            points += block
+            targets += [sc.target] * n
+            orders += [sc.order] * n
+            values += list(sc.value(*np.array(block)[:, :-1].T)) if callable(sc.value) else [sc.value] * n
+        return points, targets, orders, values
+
+    @property
+    def sides(self) -> tuple:
+        """One SideCondition per point that a condition pins."""
+        return tuple(map(SideCondition, self._side_targets, self._side_points, self._side_values,
+                         self._side_orders))
 
     # -- basis rows -----------------------------------------------------
 
@@ -271,18 +290,32 @@ class CollocationGrid:
     # -- constraint columns ----------------------------------------------
 
     def grid_matrix(self, op) -> np.ndarray:
-        """operator_matrix over the grid, built once per distinct operator
-        and shared read-only by every caller.  Volterra integrals whose
-        kernels have the same source text share one table (a `Field`
-        compares by identity)."""
-        key = op
-        if isinstance(op, VolterraIntegral) and op.kernel.tag is not None:
+        """operator_matrix over the grid, built once per discretization and
+        operator and shared read-only by every caller.  A float grid's
+        tables live in one process-wide store (`_shared_table_slot`, the
+        GRID_TABLES most recently used), keyed by the axes, their bases, m
+        and the operator (a Caputo term with the scheme and L1 grid), so
+        every solve of the same discretization reuses them; they depend on
+        no coefficient, right-hand side or gamma.  An mpf grid keeps its
+        own.  Volterra integrals whose kernels have the same source text
+        share one table; a kernel without source text is a table of its
+        grid alone (a `Field` compares by identity)."""
+        key, shared = op, self.points.dtype != object
+        if isinstance(op, VolterraIntegral) and op.kernel.tag is None:
+            shared = False
+        elif isinstance(op, VolterraIntegral):
             key = (VolterraIntegral, op.kernel.tag)
-        if key not in self._grid_matrices:
+        elif isinstance(op, Caputo):
+            key = (op, self.config.fractional_scheme, self.config.l1_grid)
+        if shared:
+            slot = _shared_table_slot((self.problem.variables, self.specs, self.config.m, key))
+        else:
+            slot = self._grid_matrices.setdefault(key, [])
+        if not slot:
             table = self.operator_matrix(op, self.points)
             table.flags.writeable = False
-            self._grid_matrices[key] = table
-        return self._grid_matrices[key]
+            slot.append(table)
+        return slot[0]
 
     def side_rows(self) -> np.ndarray:
         """(n_sides, D): each side condition's operator row, which fills its
@@ -292,28 +325,23 @@ class CollocationGrid:
     def _side_axis_values(self, a: int) -> np.ndarray:
         """(count, n_sides) table of the side conditions on axis a, each at
         its coordinate: its t-derivative on t, its value on every other
-        axis.  A coordinate that is an axis node reads the node table; the
-        others share one table at their distinct values."""
+        axis.  Each distinct (coordinate, order) gets one column, gathered
+        once per side: a coordinate that is an axis node reads the node
+        table, the others share one table at their distinct values."""
         spec, nodes = self.specs[a], self.nodes[a]
-        on_t = self.problem.variables[a] == "t"
+        orders = self._side_orders if self.problem.variables[a] == "t" else [0] * len(self._side_orders)
+        keys = list(zip([p[a] for p in self._side_points], orders))
+        pairs = {key: i for i, key in enumerate(dict.fromkeys(keys))}
         node_column = {c: j for j, c in enumerate(nodes.tolist())}
-        off_column = {}
-        groups = {}  # (on a node, order) -> (side indices, table columns)
-        for i, side in enumerate(self.sides):
-            c, order = side.point[a], side.order if on_t else 0
-            on_node = c in node_column
-            column = node_column[c] if on_node else off_column.setdefault(c, len(off_column))
-            idx, cols = groups.setdefault((on_node, order), ([], []))
-            idx.append(i)
-            cols.append(column)
-        if off_column:
-            top = max(order for on_node, order in groups if not on_node)
-            off_table = spec._table(np.array(list(off_column), dtype=nodes.dtype), top)
-        out = np.empty((spec.degree_count, len(self.sides)), dtype=nodes.dtype)
-        for (on_node, order), (idx, cols) in groups.items():
-            rows = self._basis_values(a, nodes, order) if on_node else spec._row(off_table, order)
-            out[:, idx] = rows[:, cols]
-        return out
+        off = {c: None for c, _ in pairs if c not in node_column}
+        if off:
+            top = max(order for c, order in pairs if c in off)
+            off_table = spec._table(np.array(list(off), dtype=nodes.dtype), top)
+            off = {c: j for j, c in enumerate(off)}
+        columns = [self._basis_values(a, nodes, order)[:, node_column[c]] if c in node_column
+                   else spec._row(off_table, order)[:, off[c]] for c, order in pairs]
+        table = np.stack(columns, axis=1) if columns else np.empty((spec.degree_count, 0), nodes.dtype)
+        return table[:, list(map(pairs.__getitem__, keys))]
 
 
 def _tensor_rows(tables) -> np.ndarray:
@@ -366,10 +394,9 @@ def assemble(grid: CollocationGrid):
         for target, block in blocks.items():
             Z[target * D : (target + 1) * D, cols] = block.T
         y[cols] = eq.rhs(*grid.points.T)
-    for s_idx, (side, row) in enumerate(zip(grid.sides, grid.side_rows())):
-        c = grid.k * n_grid + s_idx
-        Z[side.target * D : (side.target + 1) * D, c] = row
-        y[c] = side.value
+    sides = np.arange(grid.k * n_grid, grid.n_constraints)
+    Z.reshape(grid.k, D, -1)[grid._side_targets, :, sides] = grid.side_rows()
+    y[sides] = grid._side_values
     return Z, y
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -19,7 +20,7 @@ from daesvr.errors import (
 import daesvr.highprec
 import daesvr.legendre
 import daesvr.solver
-from daesvr.benchmarks import CASES, self_check
+from daesvr.benchmarks import CASES, render_result, run_case, self_check
 from daesvr.fractional import caputo_l1_table, caputo_table
 from daesvr.highprec import solve_interpolant
 from daesvr.expressions import MPF
@@ -37,11 +38,13 @@ from daesvr.model import (
 )
 from daesvr.schema import _build, load_problem
 from daesvr.solver import (
+    GRID_TABLES,
     VOLTERRA_NODES,
     SolverConfig,
     _cholesky,
     _linearizer,
     _refined_solver,
+    _shared_table_slot,
     assemble,
     basis_counts,
     build_grid,
@@ -332,6 +335,7 @@ class TestOneDiscretization:
         # closures' unknown values too; it is a row of the one order-1
         # table at the t-nodes that the derivative term reads
         config = CASES["example1"].config
+        _shared_table_slot.cache_clear()  # the cost of a first solve
         grid = build_grid(load_problem("example1"), config)
         orders = []
         table = daesvr.legendre.legendre_table
@@ -369,6 +373,7 @@ class TestAxisTables:
         # the t-nodes and t = 0 (its sides span the x-nodes)
         config = CASES[name].config
         gauss_quadrature(config.m)  # the Gauss rule, cached before counting
+        _shared_table_slot.cache_clear()  # the cost of a first solve
         tables = []
         table = daesvr.legendre.legendre_table
         monkeypatch.setattr(daesvr.legendre, "legendre_table",
@@ -441,6 +446,140 @@ class TestAxisTables:
                 want = np.outer(spec_x.values(pts[:, 0]), spec_t.values(pts[:, 1], 1)).ravel()
                 assert _bits(got[0]) == _bits(want)
                 del pts, got
+
+
+class TestSharedGridTables:
+    """A float grid's operator tables are kept per discretization and
+    operator in one bounded process-wide store, so every solve of the same
+    discretization reuses them."""
+
+    # a Caputo term, a Volterra term and an identity term on an interval
+    MEMORY = {
+        "unknowns": 1,
+        "domain": {"lo": 0.0, "hi": 1.0},
+        "equations": [{"terms": [{"coeff": 1, "op": "caputo", "alpha": 0.5, "target": 0},
+                                 {"coeff": 1, "op": "volterra", "kernel": "1+s", "target": 0},
+                                 {"coeff": 1, "op": "identity", "target": 0}],
+                       "rhs": "t"}],
+        "side_conditions": [{"target": 0, "point": 0.0, "value": 0.0}],
+    }
+
+    @staticmethod
+    def tables(source, config):
+        """Each term's grid table, by operator type, on a freshly loaded problem."""
+        problem = load_problem(json.dumps(source))
+        grid = build_grid(problem, config)
+        return {type(term.op): grid.grid_matrix(term.op) for term in problem.equations[0].terms}
+
+    @pytest.mark.parametrize("name, overrides", [(name, {}) for name in CASES]
+                             + [("example3", {"fractional_scheme": "l1"})],
+                             ids=list(CASES) + ["example3-l1"])
+    def test_a_warm_solve_equals_a_cold_one(self, name, overrides):
+        _shared_table_slot.cache_clear()
+        cold = run_case(name, **overrides)
+        misses = _shared_table_slot.cache_info().misses
+        warm = run_case(name, **overrides)
+        assert _shared_table_slot.cache_info().misses == misses  # every table shared
+        assert warm.model.weights.tobytes() == cold.model.weights.tobytes()
+        assert warm.model.errors.tobytes() == cold.model.errors.tobytes()
+        assert render_result(warm) == render_result(cold)
+
+    def test_a_second_solve_builds_no_grid_table(self, monkeypatch):
+        # a freshly loaded example2 shares the first one's tables: its
+        # kernels are not called, and the one Legendre table it builds is
+        # at its side conditions' point t = 0
+        config = CASES["example2"].config
+        solve(load_problem("example2"), config)
+        problem = load_problem("example2")
+        kernels = [t.op.kernel for eq in problem.equations for t in eq.terms
+                   if isinstance(t.op, VolterraIntegral)]
+        calls, tables = [], []
+        field_call, table = Field.__call__, daesvr.legendre.legendre_table
+        monkeypatch.setattr(Field, "__call__", lambda self, *a: calls.append(self) or field_call(self, *a))
+        monkeypatch.setattr(daesvr.legendre, "legendre_table",
+                            lambda *a: tables.append(np.size(a[1])) or table(*a))
+        solve(problem, config)
+        assert calls and not any(c is k for c in calls for k in kernels)
+        assert tables == [1]
+
+    @pytest.mark.parametrize("change", ["interval", "m", "alpha", "scheme", "l1_grid", "kernel"])
+    def test_each_part_of_the_key_separates_tables(self, change):
+        source, config = copy.deepcopy(self.MEMORY), SolverConfig(m=6, fractional_scheme="l1")
+        first = self.tables(source, config)
+        assert all(table is first[op] for op, table in self.tables(source, config).items())
+        terms = source["equations"][0]["terms"]
+        if change == "interval":
+            source["domain"]["hi"] = 2.0
+        elif change == "m":
+            config = dataclasses.replace(config, m=7)
+        elif change == "alpha":
+            terms[0]["alpha"] = 0.25
+        elif change == "scheme":
+            config = dataclasses.replace(config, fractional_scheme="analytic")
+        elif change == "l1_grid":
+            config = dataclasses.replace(config, l1_grid=200)
+        else:
+            terms[1]["kernel"] = "1-s"
+        changed = {"alpha": {Caputo}, "scheme": {Caputo}, "l1_grid": {Caputo},
+                   "kernel": {VolterraIntegral}}.get(change, set(first))
+        for op, table in self.tables(source, config).items():
+            assert (table is first[op]) == (op not in changed)
+            # P_j at the mapped nodes is the same on every interval
+            if op in changed and op is not Identity and table.shape == first[op].shape:
+                assert not np.array_equal(table, first[op])
+
+    def test_each_axis_keeps_its_own_derivative_table(self):
+        # on a square with the same basis on both axes, d/dx and d/dt
+        # differ only in the axis they act on
+        source = {"unknowns": 1, "domain2": {"x_lo": 0.0, "x_hi": 1.0, "t_lo": 0.0, "t_hi": 1.0},
+                  "equations": [{"terms": [{"coeff": 1, "op": "deriv", "order": 1, "var": "x", "target": 0},
+                                           {"coeff": 1, "op": "deriv", "order": 1, "var": "t", "target": 0}],
+                                 "rhs": 0}]}
+        grid = build_grid(load_problem(json.dumps(source)), SolverConfig(m=4, degree=5))
+        assert grid.specs[0] == grid.specs[1]
+        by_x, by_t = grid.grid_matrix(Derivative(1, "x")), grid.grid_matrix(Derivative(1, "t"))
+        assert by_x is not by_t and not np.array_equal(by_x, by_t)
+
+    def test_a_kernel_without_source_text_is_never_shared(self):
+        problem, config = load_problem(json.dumps(self.MEMORY)), SolverConfig(m=6)
+        op = VolterraIntegral(Field(lambda t, s: 1.0 + s))  # "1+s", untagged
+        before = _shared_table_slot.cache_info()
+        first, second = build_grid(problem, config), build_grid(problem, config)
+        table = first.grid_matrix(op)
+        assert first.grid_matrix(op) is table
+        assert second.grid_matrix(op) is not table
+        assert _shared_table_slot.cache_info() == before
+
+    def test_mpf_grids_keep_their_own_tables(self):
+        with workdps(40):
+            problem = load_problem("example5")
+            grid = build_grid(_build(problem.source, problem.name, MPF), SolverConfig(m=6))
+            before = _shared_table_slot.cache_info()
+            for op in {term.op for eq in grid.problem.equations for term in eq.terms}:
+                assert grid.grid_matrix(op) is grid.grid_matrix(op)
+            assert _shared_table_slot.cache_info() == before
+
+    def test_shared_tables_are_read_only(self):
+        problem = load_problem("example2")
+        grid = build_grid(problem, CASES["example2"].config)
+        for op in [term.op for eq in problem.equations for term in eq.terms] + [Identity()]:
+            table = grid.grid_matrix(op)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_the_store_is_bounded(self):
+        # one Identity table per m; the least recently used one is dropped
+        # and built afresh when asked for again
+        _shared_table_slot.cache_clear()
+        problem = oscillator()
+        first = build_grid(problem, SolverConfig(m=1)).grid_matrix(Identity())
+        for m in range(2, GRID_TABLES + 6):
+            build_grid(problem, SolverConfig(m=m)).grid_matrix(Identity())
+        info = _shared_table_slot.cache_info()
+        assert info.maxsize == info.currsize == GRID_TABLES
+        again = build_grid(problem, SolverConfig(m=1)).grid_matrix(Identity())
+        assert again is not first and again.tobytes() == first.tobytes()
 
 
 class TestBasisCounts:
@@ -698,6 +837,7 @@ class TestOperatorTables:
             calls.append(self)
             return field_call(self, *args)
 
+        _shared_table_slot.cache_clear()  # the cost of a first solve
         problem = load_problem("example2")
         config = SolverConfig(m=m)
         grid = build_grid(problem, config)
@@ -714,6 +854,7 @@ class TestOperatorTables:
 
     def test_volterra_kernels_with_the_same_text_share_a_table(self, monkeypatch):
         # example2 has four Volterra terms: three with kernel "1", one "1+s"
+        _shared_table_slot.cache_clear()  # the cost of a first solve
         calls = []
         table = daesvr.solver._volterra_table
         monkeypatch.setattr(daesvr.solver, "_volterra_table",
