@@ -19,12 +19,14 @@ default 40 digits the rectangle benchmark's error stops falling near
 m = 12-16 and is wrong beyond m ~ 24, where 80 digits keep it falling.
 
 The pipeline is the regular solver's own, `build_grid(problem, config)` ->
-`assemble(grid)` -> a kernel, with `solve_square` as the kernel: `schema`
-builds the problem from its source description with the `MPF` vocabulary,
-so the domain, side points and values, constant fields and every expression
-(exact solutions included) are `mpf`; `build_grid` takes the Gauss nodes at
-working precision, refined once per (m, precision), and `assemble` runs
-unchanged on numpy object arrays of `mpf`.  The square matrix is then Z^T.
+`assemble(grid)` -> a kernel, and the mpf path has one kernel,
+`_solve_modes`: `schema` builds the problem from its source description
+with the `MPF` vocabulary, so the domain, side points and values, constant
+fields and every expression (exact solutions included) are `mpf`;
+`build_grid` takes the Gauss nodes at working precision, refined once per
+(m, precision), and `assemble` runs unchanged on numpy object arrays of
+`mpf`.  The square system Z^T w = y is the kernel's one mode with no
+blocks, (Z^T, [], [y]).
 
 Some rectangles skip `assemble`: those whose term coefficients are equal
 along x at each t-node, whose side conditions span every x-node, and whose
@@ -34,9 +36,9 @@ rule, which is exact at these degrees and so leaves the solution as it is
 (`_mode_system`).  In modes the identity in x is I and an x-derivative is
 the integer Legendre differentiation matrix, strictly upper triangular, so
 the system is I (x) A0 + sum_o N_o (x) B_o with one k*d_t block A0 on the
-diagonal: `_solve_modes` factors A0 once and back-substitutes the modes
-from the highest down.  The blocks come from one t-table; only the
-right-hand sides and side values pass through the Gauss rule.
+diagonal: the kernel factors A0 once and back-substitutes the modes from
+the highest down.  The blocks come from one t-table; only the right-hand
+sides and side values pass through the Gauss rule.
 
 The result is the regular solver's `TrainedModel` with `mpf` weights, an
 object array of shape (k, D), and the mpf grid it was solved on as `grid`
@@ -47,15 +49,15 @@ so the reported errors carry no double-precision rounding.  `errors` holds
 the residual A w - y of the system the kernel solved: the collocation
 system, or its projection onto the x-modes, mode-major.
 
-The kernels run on Python integers: each row is scaled by a power of two
+The kernel runs on Python integers: each row is scaled by a power of two
 and read once from the entries' mpf mantissas into fixed point with 128
 bits beyond working precision (`_row_scaled`); Gaussian elimination with
 partial pivoting updates only the rows whose multiplier is nonzero (about a
 quarter on the dense rectangle, where Z is sparse; `_factor`); the
 residual, an exact integer product of those row-scaled integers with the
 weights, drives one correction solve through the same factors and is
-returned as `errors` (`_refined`); and the mode projection and every
-evaluation are exact integer products rounded once per entry (`_dot`).
+returned as `errors`; and the mode projection and every evaluation are
+exact integer products rounded once per entry (`_dot`).
 Elimination, substitution and the modes' block updates run on lists of
 Python ints, the factors kept as the nonzero multipliers, the pivots and
 the rows right of them: numpy object arrays would run the same integer
@@ -84,7 +86,7 @@ from .model import Caputo, DaeProblem, Derivative, VolterraIntegral, is_linear
 from .schema import _build
 from .solver import SolverConfig, TrainedModel, assemble, build_grid
 
-__all__ = ["InterpolantModel", "solve_interpolant", "solve_square"]
+__all__ = ["InterpolantModel", "solve_interpolant"]
 
 
 @dataclass
@@ -224,85 +226,35 @@ def _mpf(man, exp, *rounding) -> mpf:
     return mp.make_mpf(from_man_exp(int(man), int(exp), *rounding))
 
 
-def _refined(b, row, apply, solve) -> tuple:
-    """The solution w of A w = b and its residual A w - b, both as mpf, from
-    one solve and one correction by the exact integer residual.
-
-    `row` holds A's row exponents (`_row_scaled`), `apply(v)` is the exact
-    integer product of the row-scaled A with v, and `solve(c)` gives
-    integers z with (row-scaled A) z = c * 2**F.
-    """
-    F = mp.prec + _GUARD_BITS
-    b_sign, b_man, b_exp, _ = _mantissas(b)
-
-    def solution(sign, man, e):
-        """The solution for the row-scaled right-hand side (-1)**sign * man * 2**e."""
-        scale = F - max((int(k) + v.bit_length() for v, k in zip(man, e) if v), default=F)
-        return [_mpf(z_k, -F - scale) for z_k in solve(_scaled(sign, man, e + scale))]
-
-    def residual(w):
-        """b - A w, row-scaled and split like a right-hand side of solution."""
-        w_sign, w_man, w_exp, w_bc = _mantissas(w)
-        E = F - int(_mag(w_exp, w_bc, F))  # w * 2**E: integers of F bits
-        r = _scaled(b_sign, b_man, b_exp + row + E) - apply(_scaled(w_sign, w_man, w_exp + E))
-        return r < 0, np.abs(r), np.full(len(r), -E)
-
-    w = solution(b_sign, b_man, b_exp + row)
-    w = [w_k + d_k for w_k, d_k in zip(w, solution(*residual(w)))]
-    sign, man, e = residual(w)
-    errors = [_mpf(m if s else -m, k) for s, m, k in zip(sign, man, (e - row).tolist())]
-    return w, np.array(errors, dtype=object)
-
-
-def solve_square(A, b) -> tuple:
-    """Solve the square system A w = b to working precision.
-
-    Returns the solution w and its residual A w - b, both as mpf.  Each row
-    of A is scaled by a power of two so its largest entry sits near 2**F,
-    F = mp.prec + 128, and read from its mpf mantissas into Python integers
-    once; elimination runs in fixed point with F fractional bits, touching
-    only the rows with a nonzero multiplier.  Residuals are exact integer
-    products of those row-scaled integers with w put on a common exponent,
-    so one correction solve through the same factors leaves the collocation
-    residual accurate to about 2**-F of |A| |w|.  Raises SingularSystem on a
-    zero pivot.
-    """
-    row, A_int = _row_scaled(A)
-    factors = _factor(A_int)
-    return _refined(b, row, A_int.dot, lambda c: _substitute(factors, c))
-
-
 def _solve_modes(A0, blocks, b) -> tuple:
     """Solve sum_p (I[j, p] A0 + sum_(N, B) N[j, p] B) X_p = b_j for every
-    mode j < m, where each N is a strictly upper triangular (m, m) integer
-    matrix and A0 and each B are (n, n).
+    mode j < m to working precision, where each N is a strictly upper
+    triangular (m, m) integer matrix and A0 and each B are (n, n).  A dense
+    square system A w = b is the one mode with no blocks, (A, [], [b]).
 
-    Returns X and the residual, both (m, n) mpf.  This is `solve_square` on
-    the block upper-triangular system of order m*n: A0 is row-scaled and
-    factored once; the rows of each B take A0's row exponents; a solve runs
-    the modes from m-1 down to 0, each through A0's factors, after taking
-    the higher modes' B terms from its right-hand side; the residual is the
-    exact integer product of the same blocks.
+    Returns X and its residual A X - b, both (m, n) mpf.  A0's rows are
+    scaled by powers of two (`_row_scaled`) and factored once; the rows of
+    each B take A0's row exponents.  A solve runs the modes from m-1 down
+    to 0, each through A0's factors, after taking the higher modes' B terms
+    from its right-hand side.  The residual is the exact integer product of
+    the same row-scaled blocks with X put on a common exponent, so one
+    correction solve by it leaves the residual accurate to about 2**-F of
+    |A| |X|, F = mp.prec + 128.  Raises SingularSystem on a zero pivot.
     """
     F = mp.prec + _GUARD_BITS
-    m, n = b.shape
     row, A_int = _row_scaled(A0)
     factors = _factor(A_int)
     blocks = [(N, _row_scaled(B, row)[1]) for N, B in blocks]
-
-    def apply(v):
-        V = v.reshape(m, n)
-        out = V.dot(A_int.T)
-        for N, B in blocks:
-            out += N.dot(V.dot(B.T))
-        return out.ravel()
-
+    b_sign, b_man, b_exp, _ = _mantissas(b)
+    m = len(b_man)
     # each B's rows as (column, entry) pairs, and the nonzero N[p, j] per j
     sparse = [([[(q, v) for q, v in enumerate(r) if v] for r in B.tolist()],
                [[(p, N[p, j]) for p in range(j) if N[p, j]] for j in range(m)]) for N, B in blocks]
 
-    def solve(c):
-        c = c.reshape(m, n).tolist()
+    def solution(sign, man, e):
+        """X for the row-scaled right-hand side (-1)**sign * man * 2**e."""
+        scale = F - max((int(k) + v.bit_length() for v, k in zip(man.flat, e.flat) if v), default=F)
+        c = _scaled(sign, man, e + scale).tolist()
         for j in range(m - 1, -1, -1):
             c[j] = z = _substitute(factors, c[j])
             for B, higher in sparse:
@@ -310,10 +262,24 @@ def _solve_modes(A0, blocks, b) -> tuple:
                     Bz = [sum([v * z[q] for q, v in r]) for r in B]
                     for p, N_pj in higher[j]:
                         c[p] = [a - ((N_pj * y) >> F) for a, y in zip(c[p], Bz)]
-        return [z_i for z in c for z_i in z]
+        return np.array([[_mpf(z_k, -F - scale) for z_k in z] for z in c], dtype=object)
 
-    X, errors = _refined(b.ravel(), np.tile(row, m), apply, solve)
-    return np.array(X, dtype=object).reshape(m, n), errors.reshape(m, n)
+    def residual(X):
+        """b - A X, row-scaled and split like a right-hand side of `solution`."""
+        x_sign, x_man, x_exp, x_bc = _mantissas(X)
+        E = F - int(_mag(x_exp, x_bc, F))  # X * 2**E: integers of F bits
+        V = _scaled(x_sign, x_man, x_exp + E)
+        AV = V.dot(A_int.T)
+        for N, B in blocks:
+            AV += N.dot(V.dot(B.T))
+        r = _scaled(b_sign, b_man, b_exp + row + E) - AV
+        return r < 0, np.abs(r), np.full(r.shape, -E)
+
+    X = solution(b_sign, b_man, b_exp + row)
+    X = X + solution(*residual(X))
+    sign, man, e = residual(X)
+    errors = [_mpf(v if s else -v, k) for s, v, k in zip(sign.flat, man.flat, (e - row).ravel().tolist())]
+    return X, np.array(errors, dtype=object).reshape(X.shape)
 
 
 def _legendre_derivative(m: int) -> np.ndarray:
@@ -388,9 +354,10 @@ def solve_interpolant(
     `problem` must come from `load_problem`.  Basis counts follow the same
     rule as the regular solver, which makes the linear system square; it is
     then solved directly rather than through the regularized dual, giving
-    the gamma -> infinity limit: in x-Legendre modes on a rectangle that
-    allows it (`_mode_system`), by `solve_square` on Z^T otherwise.  The
-    model's `problem` is the mpf rebuild.
+    the gamma -> infinity limit, by one call of the kernel `_solve_modes`:
+    in x-Legendre modes on a rectangle that allows it (`_mode_system`), and
+    otherwise on Z^T as one mode with no blocks.  The model's `problem` is
+    the mpf rebuild.
     """
     if isinstance(digits, bool) or not isinstance(digits, Integral) or digits < 15:
         raise ValidationError(f"digits must be an integer at least 15, got {digits!r}")
@@ -415,10 +382,7 @@ def solve_interpolant(
         system = _mode_system(grid)
         if system is None:
             Z, y = assemble(grid)
-            w, errors = solve_square(Z.T, y)
-            weights = np.array(w, dtype=object).reshape(grid.k, -1)
-        else:
-            X, errors = _solve_modes(*system)  # X[p, u * d_t + q]: weight of P_p(x) phi_q(t) in u
-            weights = X.reshape(len(X), grid.k, -1).swapaxes(0, 1).reshape(grid.k, -1)
-            errors = errors.ravel()
-    return InterpolantModel(weights=weights, errors=errors, grid=grid, digits=digits)
+            system = Z.T, [], [y]
+        X, errors = _solve_modes(*system)  # X[p, u * d + q]: weight of P_p(x) phi_q in u
+        weights = X.reshape(len(X), grid.k, -1).swapaxes(0, 1).reshape(grid.k, -1)
+    return InterpolantModel(weights=weights, errors=errors.ravel(), grid=grid, digits=digits)

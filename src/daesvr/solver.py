@@ -27,8 +27,8 @@ Every trainer runs the same three steps on one discretization:
 one kernel: `solve_linear(Z, y, grid)` (the dual, by Cholesky),
 `gauss_newton(grid)` (nonlinear equations: the same objective with residuals
 no longer affine in w, started from `solve_linear` on the linear part), or
-`highprec.solve_square` on the square system Z^T w = y, the gamma ->
-infinity limit.  Each returns a `TrainedModel` that carries the grid.
+`highprec._solve_modes` on the square system Z^T w = y (its one-mode
+case), the gamma -> infinity limit.  Each returns a `TrainedModel` that carries the grid.
 The grid works per axis of `DaeProblem.axes` (t, or x then t): a Legendre
 basis and collocation nodes on each axis, tensorized on the rectangle, and
 every operator's table is the product of its per-axis tables.  Each axis

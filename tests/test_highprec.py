@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import daesvr.highprec as highprec
 from daesvr.benchmarks import CASES, sweep
 from daesvr.errors import DaeSvrError, MissingExact, SingularSystem, ValidationError
-from daesvr.highprec import solve_interpolant, solve_square
+from daesvr.highprec import solve_interpolant
 from daesvr.expressions import MPF, Vocabulary
 from daesvr.legendre import legendre_table
 from daesvr.model import DaeProblem, Derivative, Identity, residuals
@@ -297,6 +297,24 @@ class TestModes:
         assert assembled == [model.grid]
         assert max(abs_errors(model, RECTANGLE_PROBES)) <= 1e-30
 
+    @pytest.mark.parametrize(
+        "text, m, modes, has_blocks",
+        [(OSCILLATOR, 6, 1, False), ("example5", 6, 6, True)],
+        ids=["oscillator-dense", "example5-modes"],
+    )
+    def test_one_kernel_call_per_solve(self, monkeypatch, text, m, modes, has_blocks):
+        # the dense system is the kernel's one mode with no blocks
+        calls = []
+        solve_modes = highprec._solve_modes
+
+        def recording(A0, blocks, b):
+            calls.append((len(b), len(blocks) > 0))
+            return solve_modes(A0, blocks, b)
+
+        monkeypatch.setattr(highprec, "_solve_modes", recording)
+        solve_interpolant(load_problem(text), SolverConfig(m=m), digits=40)
+        assert calls == [(modes, has_blocks)]
+
     def test_fields_are_evaluated_on_the_open_mesh(self):
         # exp occurs only in factors of t, which the x-node by t-node mesh
         # computes once per t-node, not once per grid point
@@ -441,6 +459,13 @@ def lu_reference(A, b, digits, extra=20):
         return [w[i] for i in range(len(b))]
 
 
+def solve_square(A, b):
+    """The square system A w = b, solved as the kernel's one mode with no
+    blocks: the solution w and its residual A w - b."""
+    X, errors = highprec._solve_modes(A, [], [b])
+    return X[0], errors[0]
+
+
 def rel_max_diff(got, ref):
     return max(abs(g - r) for g, r in zip(got, ref)) / max(abs(r) for r in ref)
 
@@ -569,60 +594,40 @@ def reference_substitute(factors, c):
     return z
 
 
-def reference_refined(b, row, apply, solve):
-    F = mp.prec + highprec._GUARD_BITS
-    b_sign, b_man, b_exp, _ = highprec._mantissas(b)
-
-    def solution(sign, man, e):
-        scale = F - max((int(k) + v.bit_length() for v, k in zip(man, e) if v), default=F)
-        z = solve(highprec._scaled(sign, man, e + scale))
-        return [mpmath.ldexp(z_k, -F - scale) for z_k in z]
-
-    def residual(w):
-        w_sign, w_man, w_exp, w_bc = highprec._mantissas(w)
-        E = F - int(highprec._mag(w_exp, w_bc, F))
-        r = (highprec._scaled(b_sign, b_man, b_exp + row + E)
-             - apply(highprec._scaled(w_sign, w_man, w_exp + E)))
-        return r < 0, np.abs(r), np.full(len(r), -E)
-
-    w = solution(b_sign, b_man, b_exp + row)
-    w = [w_k + d_k for w_k, d_k in zip(w, solution(*residual(w)))]
-    sign, man, e = residual(w)
-    errors = [mpmath.ldexp(m if s else -m, k) for s, m, k in zip(sign, man, (e - row).tolist())]
-    return w, np.array(errors, dtype=object)
-
-
-def reference_solve_square(A, b):
-    row, A_int = highprec._row_scaled(A)
-    factors = reference_factor(A_int)
-    return reference_refined(b, row, A_int.dot, lambda c: reference_substitute(factors, c))
-
-
 def reference_solve_modes(A0, blocks, b):
     F = mp.prec + highprec._GUARD_BITS
-    m, n = b.shape
     row, A_int = highprec._row_scaled(A0)
     factors = reference_factor(A_int)
     blocks = [(N, highprec._row_scaled(B, row)[1]) for N, B in blocks]
+    b_sign, b_man, b_exp, _ = highprec._mantissas(b)
+    m = len(b_man)
 
-    def apply(v):
-        V = v.reshape(m, n)
-        out = V.dot(A_int.T)
-        for N, B in blocks:
-            out += N.dot(V.dot(B.T))
-        return out.ravel()
-
-    def solve(c):
-        c = c.reshape(m, n).copy()
+    def solution(sign, man, e):
+        scale = F - max((int(k) + v.bit_length() for v, k in zip(man.flat, e.flat) if v), default=F)
+        c = highprec._scaled(sign, man, e + scale)
         z = np.empty_like(c)
         for j in range(m - 1, -1, -1):
             z[j] = reference_substitute(factors, c[j])
             for N, B in blocks:
                 c[:j] -= np.outer(N[:j, j], B.dot(z[j])) >> F
-        return z.ravel()
+        return np.array([[mpmath.ldexp(z_k, -F - scale) for z_k in z_j] for z_j in z], dtype=object)
 
-    X, errors = reference_refined(b.ravel(), np.tile(row, m), apply, solve)
-    return np.array(X, dtype=object).reshape(m, n), errors.reshape(m, n)
+    def residual(X):
+        x_sign, x_man, x_exp, x_bc = highprec._mantissas(X)
+        E = F - int(highprec._mag(x_exp, x_bc, F))
+        V = highprec._scaled(x_sign, x_man, x_exp + E)
+        AV = V.dot(A_int.T)
+        for N, B in blocks:
+            AV += N.dot(V.dot(B.T))
+        r = highprec._scaled(b_sign, b_man, b_exp + row + E) - AV
+        return r < 0, np.abs(r), np.full(r.shape, -E)
+
+    X = solution(b_sign, b_man, b_exp + row)
+    X = X + solution(*residual(X))
+    sign, man, e = residual(X)
+    errors = [mpmath.ldexp(v if s else -v, k)
+              for s, v, k in zip(sign.flat, man.flat, (e - row).ravel().tolist())]
+    return X, np.array(errors, dtype=object).reshape(X.shape)
 
 
 def random_system(n, seed):
@@ -666,15 +671,14 @@ class TestKernelBits:
     @pytest.mark.parametrize(
         "text, m, digits",
         [("example5", 4, 40), ("example5", 10, 40), ("example5", 16, 40), ("example5", 6, 80),
-         (OSCILLATOR, 6, 40)],
+         (OSCILLATOR, 6, 40), (X_COEFFICIENT, 6, 40)],
         ids=["example5-m4", "example5-m10", "example5-m16", "example5-m6-80-digits",
-             "oscillator-dense"],
+             "oscillator-dense", "x-coefficient-dense"],
     )
     def test_weights_and_errors(self, monkeypatch, text, m, digits):
         problem, config = load_problem(text), SolverConfig(m=m)
         model = solve_interpolant(problem, config, digits=digits)
         monkeypatch.setattr(highprec, "_solve_modes", reference_solve_modes)
-        monkeypatch.setattr(highprec, "solve_square", reference_solve_square)
         want = solve_interpolant(problem, config, digits=digits)
         assert mpf_bits(model.weights) == mpf_bits(want.weights)
         assert mpf_bits(model.errors) == mpf_bits(want.errors)
