@@ -33,13 +33,13 @@ The grid works per axis of `DaeProblem.axes` (t, or x then t): a Legendre
 basis and collocation nodes on each axis, tensorized on the rectangle, and
 every operator's table is the product of its per-axis tables.  Each axis
 has one Legendre table at its nodes, up to the highest derivative order
-that a term or side condition asks for there; identity and derivative
-tables, and side conditions at a node, take their rows from it.
-An operator table depends only on the discretization (the axes and their
-bases, m, the operator, and a Volterra kernel's source text), not on
-coefficients, right-hand sides or gamma, so the float tables are kept in
-one bounded process-wide store and every solve of the same discretization
-reuses them (`CollocationGrid.grid_matrix`).
+that a term or side condition asks for there, and on a float grid one at
+the side conditions' other coordinates; identity and derivative tables
+take their rows from them.  An operator table depends only on the axes, their bases,
+the operator (a Volterra kernel by its source text) and the points, not on
+coefficients, right-hand sides or gamma: the float tables at the grid, at
+the side conditions and at `report`'s probes live in one bounded
+process-wide store that every solve and report reuses (`CollocationGrid.table`).
 Both double-precision kernels factor by LAPACK Cholesky (`_cholesky`,
 scipy's `dpotrf`/`dpotrs` called directly).
 """
@@ -95,7 +95,7 @@ TINY_EXACT = 1e-14
 GN_DAMPING = 1e-3  # starting Levenberg parameter of gauss_newton
 GN_OBJECTIVE_RTOL = 1e-13  # relative objective change that ends gauss_newton
 VOLTERRA_NODES = 32  # fewest Gauss nodes per Volterra integral
-GRID_TABLES = 64  # float grid tables kept by _shared_table_slot, least recently used dropped
+GRID_TABLES = 64  # float tables kept by _shared_table_slot, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ def _volterra_table(kernel, spec: BasisSpec, points) -> np.ndarray:
 
 @lru_cache(maxsize=GRID_TABLES)
 def _shared_table_slot(key) -> list:
-    """The process-wide slot of one float grid table: empty until the first
-    grid of its discretization and operator (`key`) fills it."""
+    """The process-wide slot of one float operator table: empty until the
+    first grid of its axes, bases, operator and points (`key`) fills it."""
     return []
 
 
@@ -180,9 +180,9 @@ class CollocationGrid:
     nodes as an (n, n_axes) array with t varying fastest; the problem and
     config it discretizes; D, the basis functions per unknown (the product
     of the per-axis counts); `sides`, one SideCondition per point that a
-    condition pins; and the operator tables over the grid (`grid_matrix`),
-    built once per discretization and operator.  Points are float, or mpf
-    in object arrays on an mpf domain.
+    condition pins; and the operator tables at any points (`table`), built
+    once per discretization, operator and points.  Points are float, or
+    mpf in object arrays on an mpf domain.
     """
 
     def __init__(self, problem: DaeProblem, config: SolverConfig, roots):
@@ -202,13 +202,12 @@ class CollocationGrid:
             self._expand_side_conditions())
         self.n_constraints = self.k * len(self) + len(self._side_targets)
         self._grid_matrices = {}
-        # per axis, the highest derivative order a term or side condition
-        # asks for, and the one basis table at the axis's nodes up to it
+        # per axis, the highest derivative order asked for, and its own tables
         ops = [term.op for eq in problem.equations for term in eq.terms]
         ops += [sc.op for sc in problem.side_conditions]
         self._orders = [max((op.order for op in ops if isinstance(op, Derivative) and op.var == name),
                             default=0) for name in problem.variables]
-        self._node_tables = {}
+        self._axis_tables = {}
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -229,26 +228,42 @@ class CollocationGrid:
             targets += [sc.target] * n
             orders += [sc.order] * n
             values += list(sc.value(*np.array(block)[:, :-1].T)) if callable(sc.value) else [sc.value] * n
-        return points, targets, orders, values
+        return np.array(points, self.points.dtype).reshape(-1, len(self.nodes)), targets, orders, values
 
     @property
     def sides(self) -> tuple:
         """One SideCondition per point that a condition pins."""
-        return tuple(map(SideCondition, self._side_targets, self._side_points, self._side_values,
-                         self._side_orders))
+        points = map(tuple, self._side_points.tolist())
+        return tuple(map(SideCondition, self._side_targets, points, self._side_values, self._side_orders))
 
     # -- basis rows -----------------------------------------------------
 
     def _basis_values(self, a: int, coords, order: int) -> np.ndarray:
-        """`spec.values(coords, order)` on axis a.  At the axis's own nodes
-        it is a row of the one table built there (up to the axis's highest
-        order), shared by every operator and side condition."""
+        """`spec.values(coords, order)` on axis a at distinct coordinates.
+        The nodes and the side conditions' other coordinates each have one
+        table, built once up to the highest order asked there; coordinates
+        that all lie in these read their columns (on an mpf grid, nodes only)."""
         spec = self.specs[a]
-        if coords is not self.nodes[a] or order > self._orders[a]:
+        if self.points.dtype == object and coords is not self.nodes[a]:
             return spec.values(coords, order)
-        if a not in self._node_tables:
-            self._node_tables[a] = spec._table(coords, self._orders[a])
-        return spec._row(self._node_tables[a], order)
+        if a not in self._axis_tables:  # each own coordinate -> (set, column)
+            nodes, on_t = self.nodes[a], self.problem.variables[a] == "t"
+            where, off = {c: (0, j) for j, c in enumerate(nodes.tolist())}, {}
+            for c, side_order in zip(self._side_points[:, a].tolist(), self._side_orders):
+                if c not in where:
+                    off[c] = max(off.get(c, 0), side_order if on_t else 0)
+            where.update((c, (1, j)) for j, c in enumerate(off))
+            sets = [(nodes, self._orders[a]), (np.array(list(off), nodes.dtype), max(off.values(), default=0))]
+            self._axis_tables[a] = where, sets, {}
+        where, sets, tables = self._axis_tables[a]
+        found = [where.get(c) for c in coords.tolist()] if 0 < len(coords) <= len(where) else [None]
+        if None in found or order > min(sets[s][1] for s, _ in found):
+            return spec.values(coords, order)
+        rows = {}
+        for s in {s for s, _ in found}:
+            tables[s] = tables.get(s) or spec._table(*sets[s])
+            rows[s] = spec._row(tables[s], order)
+        return rows[0] if coords is self.nodes[a] else np.stack([rows[s][:, j] for s, j in found], axis=1)
 
     def _axis_values(self, op, a: int, nodes) -> np.ndarray:
         """(count, n_nodes) table of op's action on axis a at distinct
@@ -283,71 +298,56 @@ class CollocationGrid:
             raise ValidationError(f"derivative by {op.var!r}, which is not an axis of {variables}")
         pts = np.asarray(points)
         axes = self._grid_axes if pts is self.points else [np.unique(c, return_inverse=True) for c in pts.T]
-        # np.take is C-ordered, unlike tab[:, where]
-        return _tensor_rows([np.take(self._axis_values(op, a, nodes), where, axis=1)
-                             for a, (nodes, where) in enumerate(axes)])
+        # np.take is C-ordered, unlike tab[:, where]; the row-wise product of
+        # the axes' tables has column p*d_t + q <-> phi_p(x_g) phi_q(t_g)
+        tables = [np.take(self._axis_values(op, a, nodes), where, axis=1) for a, (nodes, where) in enumerate(axes)]
+        return reduce(lambda B, T: (B[:, None] * T[None]).reshape(len(B) * len(T), B.shape[1]), tables).T
 
     # -- constraint columns ----------------------------------------------
 
-    def grid_matrix(self, op) -> np.ndarray:
-        """operator_matrix over the grid, built once per discretization and
-        operator and shared read-only by every caller.  A float grid's
-        tables live in one process-wide store (`_shared_table_slot`, the
-        GRID_TABLES most recently used), keyed by the axes, their bases, m
-        and the operator (a Caputo term with the scheme and L1 grid), so
-        every solve of the same discretization reuses them; they depend on
-        no coefficient, right-hand side or gamma.  An mpf grid keeps its
-        own.  Volterra integrals whose kernels have the same source text
-        share one table; a kernel without source text is a table of its
-        grid alone (a `Field` compares by identity)."""
-        key, shared = op, self.points.dtype != object
+    def table(self, op, points) -> np.ndarray:
+        """operator_matrix(op, points), read-only where it is kept.  A float
+        grid keeps its tables in one process-wide store (`_shared_table_slot`)
+        that every grid of the same discretization reuses, keyed by the axes'
+        bases, the operator (a Caputo term with its scheme, and its L1 grid
+        under the L1 scheme; a Volterra term by its kernel's source text) and
+        the points' shape and bytes, except a table at more points than the
+        grid has constraints.  An mpf grid, or a kernel without source text,
+        keeps its own tables at the grid's points alone."""
+        pts = np.asarray(points, dtype=self.points.dtype)
+        key, shared = op, self.points.dtype != object and len(pts) <= self.n_constraints
         if isinstance(op, VolterraIntegral) and op.kernel.tag is None:
             shared = False
         elif isinstance(op, VolterraIntegral):
             key = (VolterraIntegral, op.kernel.tag)
         elif isinstance(op, Caputo):
-            key = (op, self.config.fractional_scheme, self.config.l1_grid)
+            scheme = self.config.fractional_scheme
+            key = (op, scheme, self.config.l1_grid) if scheme == "l1" else (op, scheme)
         if shared:
-            slot = _shared_table_slot((self.problem.variables, self.specs, self.config.m, key))
-        else:
+            slot = _shared_table_slot((self.specs, key, pts.shape, pts.tobytes()))
+        elif pts is self.points:
             slot = self._grid_matrices.setdefault(key, [])
+        else:
+            return self.operator_matrix(op, pts)
         if not slot:
-            table = self.operator_matrix(op, self.points)
+            table = self.operator_matrix(op, pts)
             table.flags.writeable = False
             slot.append(table)
         return slot[0]
 
+    def grid_matrix(self, op) -> np.ndarray:
+        """`table` at the collocation points, shared read-only by every caller."""
+        return self.table(op, self.points)
+
     def side_rows(self) -> np.ndarray:
         """(n_sides, D): each side condition's operator row, which fills its
-        target unknown's block of the constraint column."""
-        return _tensor_rows([self._side_axis_values(a) for a in range(len(self.specs))])
-
-    def _side_axis_values(self, a: int) -> np.ndarray:
-        """(count, n_sides) table of the side conditions on axis a, each at
-        its coordinate: its t-derivative on t, its value on every other
-        axis.  Each distinct (coordinate, order) gets one column, gathered
-        once per side: a coordinate that is an axis node reads the node
-        table, the others share one table at their distinct values."""
-        spec, nodes = self.specs[a], self.nodes[a]
-        orders = self._side_orders if self.problem.variables[a] == "t" else [0] * len(self._side_orders)
-        keys = list(zip([p[a] for p in self._side_points], orders))
-        pairs = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        node_column = {c: j for j, c in enumerate(nodes.tolist())}
-        off = {c: None for c, _ in pairs if c not in node_column}
-        if off:
-            top = max(order for c, order in pairs if c in off)
-            off_table = spec._table(np.array(list(off), dtype=nodes.dtype), top)
-            off = {c: j for j, c in enumerate(off)}
-        columns = [self._basis_values(a, nodes, order)[:, node_column[c]] if c in node_column
-                   else spec._row(off_table, order)[:, off[c]] for c, order in pairs]
-        table = np.stack(columns, axis=1) if columns else np.empty((spec.degree_count, 0), nodes.dtype)
-        return table[:, list(map(pairs.__getitem__, keys))]
-
-
-def _tensor_rows(tables) -> np.ndarray:
-    """(n, D) rows from one (count, n) table per axis: the row-wise
-    product, with column p*d_t + q <-> phi_p(x_g) phi_q(t_g)."""
-    return reduce(lambda B, T: (B[:, None] * T[None]).reshape(len(B) * len(T), B.shape[1]), tables).T
+        target unknown's block of the constraint column.  The rows of one
+        t-derivative order are one `table`, at the points of that order."""
+        rows, orders = np.empty((len(self._side_points), self.D), self.points.dtype), np.array(self._side_orders)
+        for order in set(self._side_orders):
+            at = orders == order
+            rows[at] = self.table(Derivative(order, "t") if order else Identity(), self._side_points[at])
+        return rows
 
 
 def build_grid(problem: DaeProblem, config: SolverConfig) -> CollocationGrid:
@@ -625,18 +625,18 @@ class TrainedModel:
 
     def values(self, op, points) -> np.ndarray:
         """(k, n_points) array of op applied to every unknown at the points,
-        in the model's number type (float, or mpf), from one operator table.
+        in the model's number type (float, or mpf), from one operator table:
+        a float model's from `CollocationGrid.table` and its store.
 
-        Each value is one table row dotted with the unknown's weights
-        (`vecdot`, not a matrix product), so a value does not depend on the
-        other points of the batch.
+        Each value is one table row dotted with the unknown's weights (`vecdot`,
+        not a matrix product), so it does not depend on the batch's other points.
         """
         return self._values_at(op, self.problem.points(points))
 
     def _values_at(self, op, pts: np.ndarray) -> np.ndarray:
         """`values` at points that `problem.points` has read."""
         with self._arithmetic():
-            M = np.ascontiguousarray(self.grid.operator_matrix(op, pts))
+            M = np.ascontiguousarray(self.grid.table(op, pts))
             return np.vecdot(M[None], self.weights[:, None, :])
 
     def evaluate(self, unknown: int, point) -> float:

@@ -15,7 +15,7 @@ from daesvr.errors import SelfCheckError
 from daesvr.legendre import legendre_table
 from daesvr.model import Identity
 from daesvr.schema import load_problem
-from daesvr.solver import SolverConfig, solve
+from daesvr.solver import SolverConfig, _shared_table_slot, solve
 
 OSCILLATOR = {
     "unknowns": 2,
@@ -191,6 +191,7 @@ class TestSolve:
             daesvr.legendre, "legendre_table",
             lambda *a: tables.append(a) or legendre_table(*a),
         )
+        _shared_table_slot.cache_clear()  # the values above stored the probes' table
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "trained" in out

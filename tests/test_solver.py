@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -448,6 +449,55 @@ class TestAxisTables:
                 del pts, got
 
 
+class TestSideRows:
+    """Each side condition's row, taken from the one store's table at the
+    side points of its order, is the row built for that side alone."""
+
+    # X_COEFFICIENT with an order-1 t-condition at x = 0.25, which is no
+    # x-node at m = 6
+    SLOPE = {**X_COEFFICIENT, "side_conditions": X_COEFFICIENT["side_conditions"] + [
+        {"target": 0, "x": 0.25, "t": 0.0, "order": 1, "value": 1.0}]}
+
+    @staticmethod
+    def reference(grid):
+        """Per side, the tensor product of `spec.values` at its coordinate on
+        each axis: its t-derivative on t, its value elsewhere."""
+        rows = []
+        for side in grid.sides:
+            factors = [spec.values(np.array([c]), side.order if name == "t" else 0)[:, 0]
+                       for spec, c, name in zip(grid.specs, side.point, grid.problem.variables)]
+            rows.append(functools.reduce(lambda a, b: np.outer(a, b).ravel(), factors))
+        return np.array(rows).reshape(len(rows), grid.D)
+
+    @staticmethod
+    def problems():
+        for name in CASES:
+            yield load_problem(name), CASES[name].config
+        yield load_problem(json.dumps(TestSideRows.SLOPE)), SolverConfig(m=6, gamma=1e8)
+
+    @pytest.mark.parametrize("index", range(len(CASES) + 1), ids=list(CASES) + ["rectangle-slope"])
+    def test_rows_are_each_sides_own(self, monkeypatch, index):
+        # the first grid may build tables; a second grid of the same
+        # discretization builds none and reads the same rows
+        problem, config = list(self.problems())[index]
+        grid = build_grid(problem, config)
+        want = self.reference(grid)
+        assert _bits(grid.side_rows()) == _bits(want)
+        tables = []
+        table = daesvr.legendre.legendre_table
+        monkeypatch.setattr(daesvr.legendre, "legendre_table", lambda *a: tables.append(a) or table(*a))
+        assert _bits(build_grid(problem, config).side_rows()) == _bits(want)
+        assert tables == []
+
+    def test_mpf_rows_are_each_sides_own(self):
+        with workdps(40):
+            problem = load_problem("example5")
+            grid = build_grid(_build(problem.source, problem.name, MPF), SolverConfig(m=6))
+            before = _shared_table_slot.cache_info()
+            assert _bits(grid.side_rows()) == _bits(self.reference(grid))
+            assert _shared_table_slot.cache_info() == before
+
+
 class TestSharedGridTables:
     """A float grid's operator tables are kept per discretization and
     operator in one bounded process-wide store, so every solve of the same
@@ -474,20 +524,24 @@ class TestSharedGridTables:
     @pytest.mark.parametrize("name, overrides", [(name, {}) for name in CASES]
                              + [("example3", {"fractional_scheme": "l1"})],
                              ids=list(CASES) + ["example3-l1"])
-    def test_a_warm_solve_equals_a_cold_one(self, name, overrides):
+    def test_a_warm_solve_equals_a_cold_one(self, monkeypatch, name, overrides):
+        # grid, side and probe tables all come from the store
         _shared_table_slot.cache_clear()
         cold = run_case(name, **overrides)
-        misses = _shared_table_slot.cache_info().misses
+        misses, tables = _shared_table_slot.cache_info().misses, []
+        table = daesvr.legendre.legendre_table
+        monkeypatch.setattr(daesvr.legendre, "legendre_table", lambda *a: tables.append(a) or table(*a))
         warm = run_case(name, **overrides)
         assert _shared_table_slot.cache_info().misses == misses  # every table shared
+        assert tables == []
         assert warm.model.weights.tobytes() == cold.model.weights.tobytes()
         assert warm.model.errors.tobytes() == cold.model.errors.tobytes()
         assert render_result(warm) == render_result(cold)
 
     def test_a_second_solve_builds_no_grid_table(self, monkeypatch):
-        # a freshly loaded example2 shares the first one's tables: its
-        # kernels are not called, and the one Legendre table it builds is
-        # at its side conditions' point t = 0
+        # a freshly loaded example2 shares the first one's tables, its side
+        # rows at t = 0 included: its kernels are not called, and it builds
+        # no Legendre table
         config = CASES["example2"].config
         solve(load_problem("example2"), config)
         problem = load_problem("example2")
@@ -500,7 +554,7 @@ class TestSharedGridTables:
                             lambda *a: tables.append(np.size(a[1])) or table(*a))
         solve(problem, config)
         assert calls and not any(c is k for c in calls for k in kernels)
-        assert tables == [1]
+        assert tables == []
 
     @pytest.mark.parametrize("change", ["interval", "m", "alpha", "scheme", "l1_grid", "kernel"])
     def test_each_part_of_the_key_separates_tables(self, change):
@@ -527,6 +581,51 @@ class TestSharedGridTables:
             # P_j at the mapped nodes is the same on every interval
             if op in changed and op is not Identity and table.shape == first[op].shape:
                 assert not np.array_equal(table, first[op])
+
+    def test_the_analytic_caputo_table_ignores_the_l1_grid(self):
+        # only the L1 scheme reads l1_grid
+        config = SolverConfig(m=6)
+        first = self.tables(self.MEMORY, config)
+        second = self.tables(self.MEMORY, dataclasses.replace(config, l1_grid=200))
+        assert all(table is first[op] for op, table in second.items())
+
+    def test_values_at_more_points_than_constraints_are_not_stored(self):
+        model = solve(oscillator(), SolverConfig(m=4, gamma=1e8))
+        n = model.grid.n_constraints
+        _shared_table_slot.cache_clear()
+        model.values(Identity(), np.linspace(0.0, 1.0, n + 1))
+        assert _shared_table_slot.cache_info().currsize == 0
+        model.values(Identity(), np.linspace(0.0, 1.0, n))
+        assert _shared_table_slot.cache_info().currsize == 1
+
+    def test_each_probe_set_has_its_own_table(self):
+        grid = build_grid(oscillator(), SolverConfig(m=4))
+        first, second = [0.1, 0.5], [0.1, 0.6]
+        table = grid.table(Identity(), np.array(first)[:, None])
+        assert grid.table(Identity(), np.array(first)[:, None]) is table
+        other = grid.table(Identity(), np.array(second)[:, None])
+        assert other is not table and other[0].tobytes() == table[0].tobytes()
+        assert not np.array_equal(other[1], table[1])
+
+    @pytest.mark.parametrize("change", ["point", "order"])
+    def test_each_side_layout_has_its_own_side_table(self, change):
+        # the same discretization, so the grid tables are shared, and the
+        # conditions at another point, or on the derivative, are not
+        source = json.loads(OSCILLATOR)
+        first = build_grid(load_problem(json.dumps(source)), SolverConfig(m=4))
+        if change == "point":
+            source["side_conditions"][1]["point"] = 0.25
+        else:
+            source["side_conditions"][1]["order"] = 1
+        second = build_grid(load_problem(json.dumps(source)), SolverConfig(m=4))
+        assert second.specs == first.specs
+        assert second.grid_matrix(Identity()) is first.grid_matrix(Identity())
+        misses = _shared_table_slot.cache_info().misses
+        rows, before = second.side_rows(), first.side_rows()
+        assert _shared_table_slot.cache_info().misses > misses
+        assert rows[0].tobytes() == before[0].tobytes()
+        assert not np.array_equal(rows[1], before[1])
+        assert _bits(rows) == _bits(TestSideRows.reference(second))
 
     def test_each_axis_keeps_its_own_derivative_table(self):
         # on a square with the same basis on both axes, d/dx and d/dt
